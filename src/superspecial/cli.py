@@ -15,11 +15,11 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from . import acceptance, cosettrace, massform, sslocus
 from .cosettrace import InvariantViolation, ModelSpecError
+from .exactnum import frac_dict
 from .ffield import is_prime
 from .finitegroup import GroupConstructionError
 from .massform import IntegralityError
@@ -40,10 +40,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
-
-
-def _frac_dict(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -93,7 +89,7 @@ def _census_payload(c: sslocus.Census) -> dict:
         "j_points": [str(j) for j in c.j_points],
         "involution": list(c.involution),
         "aut_orders": list(c.aut_orders),
-        "mass": _frac_dict(mass),
+        "mass": frac_dict(mass),
         "checks": _census_checks(c),
     }
 
@@ -107,6 +103,7 @@ def _census_csv_row(c: sslocus.Census) -> str:
 def cmd_census(args) -> int:
     if not is_prime(args.p):
         raise UsageError(f"p must be prime, got {args.p}")
+    sslocus.check_census_cost(args.p)
     cache = _open_cache(args.cache)
     c = _get_census(args.p, cache)
     if args.format == "json":
@@ -123,6 +120,7 @@ def _sweep_worker(p: int) -> str:
 def cmd_sweep(args) -> int:
     if args.pmin > args.pmax:
         raise UsageError(f"pmin {args.pmin} exceeds pmax {args.pmax}")
+    sslocus.check_census_cost(args.pmax)
     t0 = time.perf_counter()
     primes = [p for p in range(max(args.pmin, 2), args.pmax + 1) if is_prime(p)]
     cache = _open_cache(args.cache)
@@ -174,7 +172,7 @@ def cmd_mass(args) -> int:
         "p": args.p,
         "N": args.N,
         "genus": kind.value,
-        "mass": _frac_dict(result.mass),
+        "mass": frac_dict(result.mass),
         "gsp_order": result.gsp_order,
         "class_number": result.class_number,
         "note": result.note,

@@ -45,6 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exactnum import frac_dict
 from .finitegroup import Group, GroupConstructionError, group_from_kind
 
 
@@ -92,6 +93,18 @@ class DoubleCosetSpace:
     hecke_action: dict[int, int]  # rep -> rep, [x] -> [x pi]
 
 
+def _mask(n: int, members) -> np.ndarray:
+    """Boolean membership mask over the element indices 0..n-1."""
+    mask = np.zeros(n, dtype=bool)
+    mask[members] = True
+    return mask
+
+
+def _meet_conjugate(G: Group, cent: np.ndarray, in_k: np.ndarray, a: int) -> int:
+    """|cent ∩ a K a^{-1}|, counted as #{c in cent : a^{-1} c a in K}."""
+    return int(np.count_nonzero(in_k[G.table[G.table[G.inv[a], cent], a]]))
+
+
 def double_cosets(model: FiniteGroupModel) -> DoubleCosetSpace:
     G = model.group
     gam = np.array(model.gamma)
@@ -101,8 +114,8 @@ def double_cosets(model: FiniteGroupModel) -> DoubleCosetSpace:
     for x in range(G.n):
         if rep_of[x] >= 0:
             continue
-        coset = np.unique(G.table[np.ix_(gam, G.table[x, k])])
-        rep_of[coset] = x  # x is minimal: smaller indices already covered
+        # x is minimal: smaller indices already covered
+        rep_of[G.table[np.ix_(gam, G.table[x, k])]] = x
         reps.append(x)
     hecke = {r: int(rep_of[G.table[r, model.pi]]) for r in reps}
     if sorted(hecke.values()) != sorted(reps):
@@ -134,78 +147,89 @@ class TraceReport:
     factored_diagnostic: str = ""
 
 
-def _gamma_classes(model: FiniteGroupModel) -> list[np.ndarray]:
-    return model.group.conjugacy_partition(np.array(model.gamma))
+@dataclass(frozen=True)
+class _GammaClass:
+    rep: int  # smallest element of the Gamma-conjugacy class
+    hits: np.ndarray  # hits[x]: x^{-1} rep x lies in pi K
+    count: int  # number of hits
+    meets_pi_class: bool  # rep is G-conjugate to pi
 
 
-def _orbital_for_class(model: FiniteGroupModel, rep: int) -> tuple[Fraction, Fraction, int]:
-    """(a(G_gamma), O_gamma, raw conjugation count) for one class representative."""
+def _gamma_classes(model: FiniteGroupModel) -> list[_GammaClass]:
+    """One walk over the Gamma-conjugacy classes, one conj_vector per class."""
     G = model.group
-    gam = np.array(model.gamma)
-    k = np.array(model.k)
-    pik = np.sort(G.table[model.pi, k])
+    in_pik = _mask(G.n, G.table[model.pi, np.array(model.k)])
+    in_pi_class = _mask(G.n, G.conj_class(model.pi))
+    classes = []
+    for cls in G.conjugacy_partition(np.array(model.gamma)):
+        rep = int(cls[0])
+        hits = in_pik[G.conj_vector(rep)]  # conj_vector(rep)[x] = x^{-1} rep x
+        classes.append(_GammaClass(rep, hits, int(np.count_nonzero(hits)),
+                                   bool(in_pi_class[rep])))
+    return classes
 
-    cent = G.centralizer(rep)
-    cent_gamma = G.centralizer(rep, within=gam)
-    cent_k = np.intersect1d(cent, k, assume_unique=True)
-    y = G.conj_vector(rep)  # y[x] = x^{-1} rep x
-    hits = np.isin(y, pik)
-    count = int(hits.sum())
 
-    a_val = Fraction(len(cent), len(cent_gamma) * len(cent_k))
-    o_direct = Fraction(len(cent_k), len(cent) * len(k)) * count
+def _deltas(classes: list[_GammaClass]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return (tuple(sorted(c.rep for c in classes if c.count)),
+            tuple(sorted(c.rep for c in classes if c.meets_pi_class)))
 
-    # Independent re-evaluation: decompose the support E into G_gamma\E/K
-    # double cosets and sum vol(G_gamma ∩ aKa^{-1})^{-1}.
-    support = np.nonzero(hits)[0]
-    o_cosets = Fraction(0)
-    remaining = set(map(int, support))
-    while remaining:
-        a = min(remaining)
-        coset = np.unique(G.table[np.ix_(cent, G.table[a, k])])
-        remaining.difference_update(map(int, coset))
-        aka = np.unique(G.table[G.table[a, k], G.inv[a]])
-        o_cosets += Fraction(len(cent_k), len(np.intersect1d(cent, aka, assume_unique=True)))
+
+def _orbital_by_cosets(G: Group, cent: np.ndarray, k: np.ndarray, in_k: np.ndarray,
+                       hits: np.ndarray, cent_k: int) -> Fraction:
+    """O_gamma in coset-decomposed form: decompose the support E into
+    G_gamma \\ E / K double cosets and sum vol(G_gamma ∩ aKa^{-1})^{-1}."""
+    remaining = hits.copy()
+    total = Fraction(0)
+    while remaining.any():
+        a = int(np.argmax(remaining))
+        remaining[G.table[np.ix_(cent, G.table[a, k])]] = False
+        total += Fraction(cent_k, _meet_conjugate(G, cent, in_k, a))
+    return total
+
+
+def _orbital_for_class(G: Group, gam: np.ndarray, k: np.ndarray, in_k: np.ndarray,
+                       cls: _GammaClass) -> tuple[Fraction, Fraction]:
+    """(a(G_gamma), O_gamma) for one Gamma-class."""
+    cent = G.centralizer(cls.rep)
+    cent_gamma = G.centralizer(cls.rep, within=gam)
+    cent_k = int(np.count_nonzero(in_k[cent]))
+
+    a_val = Fraction(len(cent), len(cent_gamma) * cent_k)
+    o_direct = Fraction(cent_k, len(cent) * len(k)) * cls.count
+
+    o_cosets = _orbital_by_cosets(G, cent, k, in_k, cls.hits, cent_k)
     if o_cosets != o_direct:
         raise InvariantViolation(
-            f"orbital integral mismatch at class {rep}: {o_direct} vs {o_cosets}"
+            f"orbital integral mismatch at class {cls.rep}: {o_direct} vs {o_cosets}"
         )
-    return a_val, o_direct, count
+    return a_val, o_direct
 
 
 def delta_sets(model: FiniteGroupModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(delta_K, delta_f) as sorted tuples of Gamma-class representatives."""
-    G = model.group
-    k = np.array(model.k)
-    pik = np.sort(G.table[model.pi, k])
-    pi_class = set(map(int, G.conj_class(model.pi)))
-    d_k, d_f = [], []
-    for cls in _gamma_classes(model):
-        rep = int(cls[0])
-        y = G.conj_vector(rep)
-        if np.isin(y, pik).any():
-            d_k.append(rep)
-        if rep in pi_class:
-            d_f.append(rep)
-    return tuple(sorted(d_k)), tuple(sorted(d_f))
+    return _deltas(_gamma_classes(model))
 
 
 def orbital_trace(model: FiniteGroupModel) -> TraceReport:
     """Evaluate the orbital side, check it against the kernel side, and report."""
+    G = model.group
+    gam = np.array(model.gamma)
+    k = np.array(model.k)
+    in_k = _mask(G.n, k)
+    classes = _gamma_classes(model)
     terms = []
     total = Fraction(0)
-    for cls in _gamma_classes(model):
-        rep = int(cls[0])
-        a_val, o_val, _ = _orbital_for_class(model, rep)
+    for cls in classes:
+        a_val, o_val = _orbital_for_class(G, gam, k, in_k, cls)
         if o_val != 0:
-            terms.append(OrbitalTerm(rep, a_val, o_val))
+            terms.append(OrbitalTerm(cls.rep, a_val, o_val))
         total += a_val * o_val
     kernel = kernel_trace(model)
     if total != kernel:
         raise InvariantViolation(
             f"trace formula failed: orbital {total} != kernel {kernel}"
         )
-    d_k, d_f = delta_sets(model)
+    d_k, d_f = _deltas(classes)
     value, diagnostic = _factored(model, d_k, d_f, kernel)
     return TraceReport(kernel_trace=kernel,
                        orbital_terms=tuple(terms),
@@ -217,20 +241,21 @@ def orbital_trace(model: FiniteGroupModel) -> TraceReport:
 
 
 def _factored(model, d_k, d_f, kernel) -> tuple[Fraction | None, str]:
-    if set(d_k) != set(d_f):
-        extra = sorted(set(d_k) - set(d_f))
+    if d_k != d_f:
+        extra = [rep for rep in d_k if rep not in d_f]
         return None, (f"level subgroup not small enough: delta_K has classes {extra} "
                       "outside delta_f")
     G = model.group
     gam = np.array(model.gamma)
     k = np.array(model.k)
+    in_k = _mask(G.n, k)
     cent_pi = G.centralizer(model.pi)
     cent_pi_gamma = G.centralizer(model.pi, within=gam)
-    cent_pi_k = np.intersect1d(cent_pi, k, assume_unique=True)
-    pik = np.sort(G.table[model.pi, k])
-    n_pi = int(np.isin(G.conj_vector(model.pi), pik).sum())
-    a_pi = Fraction(len(cent_pi), len(cent_pi_gamma) * len(cent_pi_k))
-    o_pi = Fraction(len(cent_pi_k), len(cent_pi) * len(k)) * n_pi
+    cent_pi_k = int(np.count_nonzero(in_k[cent_pi]))
+    in_pik = _mask(G.n, G.table[model.pi, k])
+    n_pi = int(np.count_nonzero(in_pik[G.conj_vector(model.pi)]))
+    a_pi = Fraction(len(cent_pi), len(cent_pi_gamma) * cent_pi_k)
+    o_pi = Fraction(cent_pi_k, len(cent_pi) * len(k)) * n_pi
     value = len(d_f) * a_pi * o_pi
     if value != kernel:
         sizes = {rep: len(G.centralizer(rep, within=gam)) for rep in d_f}
@@ -263,15 +288,15 @@ def volume_identity_check(model: FiniteGroupModel, gamma: int, a: int) -> bool:
     """
     G = model.group
     k = np.array(model.k)
+    in_k = _mask(G.n, k)
     cent = G.centralizer(gamma)
-    cent_k = np.intersect1d(cent, k, assume_unique=True)
+    cent_k = int(np.count_nonzero(in_k[cent]))
 
-    orbit = np.unique(G.table[np.ix_(cent, G.table[a, k])])
-    n_cosets = len(orbit) // len(cent)
-    lhs = Fraction(n_cosets) * Fraction(len(cent_k), len(k))
+    orbit = _mask(G.n, G.table[np.ix_(cent, G.table[a, k])])
+    n_cosets = int(np.count_nonzero(orbit)) // len(cent)
+    lhs = Fraction(n_cosets) * Fraction(cent_k, len(k))
 
-    aka = np.unique(G.table[G.table[a, k], G.inv[a]])
-    rhs = Fraction(len(cent_k), len(np.intersect1d(cent, aka, assume_unique=True)))
+    rhs = Fraction(cent_k, _meet_conjugate(G, cent, in_k, a))
     return lhs == rhs
 
 
@@ -340,10 +365,6 @@ def parse_model_spec(text: str) -> FiniteGroupModel:
     return build_model(group, gamma_gens, k_gens, pi)
 
 
-def _frac_dict(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
 def report_to_dict(model: FiniteGroupModel, report: TraceReport) -> dict:
     G = model.group
     return {
@@ -353,19 +374,19 @@ def report_to_dict(model: FiniteGroupModel, report: TraceReport) -> dict:
         "k_order": len(model.k),
         "pi": G.literal(model.pi),
         "kernel_trace": report.kernel_trace,
-        "orbital_trace": _frac_dict(report.orbital_trace),
+        "orbital_trace": frac_dict(report.orbital_trace),
         "orbital_terms": [
             {
                 "gamma": G.literal(t.gamma_rep),
-                "a": _frac_dict(t.a_value),
-                "orbital_integral": _frac_dict(t.orbital_integral),
+                "a": frac_dict(t.a_value),
+                "orbital_integral": frac_dict(t.orbital_integral),
             }
             for t in report.orbital_terms
         ],
         "delta_K": [G.literal(r) for r in report.delta_K],
         "delta_f": [G.literal(r) for r in report.delta_f],
         "factored_value": None if report.factored_value is None
-        else _frac_dict(report.factored_value),
+        else frac_dict(report.factored_value),
         "factored_diagnostic": report.factored_diagnostic,
     }
 

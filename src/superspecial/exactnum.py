@@ -26,6 +26,11 @@ from math import comb
 BigRational = Fraction
 
 
+def frac_dict(q: Fraction) -> dict:
+    """JSON form of an exact rational: numerator and denominator as decimal strings."""
+    return {"num": str(q.numerator), "den": str(q.denominator)}
+
+
 class BernoulliTable:
     """Lazily extended table of Bernoulli numbers B_0, B_1, B_2, ...
 

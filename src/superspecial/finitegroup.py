@@ -114,13 +114,13 @@ class Group:
     def conjugacy_partition(self, members: np.ndarray) -> list[np.ndarray]:
         """Conjugacy classes of the subgroup `members` (acting on itself),
         each sorted, listed by their smallest representative."""
-        seen = set()
+        seen = np.zeros(self.n, dtype=bool)
         classes = []
         for i in map(int, members):
-            if i in seen:
+            if seen[i]:
                 continue
             cls = self.conj_class(i, within=members)
-            seen.update(map(int, cls))
+            seen[cls] = True
             classes.append(cls)
         return classes
 

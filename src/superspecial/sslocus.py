@@ -35,6 +35,12 @@ _AUT_SPECIAL_ZERO = 6
 _AUT_SPECIAL_1728 = 4
 _AUT_GENERIC = 2
 
+# Largest prime census() accepts.  hasse_poly(p) allocates (p-1)/2 + 1 int64
+# coefficients and root finding works in degree (p-1)/2, so a prime that
+# passes the word-size bound of ffield (p < 2^31) can still ask for gigabytes
+# and hours; beyond this ceiling the census is refused up front.
+CENSUS_MAX_PRIME = 10**6
+
 # True automorphism orders at the hard-coded small primes (j = 0 is the unique
 # supersingular point; the 6/4/2 rule does not apply in characteristic 2, 3).
 _SMALL_AUT = {2: 24, 3: 12}
@@ -84,6 +90,16 @@ class Census:
             raise CensusInvariantError(f"p={p}: H fails the class-number formula")
 
 
+def _aut_orders(field: Fp2Field, js) -> tuple[int, ...]:
+    """|Aut(E_j)| for each j at p > 3, by the 6/4/2 rule."""
+    j1728 = field.elem(1728)
+    zero = field.zero()
+    return tuple(_AUT_SPECIAL_ZERO if j == zero
+                 else _AUT_SPECIAL_1728 if j == j1728
+                 else _AUT_GENERIC
+                 for j in js)
+
+
 def _small_census(p: int) -> Census:
     field = Fp2Field(p, 2 if p == 3 else 1)
     j0 = field.elem(0)
@@ -91,10 +107,17 @@ def _small_census(p: int) -> Census:
                   aut_orders=(_SMALL_AUT[p],))
 
 
+def check_census_cost(p: int) -> None:
+    """Refuse a census (or a sweep up to p) above CENSUS_MAX_PRIME."""
+    if p > CENSUS_MAX_PRIME:
+        raise ValueError(f"p = {p} is above the census ceiling {CENSUS_MAX_PRIME}")
+
+
 def census(p: int) -> Census:
     """Enumerate the supersingular locus at p with its Galois involution."""
     if not is_prime(p):
         raise ValueError(f"census requires a prime, got {p}")
+    check_census_cost(p)
     if p <= 3:
         return _small_census(p)
     field = Fp2Field.of(p)
@@ -110,14 +133,8 @@ def census(p: int) -> Census:
     H = len(js)
     F = sum(1 for i, k in enumerate(involution) if i == k)
     T = (H + F) // 2
-    j1728 = field.elem(1728)
-    zero = field.zero()
-    auts = tuple(_AUT_SPECIAL_ZERO if j == zero
-                 else _AUT_SPECIAL_1728 if j == j1728
-                 else _AUT_GENERIC
-                 for j in js)
     result = Census(p=p, j_points=tuple(js), involution=involution,
-                    H=H, F=F, T=T, aut_orders=auts)
+                    H=H, F=F, T=T, aut_orders=_aut_orders(field, js))
     result.validate()
     return result
 
@@ -190,15 +207,8 @@ def decode_census(line: str) -> Census:
             involution = tuple(index[frobenius(j)] for j in js)
         except KeyError as exc:
             raise CensusInvariantError(f"p={p}: cached set not Frobenius-stable") from exc
-        H = len(js)
-        j1728 = field.elem(1728)
-        zero = field.zero()
-        auts = tuple(_AUT_SPECIAL_ZERO if j == zero
-                     else _AUT_SPECIAL_1728 if j == j1728
-                     else _AUT_GENERIC
-                     for j in js)
-        c = Census(p=p, j_points=js, involution=involution, H=H,
-                   F=int(f_str), T=int(t_str), aut_orders=auts)
+        c = Census(p=p, j_points=js, involution=involution, H=len(js),
+                   F=int(f_str), T=int(t_str), aut_orders=_aut_orders(field, js))
     if (c.F, c.T) != (int(f_str), int(t_str)):
         raise CensusInvariantError(f"p={p}: cached F/T disagree with recomputation")
     c.validate()

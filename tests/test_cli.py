@@ -30,6 +30,19 @@ def test_census_rejects_composite(capsys):
     assert "prime" in err
 
 
+def test_census_and_sweep_refuse_primes_above_the_cost_ceiling(capsys, tmp_path):
+    cache = tmp_path / "c.cache"
+    rc, out, err = run_cli(capsys, "census", "-p", "2147483647", "--cache", str(cache))
+    assert rc == EXIT_USAGE and out == ""
+    assert "ceiling 1000000" in err
+    assert not cache.exists()
+    rc, out, err = run_cli(capsys, "sweep", "--pmin", "5", "--pmax", "2147483647",
+                           "--jobs", "1", "--cache", str(cache))
+    assert rc == EXIT_USAGE and out == ""
+    assert "ceiling 1000000" in err
+    assert not cache.exists()
+
+
 def test_census_small_prime_constant(capsys):
     rc, out, _ = run_cli(capsys, "census", "-p", "2")
     assert rc == EXIT_OK

@@ -1,10 +1,12 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from superspecial.cosettrace import (ModelSpecError,
+from superspecial import cosettrace
+from superspecial.cosettrace import (InvariantViolation, ModelSpecError,
                                      build_model, delta_sets, double_cosets,
                                      factored_trace, involution_census,
                                      kernel_trace, orbital_trace,
@@ -322,3 +324,46 @@ def test_gsp2_model_surface():
     assert report.orbital_trace == report.kernel_trace == 360  # |Gamma| = 2
     value, _ = factored_trace(m)
     assert value == 360
+
+
+# sha256 of _golden_records over the 100 seed-42 models (the ``verify`` draw,
+# model 95 included), recorded from the two-pass implementation before the
+# orbital side was folded into one walk over the Gamma-classes.
+GOLDEN_SEED42_SHA256 = "f35e26a5e125355ec7c2df76db15c23cb9ebff4df380c02651092507a8357567"
+
+
+def _golden_records(models):
+    records = []
+    for m in models:
+        report = orbital_trace(m)
+        value, diag = factored_trace(with_trivial_k(m))
+        records.append({"report": report_to_dict(m, report),
+                        "delta_sets": [list(s) for s in delta_sets(m)],
+                        "factored_trivial_k": [None if value is None else str(value), diag]})
+    return records
+
+
+def test_trace_outputs_golden(seeded_models_100):
+    text = json.dumps(_golden_records(seeded_models_100), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SEED42_SHA256
+    for m in seeded_models_100:
+        report = orbital_trace(m)
+        assert (report.delta_K, report.delta_f) == delta_sets(m)
+        assert (report.factored_value, report.factored_diagnostic) == factored_trace(m)
+
+
+def test_orbital_trace_rejects_coset_sum_mismatch(monkeypatch):
+    real = cosettrace._orbital_by_cosets
+    monkeypatch.setattr(cosettrace, "_orbital_by_cosets",
+                        lambda *args: real(*args) + Fraction(1, 7))
+    Z4 = group_from_kind("cyclic:4")
+    with pytest.raises(InvariantViolation, match="orbital integral mismatch at class 0"):
+        orbital_trace(build_model(Z4, [2], [], 2))
+
+
+def test_orbital_trace_rejects_kernel_mismatch(monkeypatch):
+    real = cosettrace.kernel_trace
+    monkeypatch.setattr(cosettrace, "kernel_trace", lambda m: real(m) + 1)
+    Z4 = group_from_kind("cyclic:4")
+    with pytest.raises(InvariantViolation, match="trace formula failed: orbital 2 != kernel 3"):
+        orbital_trace(build_model(Z4, [2], [], 2))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from superspecial.ffield import Fp2Field, frobenius, is_prime
-from superspecial.sslocus import (Census, CensusCache, CensusInvariantError,
+from superspecial.sslocus import (CENSUS_MAX_PRIME, Census, CensusCache, CensusInvariantError,
                                   census, class_number_crosscheck, decode_census,
                                   eichler_mass, encode_census, trace_R_pi0,
                                   type_number)
@@ -41,6 +41,13 @@ def test_census_rejects_composites():
     for bad in (1, 4, 12, 91):
         with pytest.raises(ValueError):
             census(bad)
+
+
+def test_census_refuses_primes_above_the_cost_ceiling():
+    # 2^31 - 1 passes the word-size bound of ffield, but its Legendre
+    # polynomial alone would need 2^30 int64 coefficients.
+    with pytest.raises(ValueError, match=f"ceiling {CENSUS_MAX_PRIME}"):
+        census(2147483647)
 
 
 def test_trace_and_type_ops():
