@@ -223,18 +223,29 @@ def frobenius(x: Fp2Element) -> Fp2Element:
     return x.field.elem(x.a, -x.b)
 
 
+def _mul_pair(x: tuple[int, int], y: tuple[int, int], p: int, d: int) -> tuple[int, int]:
+    """(x0 + x1 t)(y0 + y1 t) on raw residue pairs, with t^2 = d."""
+    return ((x[0] * y[0] + x[1] * y[1] * d) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+
 def lambda_to_j(lam: Fp2Element) -> Fp2Element:
     """Map a Legendre parameter to its j-invariant.
 
     j = 2^8 (lam^2 - lam + 1)^3 / (lam^2 (lam - 1)^2); the six parameters
     {lam, 1-lam, 1/lam, 1/(1-lam), lam/(lam-1), (lam-1)/lam} all map to the
     same value.  lam in {0, 1} is the degenerate curve and is rejected.
+    The arithmetic runs on raw (a, b) pairs with a single norm inversion.
     """
     field = lam.field
-    zero, one = field.zero(), field.one()
-    if lam == zero or lam == one:
+    p, d = field.p, field.d
+    a, b = lam.a, lam.b
+    if b == 0 and a in (0, 1):
         raise ValueError("lambda in {0, 1} does not define a curve")
-    lam2 = lam * lam
-    num = (lam2 - lam + one) ** 3
-    den = lam2 * (lam - one) ** 2
-    return field.elem(256) * num / den
+    lam2 = _mul_pair((a, b), (a, b), p, d)
+    u = (lam2[0] - a + 1, lam2[1] - b)  # lam^2 - lam + 1
+    num = _mul_pair(_mul_pair(u, u, p, d), u, p, d)
+    den = _mul_pair(lam2, _mul_pair((a - 1, b), (a - 1, b), p, d), p, d)
+    # 1/(x + y t) = (x - y t) / (x^2 - d y^2); the norm vanishes only at 0.
+    scale = 256 * pow((den[0] * den[0] - d * den[1] * den[1]) % p, p - 2, p)
+    j = _mul_pair(num, (den[0] * scale, -den[1] * scale), p, d)
+    return Fp2Element(j[0], j[1], field)

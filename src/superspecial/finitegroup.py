@@ -25,6 +25,8 @@ import numpy as np
 from .massform import gsp_order
 
 ORDER_CAP = 5040
+# Entries per temporary index array in normalizer_of's row blocks (2^20 int16 = 2 MB).
+_BLOCK_ENTRIES = 1 << 20
 
 
 class GroupConstructionError(ValueError):
@@ -103,13 +105,16 @@ class Group:
 
     def normalizer_of(self, sub: np.ndarray) -> np.ndarray:
         """All x with x sub x^{-1} = sub (as a set)."""
-        target = set(map(int, sub))
-        out = []
-        for x in range(self.n):
-            conj = self.table[self.table[x, sub], self.inv[x]]
-            if set(map(int, conj)) == target:
-                out.append(x)
-        return np.array(out, dtype=np.int64)
+        in_sub = np.zeros(self.n, dtype=bool)
+        in_sub[sub] = True
+        # Conjugation is injective, so x sub x^{-1} equals sub once it lies in
+        # sub.  Rows of x go in blocks that bound the (rows, |sub|) temporaries.
+        rows = max(1, _BLOCK_ENTRIES // max(len(sub), 1))
+        keep = np.empty(self.n, dtype=bool)
+        for lo in range(0, self.n, rows):
+            conj = self.table[self.table[lo : lo + rows][:, sub], self.inv[lo : lo + rows, None]]
+            keep[lo : lo + rows] = in_sub[conj].all(axis=1)
+        return np.flatnonzero(keep).astype(np.int64, copy=False)
 
     def conjugacy_partition(self, members: np.ndarray) -> list[np.ndarray]:
         """Conjugacy classes of the subgroup `members` (acting on itself),

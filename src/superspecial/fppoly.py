@@ -34,19 +34,28 @@ _INT64_SAFE = (1 << 62)
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
+    # A product of trimmed polynomials over a field keeps a non-zero leading
+    # coefficient, so the scan is needed only after cancellation.
+    if len(c) == 0 or c[-1]:
+        return c
     nz = np.nonzero(c)[0]
     if len(nz) == 0:
         return c[:0]
     return c[: nz[-1] + 1]
 
 
+def _conv(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The untrimmed product a * b mod p (both non-empty), exact for every p."""
+    if min(len(a), len(b)) * (p - 1) * (p - 1) < _INT64_SAFE:
+        return np.convolve(a, b) % p
+    prod = np.convolve(a.astype(object), b.astype(object)) % p
+    return prod.astype(np.int64)
+
+
 def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if len(a) == 0 or len(b) == 0:
         return a[:0]
-    if min(len(a), len(b)) * (p - 1) * (p - 1) < _INT64_SAFE:
-        return _trim(np.convolve(a, b) % p)
-    prod = np.convolve(a.astype(object), b.astype(object)) % p
-    return _trim(prod.astype(np.int64))
+    return _trim(_conv(a, b, p))
 
 
 def _add(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -71,16 +80,18 @@ def _divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return a[:0], a.copy()
-    a = a.copy()
+    r = a.copy()
     db = len(b) - 1
     inv_lc = pow(int(b[-1]), p - 2, p)
     q = np.zeros(len(a) - db, dtype=np.int64)
     for i in range(len(a) - db - 1, -1, -1):
-        coef = int(a[i + db]) * inv_lc % p
+        coef = int(r[i + db]) * inv_lc % p
         if coef:
             q[i] = coef
-            a[i : i + db + 1] = (a[i : i + db + 1] - coef * b) % p
-    return _trim(q), _trim(a[:db] if db else a[:0])
+            seg = r[i : i + db + 1]
+            seg -= coef * b
+            seg %= p
+    return _trim(q), _trim(r[:db])
 
 
 def _gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -121,6 +132,8 @@ class _Modulus:
         self._prec = max(self.n, 1)
         if self.n >= 1:
             self.rinv = _newton_inverse(self.m[::-1].copy(), self._prec, p)
+            # m is monic, so the low n coefficients of q*m are those of q*m_low.
+            self._m_low = self.m[:-1]
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         n, p = self.n, self.p
@@ -132,25 +145,26 @@ class _Modulus:
         if dq + 1 > self._prec:
             # Foreign input of unusually high degree: schoolbook is exact.
             return _divmod(a, self.m, p)[1]
-        arev = a[::-1][: dq + 1].copy()
-        qrev = _mul(arev, self.rinv[: dq + 1], p)
-        if len(qrev) < dq + 1:
-            qrev = np.concatenate([qrev, np.zeros(dq + 1 - len(qrev), dtype=np.int64)])
-        q = qrev[: dq + 1][::-1].copy()
-        r = _sub(a[: n + len(q)], _mul(q, self.m, p), p)
-        return _trim(r[:n])
+        # The reversed quotient is rev(a) * rinv mod x^(dq+1); read it back
+        # reversed, then r = a - q*m, of which only the low n coefficients live.
+        q = _conv(a[: n - 1 : -1], self.rinv[: dq + 1], p)[dq::-1]
+        r = a[:n] - _conv(q, self._m_low, p)[:n]
+        r %= p
+        return _trim(r)
 
     def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.reduce(_mul(a, b, self.p))
 
     def powmod(self, base: np.ndarray, e: int) -> np.ndarray:
-        result = np.array([1], dtype=np.int64)
-        acc = self.reduce(base)
-        while e:
-            if e & 1:
-                result = self.mulmod(result, acc)
-            acc = self.mulmod(acc, acc)
-            e >>= 1
+        """base^e mod m by left-to-right square-and-multiply."""
+        if e == 0:
+            return self.reduce(np.ones(1, dtype=np.int64))
+        base = self.reduce(base)
+        result = base
+        for bit in bin(e)[3:]:
+            result = self.mulmod(result, result)
+            if bit == "1":
+                result = self.mulmod(result, base)
         return result
 
 
@@ -300,9 +314,10 @@ def _quadratic_roots(B: int, C: int, field: Fp2Field) -> list[Fp2Element]:
 def _split_quadratics(h: np.ndarray, xp_h: np.ndarray, p: int) -> list[tuple[int, int]]:
     """Split a squarefree product of irreducible quadratics into (B, C) pairs.
 
-    Legendre-ladder splitting on norms: (x+c)^(p+1) = (x^p+c)(x+c), so with
-    x^p carried down the tree each ladder step costs one product plus a
-    (p-1)/2 power.  Conjugate roots share the norm, so
+    Legendre-ladder splitting on norms: (x+c)^(p+1) = (x^p+c)(x+c)
+    = x^(p+1) + c(x^p + x) + c^2, so with x^p carried down the tree and
+    x^(p+1) formed once per node, each ladder step costs a scaled vector
+    sum plus a (p-1)/2 power.  Conjugate roots share the norm, so
     gcd(h, ((x^p+c)(x+c))^((p-1)/2) - 1) groups whole quadratic factors; a
     character-sum bound guarantees some c separates distinct factors for
     p >= 11, and children resume the ladder past the c their ancestors used.
@@ -322,10 +337,22 @@ def _split_quadratics(h: np.ndarray, xp_h: np.ndarray, p: int) -> list[tuple[int
             out.append((int(cur[1]) * inv_lc % p, int(cur[0]) * inv_lc % p))
             continue
         ctx = _Modulus(cur, p)
+        # The rung-c norm is N + c*S + c^2 with N = x^(p+1) and S = x^p + x
+        # mod cur, both padded to length deg.  Every term is reduced below p
+        # first, so each entry of c*S + N + c^2 stays below p^2 < 2^62.
+        norm_n = np.zeros(deg, dtype=np.int64)
+        xp1 = ctx.mulmod(xp_cur, x_arr)
+        norm_n[: len(xp1)] = xp1
+        norm_s = np.zeros(deg, dtype=np.int64)
+        norm_s[: len(xp_cur)] = xp_cur
+        norm_s[1] = (norm_s[1] + 1) % p
         for c in range(c0, c0 + p):
-            cc = np.array([c % p], dtype=np.int64)
-            v = ctx.mulmod(_add(xp_cur, cc, p), _add(x_arr, cc, p))
-            w = ctx.powmod(v, half)
+            cp = c % p
+            v = cp * norm_s
+            v += norm_n
+            v[0] += cp * cp % p
+            v %= p
+            w = ctx.powmod(_trim(v), half)
             g = _gcd(cur, _sub(w, one, p), p)
             if 0 < len(g) - 1 < deg:
                 q, _ = _divmod(cur, g, p)

@@ -119,7 +119,9 @@ def census(p: int) -> Census:
         raise ValueError(f"census requires a prime, got {p}")
     check_census_cost(p)
     if p <= 3:
-        return _small_census(p)
+        result = _small_census(p)
+        result.validate()
+        return result
     field = Fp2Field.of(p)
     lambdas = roots_in_fp2(hasse_poly(p), field)
     if len(lambdas) != (p - 1) // 2:

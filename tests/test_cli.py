@@ -84,6 +84,34 @@ def test_sweep_cache_warm_identical(capsys, tmp_path):
     assert "0 computed" in err
 
 
+def test_warm_sweep_validates_each_census_once(capsys, tmp_path, monkeypatch):
+    from superspecial import massform, sslocus
+
+    cache = tmp_path / "c.cache"
+    rc, cold, _ = run_cli(capsys, "sweep", "--pmin", "2", "--pmax", "60",
+                          "--jobs", "1", "--cache", str(cache))
+    assert rc == EXIT_OK
+    validated, masses = [], []
+    real_validate, real_mass = sslocus.Census.validate, massform.principal_mass
+
+    def validate(c):
+        validated.append(c.p)
+        real_validate(c)
+
+    def principal_mass(g, p):
+        masses.append(p)
+        return real_mass(g, p)
+
+    monkeypatch.setattr(sslocus.Census, "validate", validate)
+    monkeypatch.setattr(massform, "principal_mass", principal_mass)
+    rc, warm, _ = run_cli(capsys, "sweep", "--pmin", "2", "--pmax", "60",
+                          "--jobs", "1", "--cache", str(cache))
+    assert rc == EXIT_OK and warm == cold
+    primes = [int(line.split(",")[0]) for line in warm.strip().split("\n")[1:]]
+    assert validated == primes  # once each, by decode_census on cache load
+    assert masses == primes  # once per CSV row
+
+
 def test_sweep_env_cache_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERSPECIAL_CACHE_DIR", str(tmp_path))
     rc, _, _ = run_cli(capsys, "census", "-p", "11")

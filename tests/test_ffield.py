@@ -127,3 +127,19 @@ def test_lambda_six_to_one_orbit():
                      lam / (lam - one), (lam - one) / lam]
             js = {lambda_to_j(mu) for mu in orbit if mu not in (field.zero(), one)}
             assert len(js) == 1
+
+
+def test_lambda_to_j_matches_field_formula_exhaustively():
+    for p in (5, 7, 11, 13):
+        field = Fp2Field.of(p)
+        one = field.one()
+        for a in range(p):
+            for b in range(p):
+                lam = field.elem(a, b)
+                if lam in (field.zero(), one):
+                    continue
+                want = field.elem(256) * (lam * lam - lam + one) ** 3 / (
+                    lam * lam * (lam - one) ** 2)
+                got = lambda_to_j(lam)
+                assert got == want, (p, a, b)
+                assert (got.a, got.b) == (want.a, want.b)

@@ -69,6 +69,26 @@ def test_normalizer():
     assert len(G.normalizer_of(s2)) == 4
 
 
+def _normalizer_by_loop(G, sub):
+    """Oracle: test every x, comparing x sub x^{-1} with sub as Python sets."""
+    target = set(map(int, sub))
+    out = [x for x in range(G.n)
+           if set(map(int, G.table[G.table[x, sub], G.inv[x]])) == target]
+    return np.array(out, dtype=np.int64)
+
+
+def test_normalizer_matches_loop_oracle():
+    rng = random.Random(14)
+    for kind in ("cyclic:24", "sym:4", "sym:5", "gl2:3", "gl2:4", "gsp2:2"):
+        G = group_from_kind(kind)
+        for _ in range(6):
+            sub = G.subgroup([rng.randrange(G.n) for _ in range(rng.choice((0, 1, 2)))])
+            got = G.normalizer_of(sub)
+            want = _normalizer_by_loop(G, sub)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want), kind
+
+
 def test_conjugacy_partition():
     G = group_from_kind("sym:4")
     classes = G.conjugacy_partition(np.arange(G.n))

@@ -195,3 +195,59 @@ def test_evaluate_matches_numpy_scan():
     roots = set(f.roots_in_prime_field())
     for x in range(p):
         assert (f.evaluate(x) == 0) == (x in roots)
+
+
+_P31 = (1 << 31) - 1  # (p-1)^2 * 2 > 2^62: any product of length >= 2 takes the big-int path
+
+
+def test_modulus_reduce_and_powmod_at_word_size_prime():
+    # Oracle: schoolbook divmod (FpPoly %) and repeated products; neither
+    # touches the Newton-reciprocal reduction.
+    rng = random.Random(12)
+    p = _P31
+    for _ in range(30):
+        n = rng.randrange(1, 7)
+        m = FpPoly([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], p)
+        ctx = _Modulus(m.coeffs, p)
+        mm = m.monic()
+        a = _random_poly(rng, p, 2 * n - 2)
+        assert FpPoly(ctx.reduce(a.coeffs), p) == a % mm
+        base = _random_poly(rng, p, n - 1)
+        e = rng.randrange(1, 12)
+        slow = FpPoly([1], p)
+        for _ in range(e):
+            slow = (slow * base) % mm
+        assert FpPoly(ctx.powmod(base.coeffs, e), p) == slow
+    # x^p by square-and-multiply on FpPoly against the modulus context.
+    m = FpPoly([3, 0, 7, 1, 5], p)
+    want, acc, e = FpPoly([1], p), FpPoly.x(p) % m.monic(), p
+    while e:
+        if e & 1:
+            want = (want * acc) % m.monic()
+        acc = (acc * acc) % m.monic()
+        e >>= 1
+    assert FpPoly(_Modulus(m.coeffs, p).powmod(FpPoly.x(p).coeffs, p), p) == want
+
+
+def test_roots_in_fp2_at_word_size_prime():
+    # Products of distinct irreducible quadratics only: a root in F_p would
+    # send roots_in_prime_field to scan all 2^31 residues.
+    from superspecial.ffield import legendre
+
+    rng = random.Random(13)
+    p = _P31
+    field = Fp2Field.of(p)
+    for k in (1, 2, 6):
+        quads = []
+        while len(quads) < k:
+            s_, n_ = rng.randrange(p), rng.randrange(p)
+            if legendre(s_ * s_ - 4 * n_, p) == -1 and (s_, n_) not in quads:
+                quads.append((s_, n_))
+        f = FpPoly([1], p)
+        for s_, n_ in quads:
+            f = f * FpPoly([n_, -s_, 1], p)
+        got = roots_in_fp2(f, field)
+        assert len(got) == 2 * k
+        for r in got:
+            assert not r.in_prime_field()
+            assert f.evaluate(r) == field.zero()

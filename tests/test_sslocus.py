@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,20 @@ def test_census_hard_coded_small_primes():
         c = census(p)
         assert (c.H, c.F, c.T) == (1, 1, 1)
         assert [str(j) for j in c.j_points] == ["0"]
+
+
+def test_census_validates_the_hard_coded_small_primes(monkeypatch):
+    calls = []
+    real = Census.validate
+
+    def counted(c):
+        calls.append(c.p)
+        real(c)
+
+    monkeypatch.setattr(Census, "validate", counted)
+    for p in (2, 3):
+        census(p)
+    assert calls == [2, 3]
 
 
 def test_census_rejects_composites():
@@ -193,3 +208,14 @@ def test_validate_catches_bad_census():
                     H=c.H, F=c.F + 2, T=c.T, aut_orders=c.aut_orders)
     with pytest.raises(CensusInvariantError):
         broken.validate()
+
+
+# sha256 of the cache lines of every census 5 <= p <= 1000, joined by newlines;
+# recorded from the Legendre-ladder census before its kernels were slimmed.
+_GOLDEN_CENSUS_1000_SHA256 = "2852ac922dd4436850be012695e0774ee467e55e900e3c1e3ff4dffd15d4a509"
+
+
+def test_golden_census_digest_to_1000(censuses_1000):
+    text = "\n".join(encode_census(c) for c in censuses_1000)
+    assert len(censuses_1000) == 166
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_CENSUS_1000_SHA256
