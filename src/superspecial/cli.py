@@ -113,10 +113,6 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(p: int) -> str:
-    return sslocus.encode_census(sslocus.census(p))
-
-
 def cmd_sweep(args) -> int:
     if args.pmin > args.pmax:
         raise UsageError(f"pmin {args.pmin} exceeds pmax {args.pmax}")
@@ -134,8 +130,8 @@ def cmd_sweep(args) -> int:
     jobs = args.jobs if args.jobs else min(8, os.cpu_count() or 1)
     if jobs > 1 and len(todo) >= 16:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for line in pool.map(_sweep_worker, todo, chunksize=4):
-                c = sslocus.decode_census(line)
+            # census() validated each Census in its worker.
+            for c in pool.map(sslocus.census, todo, chunksize=4):
                 censuses[c.p] = c
                 if cache is not None:
                     cache.put(c)

@@ -187,16 +187,20 @@ def _orbital_by_cosets(G: Group, cent: np.ndarray, k: np.ndarray, in_k: np.ndarr
     return total
 
 
+def _term(G: Group, gam: np.ndarray, k: np.ndarray, in_k: np.ndarray, gamma: int,
+          count: int) -> tuple[Fraction, Fraction, np.ndarray, int]:
+    """(a(G_gamma), O_gamma, G_gamma, |G_gamma ∩ K|), where count is
+    #{x in G : x^{-1} gamma x in pi K}."""
+    cent = G.centralizer(gamma)
+    cent_k = int(np.count_nonzero(in_k[cent]))
+    a_val = Fraction(len(cent), len(G.centralizer(gamma, within=gam)) * cent_k)
+    return a_val, Fraction(cent_k, len(cent) * len(k)) * count, cent, cent_k
+
+
 def _orbital_for_class(G: Group, gam: np.ndarray, k: np.ndarray, in_k: np.ndarray,
                        cls: _GammaClass) -> tuple[Fraction, Fraction]:
     """(a(G_gamma), O_gamma) for one Gamma-class."""
-    cent = G.centralizer(cls.rep)
-    cent_gamma = G.centralizer(cls.rep, within=gam)
-    cent_k = int(np.count_nonzero(in_k[cent]))
-
-    a_val = Fraction(len(cent), len(cent_gamma) * cent_k)
-    o_direct = Fraction(cent_k, len(cent) * len(k)) * cls.count
-
+    a_val, o_direct, cent, cent_k = _term(G, gam, k, in_k, cls.rep, cls.count)
     o_cosets = _orbital_by_cosets(G, cent, k, in_k, cls.hits, cent_k)
     if o_cosets != o_direct:
         raise InvariantViolation(
@@ -249,20 +253,17 @@ def _factored(model, d_k, d_f, kernel) -> tuple[Fraction | None, str]:
     gam = np.array(model.gamma)
     k = np.array(model.k)
     in_k = _mask(G.n, k)
-    cent_pi = G.centralizer(model.pi)
-    cent_pi_gamma = G.centralizer(model.pi, within=gam)
-    cent_pi_k = int(np.count_nonzero(in_k[cent_pi]))
     in_pik = _mask(G.n, G.table[model.pi, k])
     n_pi = int(np.count_nonzero(in_pik[G.conj_vector(model.pi)]))
-    a_pi = Fraction(len(cent_pi), len(cent_pi_gamma) * cent_pi_k)
-    o_pi = Fraction(cent_pi_k, len(cent_pi) * len(k)) * n_pi
+    a_pi, o_pi, _, _ = _term(G, gam, k, in_k, model.pi, n_pi)
     value = len(d_f) * a_pi * o_pi
     if value != kernel:
         sizes = {rep: len(G.centralizer(rep, within=gam)) for rep in d_f}
         return None, (
             "term collapse invalid for this model: rational-centralizer sizes "
             f"{sizes} across delta_f are not all equal to |C_Gamma(pi)| = "
-            f"{len(cent_pi_gamma)}, so the common-term factorization does not apply"
+            f"{len(G.centralizer(model.pi, within=gam))}, so the common-term "
+            "factorization does not apply"
         )
     return value, ""
 

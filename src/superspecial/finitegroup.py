@@ -18,6 +18,7 @@ trace harness draws from.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -73,10 +74,6 @@ class Group:
 
     def inverse(self, i: int) -> int:
         return int(self.inv[i])
-
-    def conj(self, i: int, g: int) -> int:
-        """g^{-1} * i * g."""
-        return int(self.table[self.table[self.inv[g], i], g])
 
     # -- bulk ops -----------------------------------------------------------
 
@@ -193,18 +190,14 @@ def _build_sym(n: int) -> Group:
 
     def make_products(i):
         # Convention: (a*b)[k] = b[a[k]], i.e. apply a first, then b.
-        composed = perms[:, perms[i]]
-        # composed[j] should be a*... careful: rows are b = perms[j]:
-        # (perms[i] then perms[j]) at k is perms[j][perms[i][k]].
-        return composed @ radix
+        # Row j is perms[i] then perms[j]: at k it is perms[j][perms[i][k]].
+        return perms[:, perms[i]] @ radix
 
     table = _table_from_keys(f"sym:{n}", elements, make_products, encode)
     return Group(f"sym:{n}", elements, table)
 
 
 def _units(n: int) -> list[int]:
-    import math
-
     return [u for u in range(1, n) if math.gcd(u, n) == 1]
 
 
@@ -284,8 +277,6 @@ def group_from_kind(kind: str) -> Group:
             raise GroupConstructionError(f"cyclic:{n} outside supported range")
         return _build_cyclic(n)
     if family == "sym":
-        import math
-
         if n < 1 or math.factorial(n) > ORDER_CAP:
             raise GroupConstructionError(
                 f"sym:{n} has order {math.factorial(n) if n < 13 else '>>cap'}, cap is {ORDER_CAP}"

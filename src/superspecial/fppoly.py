@@ -8,14 +8,17 @@ an object (big-int) convolution, so no modulus is ever silently wrong.
 
 Root finding follows a gcd-with-Frobenius strategy:
 
-  1. g1 = gcd(f, x^p - x) carries the roots in F_p, extracted by a vectorized
-     scan of the prime field.
-  2. g2 = gcd(f / g1, x^(p^2) - x) carries the roots in F_{p^2} \\ F_p.  It is
-     a squarefree product of irreducible quadratics, split by the Legendre
-     ladder gcd(g2, (x+c)^((p^2-1)/2) - 1) for c = 0, 1, 2, ...; conjugate
-     root pairs share the norm (x+c)(x^p+c), so they stay together and the
-     ladder separates distinct quadratic factors (a character-sum bound
-     guarantees a separating c for p >= 11; smaller p never need a split).
+  1. g = gcd(f, x^(p^2) - x) carries every root of f in F_{p^2}, each once:
+     x^(p^2) - x is the product of all monic linear factors over F_{p^2}, so
+     g is squarefree by construction whatever the multiplicities in f.
+  2. g splits into its linear part g1 = gcd(g, x^p - x), whose roots lie in
+     F_p and are extracted by a vectorized scan of the prime field (refused
+     for p above PRIME_SCAN_MAX), and g2 = g / g1, a product of distinct
+     irreducible quadratics.  g2 is split by the Legendre ladder
+     gcd(g2, (x+c)^((p^2-1)/2) - 1) for c = 0, 1, 2, ...; conjugate root
+     pairs share the norm (x+c)(x^p+c), so they stay together and the ladder
+     separates distinct quadratic factors (a character-sum bound guarantees
+     a separating c for p >= 11; smaller p never need a split).
   3. Each quadratic x^2 - s x + n is solved by descending to F_p: its
      discriminant is d times a square, so the root is (s + t*sqrt(disc/d))/2
      with a Tonelli-Shanks square root in the prime field.
@@ -31,6 +34,11 @@ import numpy as np
 from .ffield import Fp2Element, Fp2Field, is_prime, sqrt_mod
 
 _INT64_SAFE = (1 << 62)
+
+# Largest prime whose field roots_in_prime_field scans: the scan holds two
+# int64 arrays of length p.  Not below sslocus.CENSUS_MAX_PRIME, so every
+# census it admits can be scanned.
+PRIME_SCAN_MAX = 10**6
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -265,6 +273,9 @@ class FpPoly:
         """All roots in F_p by scanning the prime field (vectorized Horner)."""
         if self.is_zero():
             raise ValueError("zero polynomial has every root")
+        if self.p > PRIME_SCAN_MAX:
+            raise ValueError(
+                f"p = {self.p} is above the prime-field scan ceiling {PRIME_SCAN_MAX}")
         xs = np.arange(self.p, dtype=np.int64)
         acc = np.zeros(self.p, dtype=np.int64)
         for c in self.coeffs[::-1]:
@@ -377,29 +388,19 @@ def roots_in_fp2(f: FpPoly, field: Fp2Field) -> set[Fp2Element]:
 
     fm = f.monic().coeffs
     ctx = _Modulus(fm, p)
-    xp = ctx.powmod(np.array([0, 1], dtype=np.int64), p)  # x^p mod f
     x_arr = np.array([0, 1], dtype=np.int64)
-
-    g1 = _gcd(fm, _sub(xp, x_arr, p), p)
+    xp = ctx.powmod(x_arr, p)  # x^p mod f
+    g = _gcd(fm, _sub(ctx.powmod(xp, p), x_arr, p), p)
+    if len(g) - 1 < 1:
+        return roots
+    # g divides f, so x^p mod g is (x^p mod f) mod g.
+    g1 = _gcd(g, _sub(_divmod(xp, g, p)[1], x_arr, p), p)
+    g2 = g
     if len(g1) - 1 >= 1:
         for r in FpPoly._raw(g1, p).roots_in_prime_field():
             roots.add(field.elem(r))
-
-    h = _divmod(fm, g1, p)[0] if len(g1) - 1 >= 1 else fm
-    if len(h) - 1 >= 1:
-        hctx = _Modulus(h, p)
-        xp_h = hctx.reduce(xp)
-        xp2_h = hctx.powmod(xp_h, p)  # x^(p^2) mod h
-        g2 = _gcd(h, _sub(xp2_h, x_arr, p), p)
-        # Multiplicity defense: repeated F_p roots of f survive in f/g1; their
-        # values are already collected, so strip them before pair splitting.
-        if len(g2) - 1 >= 1:
-            g2ctx = _Modulus(g2, p)
-            lin = _gcd(g2, _sub(g2ctx.reduce(xp), x_arr, p), p)
-            if len(lin) - 1 >= 1:
-                g2 = _divmod(g2, lin, p)[0]
-        if len(g2) - 1 >= 1:
-            xp_g2 = _divmod(xp, g2, p)[1]
-            for B, C in _split_quadratics(g2, xp_g2, p):
-                roots.update(_quadratic_roots(B, C, field))
+        g2 = _divmod(g, g1, p)[0]
+    if len(g2) - 1 >= 1:
+        for B, C in _split_quadratics(g2, _divmod(xp, g2, p)[1], p):
+            roots.update(_quadratic_roots(B, C, field))
     return roots

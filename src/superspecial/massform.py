@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .exactnum import zeta_negative
 
@@ -99,29 +99,23 @@ def gsp_order(g: int, N: int) -> int:
     return order
 
 
+def _mass(g: int, local: int) -> Fraction:
+    """(-1)^(g(g+1)/2) / 2^g * prod_{k=1..g} zeta(1-2k), times the local factor."""
+    value = Fraction((-1) ** (g * (g + 1) // 2), 2**g)
+    for k in range(1, g + 1):
+        value *= zeta_negative(k)
+    return value * local
+
+
 def principal_mass(g: int, p: int) -> Fraction:
     """The exact mass M(g, p) of the principal genus; positive for all inputs."""
     if g < 1:
         raise ValueError("g must be positive")
-    sign = Fraction((-1) ** (g * (g + 1) // 2), 2**g)
-    zetas = Fraction(1)
-    local = 1
-    for k in range(1, g + 1):
-        zetas *= zeta_negative(k)
-        local *= p**k + (-1) ** k
-    return sign * zetas * local
+    return _mass(g, prod(p**k + (-1) ** k for k in range(1, g + 1)))
 
 
 def _nonprincipal_mass(g: int, p: int) -> Fraction:
-    d = g // 2
-    sign = Fraction((-1) ** (g * (g + 1) // 2), 2**g)
-    zetas = Fraction(1)
-    for k in range(1, g + 1):
-        zetas *= zeta_negative(k)
-    local = 1
-    for k in range(1, d + 1):
-        local *= p ** (4 * k - 2) - 1
-    return sign * zetas * local
+    return _mass(g, prod(p ** (4 * k - 2) - 1 for k in range(1, g // 2 + 1)))
 
 
 def _check_level(p: int, N: int) -> None:
@@ -133,26 +127,26 @@ def _check_level(p: int, N: int) -> None:
         raise ValueError(f"level N={N} must be coprime to p={p}")
 
 
-def _as_integer(value: Fraction, what: str) -> int:
+def _level_class_number(g: int, p: int, N: int, mass: Fraction, what: str) -> int:
+    """|GSp_2g(Z/N)| * mass at a rigid level N; checked to be a positive integer."""
+    _check_level(p, N)
+    value = gsp_order(g, N) * mass
     if value.denominator != 1 or value < 1:
-        raise IntegralityError(f"{what} = {value} is not a positive integer")
+        raise IntegralityError(
+            f"{what}(g={g}, p={p}, N={N}) = {value} is not a positive integer")
     return int(value)
 
 
 def class_number_level(g: int, p: int, N: int) -> int:
     """H_N = |GSp_2g(Z/N)| * M(g, p); guaranteed (and checked) to be a positive integer."""
-    _check_level(p, N)
-    value = gsp_order(g, N) * principal_mass(g, p)
-    return _as_integer(value, f"H_N(g={g}, p={p}, N={N})")
+    return _level_class_number(g, p, N, principal_mass(g, p), "H_N")
 
 
 def nonprincipal_class_number_level(g: int, p: int, N: int) -> int:
     """H'_N for the non-principal genus (g = 2d even); checked integral."""
     if g % 2 != 0:
         raise ValueError("non-principal genus requires even g = 2d")
-    _check_level(p, N)
-    value = gsp_order(g, N) * _nonprincipal_mass(g, p)
-    return _as_integer(value, f"H'_N(g={g}, p={p}, N={N})")
+    return _level_class_number(g, p, N, _nonprincipal_mass(g, p), "H'_N")
 
 
 def recover_type_number(H: int, trace: int) -> int:
@@ -186,9 +180,6 @@ def evaluate(params: MassParams) -> MassResult:
         mass = _nonprincipal_mass(g, p)
         note = NONPRINCIPAL_CAVEAT
     order = gsp_order(g, N)
-    class_number = None
-    if N >= 3:
-        _check_level(p, N)
-        class_number = _as_integer(order * mass, f"class number (g={g}, p={p}, N={N})")
+    class_number = _level_class_number(g, p, N, mass, "class number ") if N >= 3 else None
     return MassResult(params=params, mass=mass, gsp_order=order,
                       class_number=class_number, note=note)

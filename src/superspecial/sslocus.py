@@ -100,6 +100,19 @@ def _aut_orders(field: Fp2Field, js) -> tuple[int, ...]:
                  for j in js)
 
 
+def _assemble(field: Fp2Field, js: tuple[Fp2Element, ...]) -> Census:
+    """The census of the j-set js at p > 3: involution, F, T and aut orders.
+
+    Raises KeyError when js is not Frobenius-stable.
+    """
+    index = {j: i for i, j in enumerate(js)}
+    involution = tuple(index[frobenius(j)] for j in js)
+    H = len(js)
+    F = sum(1 for i, k in enumerate(involution) if i == k)
+    return Census(p=field.p, j_points=js, involution=involution, H=H, F=F,
+                  T=(H + F) // 2, aut_orders=_aut_orders(field, js))
+
+
 def _small_census(p: int) -> Census:
     field = Fp2Field(p, 2 if p == 3 else 1)
     j0 = field.elem(0)
@@ -120,23 +133,16 @@ def census(p: int) -> Census:
     check_census_cost(p)
     if p <= 3:
         result = _small_census(p)
-        result.validate()
-        return result
-    field = Fp2Field.of(p)
-    lambdas = roots_in_fp2(hasse_poly(p), field)
-    if len(lambdas) != (p - 1) // 2:
-        # The Legendre supersingularity polynomial is squarefree with every
-        # root in F_{p^2}; anything else is a root-finder regression.
-        raise CensusInvariantError(
-            f"p={p}: found {len(lambdas)} Legendre parameters, expected {(p - 1) // 2}")
-    js = sorted({lambda_to_j(lam) for lam in lambdas}, key=Fp2Element.sort_key)
-    index = {j: i for i, j in enumerate(js)}
-    involution = tuple(index[frobenius(j)] for j in js)
-    H = len(js)
-    F = sum(1 for i, k in enumerate(involution) if i == k)
-    T = (H + F) // 2
-    result = Census(p=p, j_points=tuple(js), involution=involution,
-                    H=H, F=F, T=T, aut_orders=_aut_orders(field, js))
+    else:
+        field = Fp2Field.of(p)
+        lambdas = roots_in_fp2(hasse_poly(p), field)
+        if len(lambdas) != (p - 1) // 2:
+            # The Legendre supersingularity polynomial is squarefree with every
+            # root in F_{p^2}; anything else is a root-finder regression.
+            raise CensusInvariantError(
+                f"p={p}: found {len(lambdas)} Legendre parameters, expected {(p - 1) // 2}")
+        js = sorted({lambda_to_j(lam) for lam in lambdas}, key=Fp2Element.sort_key)
+        result = _assemble(field, tuple(js))
     result.validate()
     return result
 
@@ -151,16 +157,17 @@ def type_number(c: Census) -> int:
     return c.T
 
 
-def class_number_crosscheck(c: Census) -> bool:
-    """Independent oracle: H must equal floor(p/12) + eps(p mod 12).
-
-    This is the classical count of supersingular j-invariants, with
-    eps = 0, 1, 1, 2 at residues 1, 5, 7, 11.
-    """
-    if c.p <= 3:
+def class_number_formula(p: int) -> int:
+    """floor(p/12) + eps(p mod 12), the classical count of supersingular
+    j-invariants at a prime p > 3, with eps = 0, 1, 1, 2 at residues 1, 5, 7, 11."""
+    if p <= 3:
         raise ValueError("crosscheck formula is only valid for p > 3")
-    eps = {1: 0, 5: 1, 7: 1, 11: 2}[c.p % 12]
-    return c.H == c.p // 12 + eps
+    return p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]
+
+
+def class_number_crosscheck(c: Census) -> bool:
+    """Independent oracle: H must equal class_number_formula(p)."""
+    return c.H == class_number_formula(c.p)
 
 
 def eichler_mass(c: Census) -> Fraction:
@@ -204,13 +211,10 @@ def decode_census(line: str) -> Census:
             js = tuple(field.parse(tok) for tok in j_str.split(","))
         except ValueError as exc:
             raise CensusInvariantError(f"p={p}: unparsable j-invariant: {exc}") from exc
-        index = {j: i for i, j in enumerate(js)}
         try:
-            involution = tuple(index[frobenius(j)] for j in js)
+            c = _assemble(field, js)
         except KeyError as exc:
             raise CensusInvariantError(f"p={p}: cached set not Frobenius-stable") from exc
-        c = Census(p=p, j_points=js, involution=involution, H=len(js),
-                   F=int(f_str), T=int(t_str), aut_orders=_aut_orders(field, js))
     if (c.F, c.T) != (int(f_str), int(t_str)):
         raise CensusInvariantError(f"p={p}: cached F/T disagree with recomputation")
     c.validate()

@@ -31,6 +31,17 @@ def test_criterion_2_class_number_oracle(censuses_1000):
     _run(acceptance.criterion_2_class_number_oracle(censuses_1000))
 
 
+def test_criterion_2_reports_a_wrong_class_number():
+    from dataclasses import replace
+
+    from superspecial.sslocus import census
+
+    good = census(11)
+    result = acceptance.criterion_2_class_number_oracle([good, replace(good, H=3)])
+    assert not result.passed
+    assert result.detail == "p=11: H=3 != 2"
+
+
 def test_criterion_3_mass_consistency(censuses_1000):
     _run(acceptance.criterion_3_mass_consistency(censuses_1000))
 

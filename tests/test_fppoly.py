@@ -3,7 +3,8 @@ import random
 import pytest
 
 from superspecial.ffield import Fp2Field, lambda_to_j
-from superspecial.fppoly import FpPoly, _Modulus, hasse_poly, roots_in_fp2
+from superspecial.fppoly import PRIME_SCAN_MAX, FpPoly, _Modulus, hasse_poly, roots_in_fp2
+from superspecial.sslocus import CENSUS_MAX_PRIME
 
 
 def _random_poly(rng, p, max_deg):
@@ -143,13 +144,18 @@ def test_hasse_roots_against_scan_oracle():
 
 def test_roots_with_repeated_factors():
     # multiplicity is ignored: (x-2)^2 (x^2 - d) has roots {2, t, -t}
-    for p in (5, 13):
+    for p in (5, 13, 101):
         field = Fp2Field.of(p)
         d = field.d
         sq = FpPoly([4, -4, 1], p)  # (x-2)^2
         irr = FpPoly([-d, 0, 1], p)
         got = roots_in_fp2(sq * irr, field)
         assert got == {field.elem(2), field.gen(), field.elem(0, -1)}
+        # Squared irreducible quadratics: the ladder must still see each pair once.
+        irr2 = FpPoly([-4 * d, 0, 1], p)  # roots 2t, -2t
+        got = roots_in_fp2(sq * irr * irr * irr2 * irr2, field)
+        assert got == {field.elem(2), field.gen(), field.elem(0, -1),
+                       field.elem(0, 2), field.elem(0, -2)}
 
 
 def test_all_quadratic_pairs_split_at_tiny_p():
@@ -251,3 +257,14 @@ def test_roots_in_fp2_at_word_size_prime():
         for r in got:
             assert not r.in_prime_field()
             assert f.evaluate(r) == field.zero()
+
+
+def test_prime_field_scan_refuses_primes_above_its_ceiling():
+    # (x-3)(x-5) at p = 2^31 - 1: the scan would need two 2^31-entry int64
+    # arrays (16 GiB each), so it is refused before anything is allocated.
+    with pytest.raises(ValueError, match=f"scan ceiling {PRIME_SCAN_MAX}"):
+        roots_in_fp2(FpPoly([15, -8, 1], _P31), Fp2Field.of(_P31))
+    # Every census prime can still be scanned.
+    assert PRIME_SCAN_MAX >= CENSUS_MAX_PRIME
+    field = Fp2Field.of(999983)  # the largest prime below 10^6
+    assert roots_in_fp2(FpPoly([15, -8, 1], field.p), field) == {field.elem(3), field.elem(5)}

@@ -197,6 +197,14 @@ def test_cache_rejects_corruption(tmp_path):
         CensusCache(path)
 
 
+def test_decode_compares_cached_counts_with_recomputation():
+    # Each line is self-consistent (F = 2T - H, T = (H + F)/2) but its F/T
+    # disagree with the counts recomputed from the cached j-set.
+    for line in ("11;0,1;0;1\n", "2;0;3;2\n"):
+        with pytest.raises(CensusInvariantError, match="cached F/T disagree with recomputation"):
+            decode_census(line)
+
+
 def test_encode_decode(sweep):
     for c in list(sweep.values())[:20]:
         assert decode_census(encode_census(c)) == c
