@@ -10,6 +10,15 @@ Supported families (the "kind" strings used by model specs and the CLI):
 Every group is materialized as an element list in a canonical (sorted) order
 plus a full Cayley table, so conjugacy classes, centralizers, and coset
 partitions are exact enumerations (no character theory, no randomization).
+
+Tables are built from a few generators (sym: the transposition (0 1) and the
+n-cycle; gl2: E12, E21 and diag(u, 1); gsp2: `_gsp4_generators`).  Only the
+generators' rows are computed as products and looked up by integer key; every
+other row is one gather, row(a*g) = row(a)[row(g)], reached by a
+breadth-first search over right multiplication.  The gsp2 element set itself
+is the closure of its generators, one (frontier x generators) matrix product
+per level.  Cyclic tables are one outer sum.
+
 The table approach is capped at 5040 elements; that keeps the quadratic
 machinery interactive and comfortably covers every family the randomized
 trace harness draws from.
@@ -32,23 +41,6 @@ _BLOCK_ENTRIES = 1 << 20
 
 class GroupConstructionError(ValueError):
     pass
-
-
-def _closure_objects(gens, mul, identity):
-    """BFS closure of a generating set under an object-level multiplication."""
-    els = {identity}
-    frontier = [identity]
-    gens = list(gens)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                w = mul(a, g)
-                if w not in els:
-                    els.add(w)
-                    new.append(w)
-        frontier = new
-    return els
 
 
 class Group:
@@ -159,25 +151,58 @@ def _dtype_for(n: int):
     return np.int16 if n < 0x7FFF else np.int32
 
 
-def _table_from_keys(kind, elements, make_products, encode):
-    """Build the Cayley table by batch-producing row products and key lookup."""
+def _table_from_generators(kind, elements, gens, make_products, encode):
+    """Build the Cayley table from the rows of a generating set.
+
+    make_products(i) gives the keys of elements[i] * x for every x; it runs
+    once per distinct generator, and each key is looked up in the element
+    set.  The other rows follow by a breadth-first search over right
+    multiplication: (a*g)*x = a*(g*x), so row(a*g) = row(a)[row(g)].  The
+    search starts at the generators, whose products reach every element of
+    the group they generate (g^k = 1 for some k).
+    """
     n = len(elements)
     keys = encode(np.arange(n))
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     table = np.empty((n, n), dtype=_dtype_for(n))
-    for i in range(n):
-        prod_keys = make_products(i)
-        pos = np.searchsorted(sorted_keys, prod_keys)
+    gen_idx = np.unique([elements.index(g) for g in gens])
+    for g in gen_idx:
+        prod_keys = make_products(int(g))
+        # Clipped, so that a key above every element's key fails the check below.
+        pos = np.minimum(np.searchsorted(sorted_keys, prod_keys), n - 1)
         if not np.array_equal(sorted_keys[pos], prod_keys):
             raise GroupConstructionError(f"{kind}: product escaped the element set")
-        table[i] = order[pos]
+        table[g] = order[pos]
+    reached = np.zeros(n, dtype=bool)
+    reached[gen_idx] = True
+    frontier = gen_idx
+    while len(frontier):
+        # First occurrence of each unreached product a*g names its parent pair.
+        prods, first = np.unique(table[np.ix_(frontier, gen_idx)], return_index=True)
+        fresh = ~reached[prods]
+        prods, first = prods[fresh], first[fresh]
+        parent_a, parent_g = frontier[first // len(gen_idx)], gen_idx[first % len(gen_idx)]
+        for c, a, g in zip(prods, parent_a, parent_g):
+            table[c] = table[a][table[g]]
+        reached[prods] = True
+        frontier = prods
+    if not reached.all():
+        raise GroupConstructionError(
+            f"{kind}: generators reach {int(reached.sum())} of {n} elements"
+        )
     return table
 
 
 def _build_cyclic(n: int) -> Group:
     table = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(_dtype_for(n))
     return Group(f"cyclic:{n}", list(range(n)), table)
+
+
+def _sym_generators(n: int) -> list[tuple]:
+    """The n-cycle and, for n >= 2, the transposition (0 1)."""
+    cycle = tuple(range(1, n)) + (0,)
+    return [cycle] if n < 2 else [(1, 0) + tuple(range(2, n)), cycle]
 
 
 def _build_sym(n: int) -> Group:
@@ -193,7 +218,8 @@ def _build_sym(n: int) -> Group:
         # Row j is perms[i] then perms[j]: at k it is perms[j][perms[i][k]].
         return perms[:, perms[i]] @ radix
 
-    table = _table_from_keys(f"sym:{n}", elements, make_products, encode)
+    table = _table_from_generators(f"sym:{n}", elements, _sym_generators(n),
+                                   make_products, encode)
     return Group(f"sym:{n}", elements, table)
 
 
@@ -201,7 +227,8 @@ def _units(n: int) -> list[int]:
     return [u for u in range(1, n) if math.gcd(u, n) == 1]
 
 
-def _build_matrix_group(kind: str, n: int, elements: list[tuple], size: int) -> Group:
+def _build_matrix_group(kind: str, n: int, elements: list[tuple], size: int,
+                        gens: list[tuple]) -> Group:
     mats = np.array(elements, dtype=np.int64).reshape(len(elements), size, size)
     radix = n ** np.arange(size * size - 1, -1, -1, dtype=np.int64)
 
@@ -212,8 +239,14 @@ def _build_matrix_group(kind: str, n: int, elements: list[tuple], size: int) -> 
         prods = (mats[i] @ mats) % n
         return prods.reshape(len(elements), -1) @ radix
 
-    table = _table_from_keys(kind, elements, make_products, encode)
+    table = _table_from_generators(kind, elements, gens, make_products, encode)
     return Group(kind, elements, table)
+
+
+def _gl2_generators(n: int) -> list[tuple]:
+    """E12 and E21, which generate SL2(Z) and so SL2(Z/n) (SL2(Z) maps onto
+    it), and diag(u, 1) for each unit u != 1, which add every determinant."""
+    return [(1, 1, 0, 1), (1, 0, 1, 1)] + [(u, 0, 0, 1) for u in _units(n)[1:]]
 
 
 def _build_gl2(n: int) -> Group:
@@ -224,7 +257,7 @@ def _build_gl2(n: int) -> Group:
     for a, b, c, d in itertools.product(range(n), repeat=4):
         if (a * d - b * c) % n in units:
             elements.append((a, b, c, d))
-    return _build_matrix_group(f"gl2:{n}", n, elements, 2)
+    return _build_matrix_group(f"gl2:{n}", n, elements, 2, _gl2_generators(n))
 
 
 def _gsp4_generators(n: int) -> list[tuple]:
@@ -250,19 +283,27 @@ def _build_gsp4(n: int) -> Group:
         raise GroupConstructionError(
             f"gsp2:{n} has order {expected}, beyond the exhaustive-table cap {ORDER_CAP}"
         )
-
-    def mul(a, b):
-        am = np.array(a, dtype=np.int64).reshape(4, 4)
-        bm = np.array(b, dtype=np.int64).reshape(4, 4)
-        return tuple(int(v) for v in ((am @ bm) % n).ravel())
-
-    identity = tuple(int(v) for v in np.eye(4, dtype=np.int64).ravel())
-    els = _closure_objects(_gsp4_generators(n), mul, identity)
-    if len(els) != expected:
+    gens = _gsp4_generators(n)
+    gen_mats = np.array(gens, dtype=np.int64).reshape(-1, 4, 4)
+    # Entries lie in [0, n), so the radix key orders matrices as their tuples.
+    radix = n ** np.arange(15, -1, -1, dtype=np.int64)
+    frontier = np.eye(4, dtype=np.int64)[None]
+    mats, seen = [frontier], frontier.reshape(1, 16) @ radix
+    # Close a level at a time: all products frontier x generators in one matmul.
+    while len(frontier):
+        prods = ((frontier[:, None] @ gen_mats[None]) % n).reshape(-1, 4, 4)
+        level, first = np.unique(prods.reshape(-1, 16) @ radix, return_index=True)
+        fresh = ~np.isin(level, seen)
+        frontier = prods[first[fresh]]
+        mats.append(frontier)
+        seen = np.concatenate([seen, level[fresh]])
+    if len(seen) != expected:
         raise GroupConstructionError(
-            f"gsp2:{n}: closure produced {len(els)} elements, expected {expected}"
+            f"gsp2:{n}: closure produced {len(seen)} elements, expected {expected}"
         )
-    return _build_matrix_group(f"gsp2:{n}", n, sorted(els), 4)
+    flat = np.concatenate(mats).reshape(-1, 16)[np.argsort(seen)]
+    elements = [tuple(row) for row in flat.tolist()]
+    return _build_matrix_group(f"gsp2:{n}", n, elements, 4, gens)
 
 
 @lru_cache(maxsize=None)

@@ -198,15 +198,19 @@ def encode_census(c: Census) -> str:
 
 
 def decode_census(line: str) -> Census:
+    """Parse and revalidate one cache line; any fault raises CensusInvariantError."""
     try:
         p_str, j_str, f_str, t_str = line.strip().split(";")
-        p = int(p_str)
+        p, cached = int(p_str), (int(f_str), int(t_str))
+        # Fp2Field.of refuses a p that is not prime or beyond the word size.
+        field = None if p in _SMALL_AUT else Fp2Field.of(p)
     except ValueError as exc:
         raise CensusInvariantError(f"malformed cache line: {line!r}") from exc
-    if p <= 3:
+    if field is None:
         c = _small_census(p)
+        if j_str != encode_census(c).split(";")[1]:
+            raise CensusInvariantError(f"p={p}: cached j-set differs from the hard-coded census")
     else:
-        field = Fp2Field.of(p)
         try:
             js = tuple(field.parse(tok) for tok in j_str.split(","))
         except ValueError as exc:
@@ -215,7 +219,7 @@ def decode_census(line: str) -> Census:
             c = _assemble(field, js)
         except KeyError as exc:
             raise CensusInvariantError(f"p={p}: cached set not Frobenius-stable") from exc
-    if (c.F, c.T) != (int(f_str), int(t_str)):
+    if (c.F, c.T) != cached:
         raise CensusInvariantError(f"p={p}: cached F/T disagree with recomputation")
     c.validate()
     return c

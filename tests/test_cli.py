@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from superspecial.cli import (EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE,
                               main)
 
@@ -216,6 +218,17 @@ def test_corrupted_cache_is_invariant_violation(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "census", "-p", "11", "--cache", str(cache))
     assert rc == EXIT_INVARIANT
     assert "invariant" in err
+
+
+@pytest.mark.parametrize("line", ["11;0,1;x;2", "12;0;1;1", "1;0;1;1", "2147483659;0;1;1"])
+def test_malformed_cache_line_is_invariant_violation(capsys, tmp_path, line):
+    # A non-numeric F, a non-prime p and a prime beyond the word size used to
+    # escape decode as ValueError (exit 1).
+    cache = tmp_path / "c.cache"
+    cache.write_text(line + "\n")
+    rc, out, err = run_cli(capsys, "census", "-p", "11", "--cache", str(cache))
+    assert rc == EXIT_INVARIANT and out == ""
+    assert f"invariant violation: malformed cache line: {line!r}" in err
 
 
 def test_verify_small_run(capsys):

@@ -1,8 +1,12 @@
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
+from superspecial import finitegroup as fg
+from superspecial.cosettrace import TRIAL_FAMILIES
 from superspecial.finitegroup import (Group, GroupConstructionError,
                                       group_from_kind)
 
@@ -133,3 +137,98 @@ def test_gsp2_is_symplectic_similitude_group():
     for el in G.elements[:100]:
         m = np.array(el).reshape(4, 4)
         assert np.array_equal((m.T @ J % 2 @ m) % 2, J % 2)
+
+
+def _table_by_rows(elements, row_keys, encode):
+    """Oracle: the per-row build, one batched product and key lookup per row."""
+    n = len(elements)
+    keys = encode(np.arange(n))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    table = np.empty((n, n), dtype=np.int16 if n < 0x7FFF else np.int32)
+    for i in range(n):
+        prod_keys = row_keys(i)
+        pos = np.searchsorted(sorted_keys, prod_keys)
+        assert np.array_equal(sorted_keys[pos], prod_keys)
+        table[i] = order[pos]
+    return table
+
+
+def _oracle_group(kind):
+    """Sorted elements by exhaustive enumeration, and the per-row table."""
+    family, n = kind.split(":")
+    n = int(n)
+    if family == "cyclic":
+        return list(range(n)), _table_by_rows(range(n), lambda i: (i + np.arange(n)) % n,
+                                              lambda idx: idx)
+    if family == "sym":
+        elements = list(itertools.permutations(range(n)))
+        perms = np.array(elements, dtype=np.int64)
+        radix = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        return elements, _table_by_rows(elements, lambda i: perms[:, perms[i]] @ radix,
+                                        lambda idx: perms[idx] @ radix)
+    size = 2 if family == "gl2" else 4
+    cands = np.array(list(itertools.product(range(n), repeat=size * size)), dtype=np.int64)
+    mats = cands.reshape(-1, size, size)
+    if family == "gl2":
+        det = (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]) % n
+        keep = np.array([math.gcd(int(d), n) == 1 for d in det])
+    else:  # m^T J m = lam J with lam a unit
+        J = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+        form = (mats.transpose(0, 2, 1) @ J @ mats) % n
+        lam = form[:, 0, 2]
+        keep = (np.all(form == (lam[:, None, None] * J) % n, axis=(1, 2))
+                & np.array([math.gcd(int(v), n) == 1 for v in lam]))
+    elements = [tuple(row) for row in cands[keep].tolist()]
+    mats = mats[keep]
+    radix = n ** np.arange(size * size - 1, -1, -1, dtype=np.int64)
+    return elements, _table_by_rows(
+        elements, lambda i: ((mats[i] @ mats) % n).reshape(len(mats), -1) @ radix,
+        lambda idx: mats[idx].reshape(len(idx), -1) @ radix)
+
+
+def test_tables_from_generators_match_the_per_row_oracle(monkeypatch):
+    real = fg._table_from_generators
+    rows_built, gen_rows = {}, {}
+
+    def counting(kind, elements, gens, make_products, encode):
+        rows_built[kind] = []
+        gen_rows[kind] = sorted({elements.index(g) for g in gens})
+
+        def counted(i):
+            rows_built[kind].append(i)
+            return make_products(i)
+
+        return real(kind, elements, gens, counted, encode)
+
+    monkeypatch.setattr(fg, "_table_from_generators", counting)
+    for kind in TRIAL_FAMILIES + ("gsp2:2",):
+        G = group_from_kind.__wrapped__(kind)  # bypass the memo
+        elements, table = _oracle_group(kind)
+        assert G.elements == elements, kind
+        assert G.table.dtype == table.dtype and np.array_equal(G.table, table), kind
+        if not kind.startswith("cyclic"):  # cyclic tables are one outer add
+            assert sorted(rows_built[kind]) == gen_rows[kind], kind
+    assert len(rows_built["gsp2:2"]) < 10 and len(rows_built["sym:6"]) == 2
+
+
+def test_generators_that_fall_short_are_refused(monkeypatch):
+    monkeypatch.setattr(fg, "_sym_generators", lambda n: [(1, 0, 2)])
+    with pytest.raises(GroupConstructionError, match="generators reach 2 of 6 elements"):
+        group_from_kind.__wrapped__("sym:3")
+
+
+def test_products_leaving_the_element_set_are_refused():
+    # GL2(Z/3) without the matrices whose top-left entry is 2: E12 maps some
+    # of them there, to keys above every listed key.
+    elements = [m for m in itertools.product(range(3), repeat=4)
+                if m[0] < 2 and (m[0] * m[3] - m[1] * m[2]) % 3]
+    with pytest.raises(GroupConstructionError, match="product escaped the element set"):
+        fg._build_matrix_group("gl2:3", 3, elements, 2, [(1, 1, 0, 1)])
+
+
+def test_gsp2_closure_count_is_checked(monkeypatch):
+    monkeypatch.setattr(fg, "gsp_order", lambda g, n: 719)
+    with pytest.raises(GroupConstructionError,
+                       match="closure produced 720 elements, expected 719"):
+        group_from_kind.__wrapped__("gsp2:2")

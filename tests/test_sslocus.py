@@ -195,6 +195,9 @@ def test_cache_rejects_corruption(tmp_path):
     path.write_text("garbage\n")
     with pytest.raises(CensusInvariantError):
         CensusCache(path)
+    path.write_text("3;7,8;1;1\n")  # p = 3 has the single point j = 0
+    with pytest.raises(CensusInvariantError, match="hard-coded"):
+        CensusCache(path)
 
 
 def test_decode_compares_cached_counts_with_recomputation():
