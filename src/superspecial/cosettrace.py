@@ -353,6 +353,10 @@ def parse_model_spec(text: str) -> FiniteGroupModel:
     missing = {"group", "gamma", "k", "pi"} - set(data)
     if missing:
         raise ModelSpecError(f"model spec missing keys: {sorted(missing)}")
+    if not isinstance(data["group"], str):
+        raise ModelSpecError(
+            f'model spec "group" must be a string like "sym:3", not {data["group"]!r}'
+        )
     try:
         group = group_from_kind(data["group"])
     except GroupConstructionError as exc:

@@ -11,13 +11,15 @@ Every group is materialized as an element list in a canonical (sorted) order
 plus a full Cayley table, so conjugacy classes, centralizers, and coset
 partitions are exact enumerations (no character theory, no randomization).
 
-Tables are built from a few generators (sym: the transposition (0 1) and the
-n-cycle; gl2: E12, E21 and diag(u, 1); gsp2: `_gsp4_generators`).  Only the
-generators' rows are computed as products and looked up by integer key; every
-other row is one gather, row(a*g) = row(a)[row(g)], reached by a
-breadth-first search over right multiplication.  The gsp2 element set itself
-is the closure of its generators, one (frontier x generators) matrix product
-per level.  Cyclic tables are one outer sum.
+Every sym, gl2 and gsp2 group comes from one closure, `_close`: a
+breadth-first search over right multiplication from the identity by a few
+generators (sym: the transposition (0 1) and the n-cycle; gl2: E12, E21 and
+diag(u, 1); gsp2: `_gsp4_generators`), one (frontier x generators) product
+per level, deduplicated by integer key.  It lists the elements, checks their
+count against the family's order, and gives the table: only the generators'
+rows are products looked up by key, and every other row is one gather,
+row(a*g) = row(a)[row(g)], along the search's parent pairs.  Cyclic tables
+are one outer sum.
 
 The table approach is capped at 5040 elements; that keeps the quadratic
 machinery interactive and comfortably covers every family the randomized
@@ -26,7 +28,6 @@ trace harness draws from.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -35,6 +36,8 @@ import numpy as np
 from .massform import gsp_order
 
 ORDER_CAP = 5040
+# Tables and their indices are int16; so are the cyclic sums, below 2 * ORDER_CAP.
+assert 2 * ORDER_CAP <= np.iinfo(np.int16).max
 # Entries per temporary index array in normalizer_of's row blocks (2^20 int16 = 2 MB).
 _BLOCK_ENTRIES = 1 << 20
 
@@ -147,55 +150,73 @@ class Group:
         return idx
 
 
-def _dtype_for(n: int):
-    return np.int16 if n < 0x7FFF else np.int32
+def _close(kind: str, n: int, order: int, identity, gens, compose) -> Group:
+    """The group generated by gens, listed and tabled by one breadth-first
+    search over right multiplication from the identity (see the module notes).
 
-
-def _table_from_generators(kind, elements, gens, make_products, encode):
-    """Build the Cayley table from the rows of a generating set.
-
-    make_products(i) gives the keys of elements[i] * x for every x; it runs
-    once per distinct generator, and each key is looked up in the element
-    set.  The other rows follow by a breadth-first search over right
-    multiplication: (a*g)*x = a*(g*x), so row(a*g) = row(a)[row(g)].  The
-    search starts at the generators, whose products reach every element of
-    the group they generate (g^k = 1 for some k).
+    Elements are integer arrays with entries in [0, n), keyed by radix, and
+    compose(A, B) multiplies broadcast stacks of them.  Row(a*g) = row(a)[row(g)],
+    since (a*g)*x = a*(g*x), is filled in discovery order, after row(a).
     """
-    n = len(elements)
-    keys = encode(np.arange(n))
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    table = np.empty((n, n), dtype=_dtype_for(n))
-    gen_idx = np.unique([elements.index(g) for g in gens])
-    for g in gen_idx:
-        prod_keys = make_products(int(g))
-        # Clipped, so that a key above every element's key fails the check below.
-        pos = np.minimum(np.searchsorted(sorted_keys, prod_keys), n - 1)
-        if not np.array_equal(sorted_keys[pos], prod_keys):
-            raise GroupConstructionError(f"{kind}: product escaped the element set")
-        table[g] = order[pos]
-    reached = np.zeros(n, dtype=bool)
-    reached[gen_idx] = True
-    frontier = gen_idx
+    identity = np.asarray(identity, dtype=np.int64)
+    gens = np.asarray(gens, dtype=np.int64).reshape((-1,) + identity.shape)
+    radix = n ** np.arange(identity.size - 1, -1, -1, dtype=np.int64)
+
+    def key(x):
+        return x.reshape(-1, identity.size) @ radix
+
+    # A flag per key: the key space n^size is at most 7^7 under the order cap.
+    seen = np.zeros(n ** identity.size, dtype=bool)
+    frontier = identity[None]
+    found = [frontier]
+    seen[key(frontier)] = True
+    # Product i*len(gens) + j of a level is frontier[i] * gens[j]; numbered
+    # across levels, it names each element's parent pair.
+    sources = [np.zeros(1, dtype=np.int64)]  # the identity's entry is unused
+    start = 0  # discovery index of frontier[0]
     while len(frontier):
-        # First occurrence of each unreached product a*g names its parent pair.
-        prods, first = np.unique(table[np.ix_(frontier, gen_idx)], return_index=True)
-        fresh = ~reached[prods]
-        prods, first = prods[fresh], first[fresh]
-        parent_a, parent_g = frontier[first // len(gen_idx)], gen_idx[first % len(gen_idx)]
-        for c, a, g in zip(prods, parent_a, parent_g):
-            table[c] = table[a][table[g]]
-        reached[prods] = True
-        frontier = prods
-    if not reached.all():
+        prods = compose(frontier[:, None], gens[None]).reshape((-1,) + identity.shape)
+        keys, first = np.unique(key(prods), return_index=True)
+        fresh = ~seen[keys]
+        keys, first = keys[fresh], first[fresh]
+        seen[keys] = True
+        sources.append(start * len(gens) + first)
+        start += len(frontier)
+        frontier = prods[first]
+        found.append(frontier)
+    elements = np.concatenate(found)
+    keys = key(elements)
+    if len(keys) != order:
         raise GroupConstructionError(
-            f"{kind}: generators reach {int(reached.sum())} of {n} elements"
+            f"{kind}: generators close to {len(keys)} elements, expected {order}"
         )
-    return table
+    by_key = np.argsort(keys)
+    sorted_keys, elements = keys[by_key], elements[by_key]
+    rank = np.argsort(by_key)  # discovery index -> position in the sorted list
+
+    def lookup(x):
+        k = key(x)
+        # Clipped, so that a key above every element's key fails the check below.
+        pos = np.minimum(np.searchsorted(sorted_keys, k), order - 1)
+        if not np.array_equal(sorted_keys[pos], k):
+            raise GroupConstructionError(f"{kind}: product escaped the element set")
+        return pos
+
+    table = np.empty((order, order), dtype=np.int16)
+    table[rank[0]] = np.arange(order)
+    gen_rank = lookup(gens)
+    table[gen_rank] = lookup(compose(gens[:, None], elements[None])).reshape(len(gens), order)
+    rest = np.setdiff1d(np.arange(1, order), by_key[gen_rank])  # discovery indices
+    parent_a, parent_g = np.divmod(np.concatenate(sources)[rest], len(gens))
+    for c, a, g in zip(rank[rest].tolist(), rank[parent_a].tolist(), gen_rank[parent_g].tolist()):
+        table[c] = table[a][table[g]]
+    return Group(kind, [tuple(row) for row in elements.reshape(order, -1).tolist()], table)
 
 
 def _build_cyclic(n: int) -> Group:
-    table = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(_dtype_for(n))
+    # In int16 throughout: the sums stay below 2 * ORDER_CAP.
+    table = np.add.outer(np.arange(n, dtype=np.int16), np.arange(n, dtype=np.int16))
+    table %= n
     return Group(f"cyclic:{n}", list(range(n)), table)
 
 
@@ -205,59 +226,19 @@ def _sym_generators(n: int) -> list[tuple]:
     return [cycle] if n < 2 else [(1, 0) + tuple(range(2, n)), cycle]
 
 
-def _build_sym(n: int) -> Group:
-    elements = list(itertools.permutations(range(n)))
-    perms = np.array(elements, dtype=np.int64)
-    radix = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-    def encode(idx):
-        return perms[idx] @ radix
-
-    def make_products(i):
-        # Convention: (a*b)[k] = b[a[k]], i.e. apply a first, then b.
-        # Row j is perms[i] then perms[j]: at k it is perms[j][perms[i][k]].
-        return perms[:, perms[i]] @ radix
-
-    table = _table_from_generators(f"sym:{n}", elements, _sym_generators(n),
-                                   make_products, encode)
-    return Group(f"sym:{n}", elements, table)
+def _compose_perms(a, b):
+    # Convention: (a*b)[k] = b[a[k]], i.e. apply a first, then b.
+    return np.take_along_axis(b, a, axis=-1)
 
 
 def _units(n: int) -> list[int]:
     return [u for u in range(1, n) if math.gcd(u, n) == 1]
 
 
-def _build_matrix_group(kind: str, n: int, elements: list[tuple], size: int,
-                        gens: list[tuple]) -> Group:
-    mats = np.array(elements, dtype=np.int64).reshape(len(elements), size, size)
-    radix = n ** np.arange(size * size - 1, -1, -1, dtype=np.int64)
-
-    def encode(idx):
-        return mats[idx].reshape(len(idx), -1) @ radix
-
-    def make_products(i):
-        prods = (mats[i] @ mats) % n
-        return prods.reshape(len(elements), -1) @ radix
-
-    table = _table_from_generators(kind, elements, gens, make_products, encode)
-    return Group(kind, elements, table)
-
-
 def _gl2_generators(n: int) -> list[tuple]:
     """E12 and E21, which generate SL2(Z) and so SL2(Z/n) (SL2(Z) maps onto
     it), and diag(u, 1) for each unit u != 1, which add every determinant."""
     return [(1, 1, 0, 1), (1, 0, 1, 1)] + [(u, 0, 0, 1) for u in _units(n)[1:]]
-
-
-def _build_gl2(n: int) -> Group:
-    if n < 2:
-        raise GroupConstructionError("gl2 needs modulus >= 2")
-    units = set(_units(n))
-    elements = []
-    for a, b, c, d in itertools.product(range(n), repeat=4):
-        if (a * d - b * c) % n in units:
-            elements.append((a, b, c, d))
-    return _build_matrix_group(f"gl2:{n}", n, elements, 2, _gl2_generators(n))
 
 
 def _gsp4_generators(n: int) -> list[tuple]:
@@ -277,57 +258,37 @@ def _gsp4_generators(n: int) -> list[tuple]:
     return [tuple(v for row in m for v in row) for m in gens]
 
 
-def _build_gsp4(n: int) -> Group:
-    expected = gsp_order(2, n)
-    if expected > ORDER_CAP:
-        raise GroupConstructionError(
-            f"gsp2:{n} has order {expected}, beyond the exhaustive-table cap {ORDER_CAP}"
-        )
-    gens = _gsp4_generators(n)
-    gen_mats = np.array(gens, dtype=np.int64).reshape(-1, 4, 4)
-    # Entries lie in [0, n), so the radix key orders matrices as their tuples.
-    radix = n ** np.arange(15, -1, -1, dtype=np.int64)
-    frontier = np.eye(4, dtype=np.int64)[None]
-    mats, seen = [frontier], frontier.reshape(1, 16) @ radix
-    # Close a level at a time: all products frontier x generators in one matmul.
-    while len(frontier):
-        prods = ((frontier[:, None] @ gen_mats[None]) % n).reshape(-1, 4, 4)
-        level, first = np.unique(prods.reshape(-1, 16) @ radix, return_index=True)
-        fresh = ~np.isin(level, seen)
-        frontier = prods[first[fresh]]
-        mats.append(frontier)
-        seen = np.concatenate([seen, level[fresh]])
-    if len(seen) != expected:
-        raise GroupConstructionError(
-            f"gsp2:{n}: closure produced {len(seen)} elements, expected {expected}"
-        )
-    flat = np.concatenate(mats).reshape(-1, 16)[np.argsort(seen)]
-    elements = [tuple(row) for row in flat.tolist()]
-    return _build_matrix_group(f"gsp2:{n}", n, elements, 4, gens)
-
-
 @lru_cache(maxsize=None)
 def group_from_kind(kind: str) -> Group:
     """Parse and build a group from a kind string like "sym:4"."""
     family, sep, n_str = kind.partition(":")
-    if not sep or not n_str.isdigit():
+    if not sep or not n_str.isdecimal():
         raise GroupConstructionError(f"malformed group kind {kind!r}; want family:n")
+    if family not in ("cyclic", "sym", "gl2", "gsp2"):
+        raise GroupConstructionError(f"unknown group family {family!r}")
     n = int(n_str)
+    if n < 1:
+        raise GroupConstructionError(f"{kind}: n must be at least 1")
+    if n < 2 and family in ("gl2", "gsp2"):
+        raise GroupConstructionError(f"{kind}: Z/1 is the zero ring; matrix groups need n >= 2")
+    # Every family holds an element of order n, so its order is at least n.
+    if n > ORDER_CAP:
+        raise GroupConstructionError(
+            f"{kind} has order at least {n}, beyond the exhaustive-table cap {ORDER_CAP}"
+        )
     if family == "cyclic":
-        if not 1 <= n <= ORDER_CAP:
-            raise GroupConstructionError(f"cyclic:{n} outside supported range")
+        order = n
+    elif family == "sym":
+        order = math.factorial(n)
+    else:
+        order = gsp_order(1 if family == "gl2" else 2, n)
+    if order > ORDER_CAP:
+        raise GroupConstructionError(
+            f"{kind} has order {order}, beyond the exhaustive-table cap {ORDER_CAP}"
+        )
+    if family == "cyclic":
         return _build_cyclic(n)
     if family == "sym":
-        if n < 1 or math.factorial(n) > ORDER_CAP:
-            raise GroupConstructionError(
-                f"sym:{n} has order {math.factorial(n) if n < 13 else '>>cap'}, cap is {ORDER_CAP}"
-            )
-        return _build_sym(n)
-    if family == "gl2":
-        order = gsp_order(1, n) if n > 1 else 1
-        if n < 2 or order > ORDER_CAP:
-            raise GroupConstructionError(f"gl2:{n} has order {order}, cap is {ORDER_CAP}")
-        return _build_gl2(n)
-    if family == "gsp2":
-        return _build_gsp4(n)
-    raise GroupConstructionError(f"unknown group family {family!r}")
+        return _close(kind, n, order, np.arange(n), _sym_generators(n), _compose_perms)
+    size, gens = (2, _gl2_generators(n)) if family == "gl2" else (4, _gsp4_generators(n))
+    return _close(kind, n, order, np.eye(size), gens, lambda a, b: (a @ b) % n)

@@ -64,6 +64,11 @@ class MassResult:
     note: str = ""
 
 
+# gsp_order factorizes N by trial division (about sqrt(N) steps); this
+# ceiling keeps that near half a second.
+LEVEL_MAX = 10**12
+
+
 def _factorize(n: int) -> list[tuple[int, int]]:
     out = []
     d = 2
@@ -90,6 +95,8 @@ def gsp_order(g: int, N: int) -> int:
     """
     if g < 1 or N < 1:
         raise ValueError("gsp_order requires g >= 1 and N >= 1")
+    if N > LEVEL_MAX:
+        raise ValueError(f"level N = {N} is above the factorization ceiling {LEVEL_MAX}")
     order = 1
     for ell, a in _factorize(N):
         local = ell ** ((a - 1) * (2 * g * g + g + 1)) * (ell - 1) * ell ** (g * g)

@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import superspecial
 from superspecial.cli import (EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE,
                               main)
 
@@ -154,6 +156,9 @@ def test_mass_examples(capsys):
     rc, _, err = run_cli(capsys, "mass", "-g", "1", "-p", "5", "-N", "2")
     assert rc == EXIT_USAGE
     assert "N >= 3" in err
+    rc, out, err = run_cli(capsys, "mass", "-g", "1", "-p", "5", "-N", "1000000000000000003")
+    assert rc == EXIT_USAGE and out == ""
+    assert "factorization ceiling 1000000000000" in err
     rc, _, err = run_cli(capsys, "mass", "-g", "1", "-p", "5", "-N", "10")
     assert rc == EXIT_USAGE  # gcd(N, p) != 1
 
@@ -192,6 +197,22 @@ def test_trace_demo_spec_error(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "trace-demo", "--model", str(path))
     assert rc == EXIT_USAGE
     assert "line 1" in err
+    # A "group" that is not a string, and huge or degenerate kinds, which are
+    # refused by name before any group order is computed.
+    for group, message in [
+        (5, 'model spec "group" must be a string'),
+        (["sym:3"], 'model spec "group" must be a string'),
+        ("sym:3000000", "sym:3000000 has order at least 3000000"),
+        ("gl2:1000000000000000003", "gl2:1000000000000000003 has order at least"),
+        ("gsp2:1000000000000000003", "gsp2:1000000000000000003 has order at least"),
+        ("gsp2:1", "gsp2:1: Z/1 is the zero ring"),
+        ("sym:0", "sym:0: n must be at least 1"),
+    ]:
+        path.write_text(json.dumps({"group": group, "gamma": [], "k": [], "pi": 0}))
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "trace-demo", "--model", str(path))
+        assert time.perf_counter() - start < 1.0, group
+        assert rc == EXIT_USAGE and out == "" and err.startswith(f"error: {message}"), group
 
 
 def test_trace_demo_trials(capsys):
@@ -242,11 +263,14 @@ def test_verify_small_run(capsys):
 
 
 def test_console_entry_point():
+    # The child imports the same checkout as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(superspecial.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "superspecial.cli", "census", "-p", "7",
          "--format", "csv"],
         capture_output=True, text=True,
-        env={**os.environ, "SUPERSPECIAL_CACHE_DIR": ""},
+        env={**os.environ, "SUPERSPECIAL_CACHE_DIR": "", "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "7,1,1,1,1,4,true"

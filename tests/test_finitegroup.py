@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -127,8 +128,22 @@ def test_order_caps():
         group_from_kind("gl2:11")  # order 13200 exceeds the cap
     with pytest.raises(GroupConstructionError):
         group_from_kind("nosuch:5")
-    with pytest.raises(GroupConstructionError):
-        group_from_kind("sym")
+    for kind in ("sym", "sym:²"):  # '²'.isdigit(), but int('²') fails
+        with pytest.raises(GroupConstructionError, match="malformed group kind"):
+            group_from_kind(kind)
+    # Huge and degenerate kinds are refused by name, huge ones before any
+    # order is computed (every family has an element of order n).
+    for kind, reason in [
+        ("sym:3000000", "sym:3000000 has order at least 3000000, beyond the exhaustive-table cap"),
+        ("gl2:1000000000000000003", "gl2:1000000000000000003 has order at least"),
+        ("gsp2:1000000000000000003", "gsp2:1000000000000000003 has order at least"),
+        ("cyclic:5041", "cyclic:5041 has order at least 5041"),
+        ("gsp2:1", "gsp2:1: Z/1 is the zero ring"), ("gl2:1", "gl2:1: Z/1 is the zero ring"),
+        ("gl2:0", "gl2:0: n must be at least 1"), ("sym:0", "sym:0: n must be at least 1"),
+        ("cyclic:0", "cyclic:0: n must be at least 1"),
+    ]:
+        with pytest.raises(GroupConstructionError, match=f"^{re.escape(reason)}"):
+            group_from_kind.__wrapped__(kind)
 
 
 def test_gsp2_is_symplectic_similitude_group():
@@ -188,47 +203,60 @@ def _oracle_group(kind):
 
 
 def test_tables_from_generators_match_the_per_row_oracle(monkeypatch):
-    real = fg._table_from_generators
-    rows_built, gen_rows = {}, {}
+    real = fg._close
+    products, gens_seen = {}, {}
 
-    def counting(kind, elements, gens, make_products, encode):
-        rows_built[kind] = []
-        gen_rows[kind] = sorted({elements.index(g) for g in gens})
+    def counting(kind, n, order, identity, gens, compose):
+        products[kind], gens_seen[kind] = 0, gens
 
-        def counted(i):
-            rows_built[kind].append(i)
-            return make_products(i)
+        def counted(a, b):
+            out = compose(a, b)
+            products[kind] += out.size // np.size(identity)
+            return out
 
-        return real(kind, elements, gens, counted, encode)
+        return real(kind, n, order, identity, gens, counted)
 
-    monkeypatch.setattr(fg, "_table_from_generators", counting)
+    monkeypatch.setattr(fg, "_close", counting)
+    rows_built = {}
     for kind in TRIAL_FAMILIES + ("gsp2:2",):
         G = group_from_kind.__wrapped__(kind)  # bypass the memo
         elements, table = _oracle_group(kind)
         assert G.elements == elements, kind
         assert G.table.dtype == table.dtype and np.array_equal(G.table, table), kind
-        if not kind.startswith("cyclic"):  # cyclic tables are one outer add
-            assert sorted(rows_built[kind]) == gen_rows[kind], kind
-    assert len(rows_built["gsp2:2"]) < 10 and len(rows_built["sym:6"]) == 2
+        if kind.startswith("cyclic"):  # cyclic tables are one outer add
+            assert kind not in products, kind
+            continue
+        # The closure composes each element with each generator once; beyond
+        # that, only the generators' rows are computed as products.
+        gens = gens_seen[kind]
+        rows_built[kind] = products[kind] / G.n - len(gens)
+        assert rows_built[kind] == len(gens), kind
+    assert rows_built["gsp2:2"] < 10 and rows_built["sym:6"] == 2
 
 
 def test_generators_that_fall_short_are_refused(monkeypatch):
     monkeypatch.setattr(fg, "_sym_generators", lambda n: [(1, 0, 2)])
-    with pytest.raises(GroupConstructionError, match="generators reach 2 of 6 elements"):
+    with pytest.raises(GroupConstructionError,
+                       match="sym:3: generators close to 2 elements, expected 6"):
         group_from_kind.__wrapped__("sym:3")
 
 
 def test_products_leaving_the_element_set_are_refused():
-    # GL2(Z/3) without the matrices whose top-left entry is 2: E12 maps some
-    # of them there, to keys above every listed key.
-    elements = [m for m in itertools.product(range(3), repeat=4)
-                if m[0] < 2 and (m[0] * m[3] - m[1] * m[2]) % 3]
+    # GL2(Z/3) under a compose that is right while closing (frontier x
+    # generators) but sends the generators' rows to [[2, 2], [2, 2]]: singular,
+    # with key 80 above every element's key (at most 79).
+    gens = fg._gl2_generators(3)
+
+    def compose(a, b):
+        prods = (a @ b) % 3
+        return prods if b.shape[1] == len(gens) else np.full_like(prods, 2)
+
     with pytest.raises(GroupConstructionError, match="product escaped the element set"):
-        fg._build_matrix_group("gl2:3", 3, elements, 2, [(1, 1, 0, 1)])
+        fg._close("gl2:3", 3, 48, np.eye(2), gens, compose)
 
 
 def test_gsp2_closure_count_is_checked(monkeypatch):
     monkeypatch.setattr(fg, "gsp_order", lambda g, n: 719)
     with pytest.raises(GroupConstructionError,
-                       match="closure produced 720 elements, expected 719"):
+                       match="gsp2:2: generators close to 720 elements, expected 719"):
         group_from_kind.__wrapped__("gsp2:2")

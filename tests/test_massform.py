@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from superspecial.massform import (GenusKind, MassParams,
+from superspecial.massform import (LEVEL_MAX, GenusKind, MassParams,
                                    class_number_level, component_genus, evaluate,
                                    gsp_order, nonprincipal_class_number_level,
                                    principal_mass, recover_type_number)
@@ -85,6 +85,11 @@ def test_nonprincipal_examples():
 
 
 def test_level_validation():
+    # gsp_order factorizes N by trial division, so it refuses N above a ceiling.
+    assert gsp_order(1, LEVEL_MAX) == gsp_order(1, 2**12) * gsp_order(1, 5**12)
+    for g, N in ((1, 1000000000000000003), (2, LEVEL_MAX + 1)):
+        with pytest.raises(ValueError, match="factorization ceiling"):
+            gsp_order(g, N)
     with pytest.raises(ValueError):
         class_number_level(1, 5, 2)
     with pytest.raises(ValueError):
