@@ -218,9 +218,15 @@ class Fp2Element:
         return (self.a, self.b)
 
 
+def frobenius_pair(a: int, b: int, p: int) -> tuple[int, int]:
+    """frobenius on a raw residue pair: (a, b) -> (a, -b mod p)."""
+    return a, -b % p
+
+
 def frobenius(x: Fp2Element) -> Fp2Element:
     """The field automorphism x -> x^p, i.e. (a + b t) -> (a - b t)."""
-    return x.field.elem(x.a, -x.b)
+    a, b = frobenius_pair(x.a, x.b, x.field.p)
+    return x.field.elem(a, b)
 
 
 def _mul_pair(x: tuple[int, int], y: tuple[int, int], p: int, d: int) -> tuple[int, int]:

@@ -38,7 +38,8 @@ from .massform import gsp_order
 ORDER_CAP = 5040
 # Tables and their indices are int16; so are the cyclic sums, below 2 * ORDER_CAP.
 assert 2 * ORDER_CAP <= np.iinfo(np.int16).max
-# Entries per temporary index array in normalizer_of's row blocks (2^20 int16 = 2 MB).
+# Entries per temporary array in the row blocks of Group.__init__ and normalizer_of
+# (2^20 int16 = 2 MB).
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -55,12 +56,17 @@ class Group:
         self.index = {el: i for i, el in enumerate(elements)}
         self.n = len(elements)
         self.table = table
-        eye_mask = np.all(table == np.arange(self.n), axis=1)
-        ids = np.nonzero(eye_mask)[0]
+        # Only a row with table[i, 0] == 0 can be the identity's row, arange(n).
+        cands = np.flatnonzero(table[:, 0] == 0)
+        ids = cands[np.all(table[cands] == np.arange(self.n), axis=1)]
         if len(ids) != 1:
             raise GroupConstructionError(f"{kind}: multiplication table has no identity")
         self.identity = int(ids[0])
-        self.inv = np.argmax(table == self.identity, axis=1).astype(table.dtype)
+        # Row blocks bound the (rows, n) comparison, as in normalizer_of.
+        rows = max(1, _BLOCK_ENTRIES // self.n)
+        self.inv = np.empty(self.n, dtype=table.dtype)
+        for lo in range(0, self.n, rows):
+            self.inv[lo : lo + rows] = np.argmax(table[lo : lo + rows] == self.identity, axis=1)
 
     # -- scalar ops ---------------------------------------------------------
 

@@ -22,11 +22,12 @@ the single supersingular point j = 0 with H = F = T = 1.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .ffield import Fp2Element, Fp2Field, frobenius, is_prime, lambda_to_j
+from .ffield import Fp2Element, Fp2Field, frobenius_pair, is_prime, lambda_to_j
 from .fppoly import hasse_poly, roots_in_fp2
 
 # Automorphism group orders of supersingular curves for p > 3: the two special
@@ -63,41 +64,59 @@ class Census:
     aut_orders: tuple[int, ...]
 
     def validate(self) -> None:
-        p = self.p
-        if self.H != len(self.j_points) or self.H != len(self.involution):
+        """Raise CensusInvariantError unless, with each point j = a + b t read
+        as its raw residue pair (a, b) and visited once:
+
+        - H, j_points, involution and aut_orders have one length, and it is not 0;
+        - the pairs are distinct;
+        - 0 <= a, b < p (j is F_p2-rational, i.e. j^(p^2) = j);
+        - every point lies in one field model, that of the census's prime p;
+        - involution[i] lies in [0, H) and is the index of frobenius_pair(a, b, p)
+          = (a, -b mod p), the pair of j^p, and involution is its own inverse;
+        - aut_orders is _aut_orders(p, pairs): 6/4/2 at p > 3, _SMALL_AUT else;
+        - F is the number of fixed points and T = (H + F)/2 (so F = 2T - H);
+        - for p > 3, H = class_number_formula(p).
+        """
+        p, js, inv, H = self.p, self.j_points, self.involution, self.H
+        if not H == len(js) == len(inv) == len(self.aut_orders):
             raise CensusInvariantError(f"p={p}: field lengths disagree")
-        if len(set(self.j_points)) != self.H:
+        if not js:
+            raise CensusInvariantError(f"p={p}: empty j-set")
+        pairs = [(j.a, j.b) for j in js]
+        if len(set(pairs)) != H:
             raise CensusInvariantError(f"p={p}: duplicate j-invariants")
+        field = js[0].field
         fixed = 0
-        for i, j in enumerate(self.j_points):
-            conj = frobenius(j)
-            if frobenius(conj) != j:  # j^(p^2) = j in this model of F_p2
+        for i, (j, (a, b)) in enumerate(zip(js, pairs)):
+            if not (0 <= a < p and 0 <= b < p):
                 raise CensusInvariantError(f"p={p}: point not F_p2-rational")
-            k = self.involution[i]
-            if self.j_points[k] != conj:
+            if j.field != field or field.p != p:
+                raise CensusInvariantError(f"p={p}: point outside the census's field")
+            k = inv[i]
+            if not 0 <= k < H:
+                raise CensusInvariantError(f"p={p}: involution index out of range")
+            if pairs[k] != frobenius_pair(a, b, p):
                 raise CensusInvariantError(f"p={p}: involution does not realize j -> j^p")
-            if self.involution[k] != i:
+            if inv[k] != i:
                 raise CensusInvariantError(f"p={p}: involution is not self-inverse")
-            if k == i:
-                fixed += 1
+            fixed += k == i
+        if self.aut_orders != _aut_orders(p, pairs):
+            raise CensusInvariantError(f"p={p}: aut_orders disagree with the j-invariants")
         if fixed != self.F:
             raise CensusInvariantError(f"p={p}: F != number of fixed points")
-        if (self.H + self.F) % 2 != 0 or self.T != (self.H + self.F) // 2:
+        if (H + self.F) % 2 != 0 or self.T != (H + self.F) // 2:
             raise CensusInvariantError(f"p={p}: T != (H + F)/2")
-        if self.F != 2 * self.T - self.H:
-            raise CensusInvariantError(f"p={p}: F != 2T - H")
         if p > 3 and not class_number_crosscheck(self):
             raise CensusInvariantError(f"p={p}: H fails the class-number formula")
 
 
-def _aut_orders(field: Fp2Field, js) -> tuple[int, ...]:
-    """|Aut(E_j)| for each j at p > 3, by the 6/4/2 rule."""
-    j1728 = field.elem(1728)
-    zero = field.zero()
-    return tuple(_AUT_SPECIAL_ZERO if j == zero
-                 else _AUT_SPECIAL_1728 if j == j1728
-                 else _AUT_GENERIC
-                 for j in js)
+def _aut_orders(p: int, pairs) -> tuple[int, ...]:
+    """|Aut(E_j)| for each j, given by its raw pair (a, b): _SMALL_AUT at p <= 3,
+    else the 6/4/2 rule (6 at j = 0, 4 at j = 1728, 2 elsewhere)."""
+    if p in _SMALL_AUT:
+        return (_SMALL_AUT[p],) * len(pairs)
+    special = {(0, 0): _AUT_SPECIAL_ZERO, (1728 % p, 0): _AUT_SPECIAL_1728}
+    return tuple(special.get(pair, _AUT_GENERIC) for pair in pairs)
 
 
 def _assemble(field: Fp2Field, js: tuple[Fp2Element, ...]) -> Census:
@@ -105,19 +124,21 @@ def _assemble(field: Fp2Field, js: tuple[Fp2Element, ...]) -> Census:
 
     Raises KeyError when js is not Frobenius-stable.
     """
-    index = {j: i for i, j in enumerate(js)}
-    involution = tuple(index[frobenius(j)] for j in js)
+    p = field.p
+    pairs = [(j.a, j.b) for j in js]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    involution = tuple(index[frobenius_pair(a, b, p)] for a, b in pairs)
     H = len(js)
     F = sum(1 for i, k in enumerate(involution) if i == k)
-    return Census(p=field.p, j_points=js, involution=involution, H=H, F=F,
-                  T=(H + F) // 2, aut_orders=_aut_orders(field, js))
+    return Census(p=p, j_points=js, involution=involution, H=H, F=F,
+                  T=(H + F) // 2, aut_orders=_aut_orders(p, pairs))
 
 
 def _small_census(p: int) -> Census:
     field = Fp2Field(p, 2 if p == 3 else 1)
     j0 = field.elem(0)
     return Census(p=p, j_points=(j0,), involution=(0,), H=1, F=1, T=1,
-                  aut_orders=(_SMALL_AUT[p],))
+                  aut_orders=_aut_orders(p, [(0, 0)]))
 
 
 def check_census_cost(p: int) -> None:
@@ -174,12 +195,13 @@ def eichler_mass(c: Census) -> Fraction:
     """Automorphism-weighted count sum_j 1/|Aut(E_j)|; equals (p-1)/24."""
     if c.p <= 3:
         raise ValueError("mass via the 6/4/2 rule is only valid for p > 3")
-    return sum((Fraction(1, a) for a in c.aut_orders), Fraction(0))
+    return sum((Fraction(n, a) for a, n in Counter(c.aut_orders).items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
 # Census cache: one line per prime, "p;j1,j2,...;F;T", append-only writes.
-# Entries are revalidated against the census invariants when read back.
+# Entries are revalidated when read back: _assemble recomputes the involution,
+# F, T and aut orders from the cached j-set, and Census.validate checks them.
 # ---------------------------------------------------------------------------
 
 ENV_CACHE_DIR = "SUPERSPECIAL_CACHE_DIR"

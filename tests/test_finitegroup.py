@@ -1,7 +1,10 @@
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -260,3 +263,45 @@ def test_gsp2_closure_count_is_checked(monkeypatch):
     with pytest.raises(GroupConstructionError,
                        match="gsp2:2: generators close to 720 elements, expected 719"):
         group_from_kind.__wrapped__("gsp2:2")
+
+
+def test_identity_and_inverses_match_the_full_table_scan():
+    # Reference: the whole-table comparisons that Group.__init__ replaced.
+    for kind in TRIAL_FAMILIES + ("gsp2:2", "sym:7"):
+        G = group_from_kind.__wrapped__(kind)  # bypass the memo
+        eye = np.flatnonzero(np.all(G.table == np.arange(G.n), axis=1))
+        assert eye.tolist() == [G.identity], kind
+        want = np.argmax(G.table == G.identity, axis=1).astype(G.table.dtype)
+        assert G.inv.dtype == want.dtype and np.array_equal(G.inv, want), kind
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [1, 1]], [[0, 0], [0, 0]], [[0, 1], [0, 1]]])
+def test_table_without_a_unique_identity_is_refused(rows):
+    with pytest.raises(GroupConstructionError, match="bad:2: multiplication table has no identity"):
+        Group("bad:2", [0, 1], np.array(rows, dtype=np.int16))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_sym7_build_memory_stays_near_the_table_size():
+    # A fresh interpreter, so that the peak belongs to this build alone.  It is
+    # read as VmHWM, the peak of the interpreter's own address space: the
+    # getrusage peak can carry over the forking test process's resident size.
+    # The growth is counted from the resident size after the imports.  Whole-
+    # table boolean temporaries in Group.__init__ took it to about 1.6 times
+    # the table's bytes; the table plus the closure's own arrays come to 1.1.
+    code = (
+        "from superspecial.finitegroup import group_from_kind\n"
+        "def status(key):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith(key))\n"
+        "rss = status('VmRSS:')\n"
+        "G = group_from_kind('sym:7')\n"
+        "print(status('VmHWM:') - rss, G.table.nbytes)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth, table_bytes = map(int, proc.stdout.split())
+    assert growth < 1.4 * table_bytes, (growth, table_bytes)

@@ -1,9 +1,10 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
 
-from superspecial.ffield import Fp2Field, frobenius, is_prime
+from superspecial.ffield import Fp2Element, Fp2Field, frobenius, is_prime
 from superspecial.sslocus import (CENSUS_MAX_PRIME, Census, CensusCache, CensusInvariantError,
                                   census, class_number_crosscheck, decode_census,
                                   eichler_mass, encode_census, trace_R_pi0,
@@ -208,17 +209,57 @@ def test_decode_compares_cached_counts_with_recomputation():
             decode_census(line)
 
 
-def test_encode_decode(sweep):
-    for c in list(sweep.values())[:20]:
+def test_encode_decode(censuses_1000):
+    assert len(censuses_1000) == 166
+    for c in censuses_1000:
         assert decode_census(encode_census(c)) == c
+        per_point = Fraction(0)
+        for a in c.aut_orders:
+            per_point += Fraction(1, a)
+        assert eichler_mass(c) == per_point
 
 
 def test_validate_catches_bad_census():
-    c = census(11)
-    broken = Census(p=11, j_points=c.j_points, involution=c.involution,
-                    H=c.H, F=c.F + 2, T=c.T, aut_orders=c.aut_orders)
-    with pytest.raises(CensusInvariantError):
-        broken.validate()
+    # One hand-built Census per check of validate, with the message it must give.
+    c37 = census(37)  # j = 3 +- 10t (a Frobenius pair) and j = 8, aut orders 2, 2, 2
+    js = c37.j_points
+    field = js[0].field
+    other_field = Fp2Field(37, 5)  # 5 is a non-square mod 37, but not the canonical d = 2
+
+    def edit(**kw):
+        fields = dict(p=37, j_points=js, involution=c37.involution, H=c37.H, F=c37.F,
+                      T=c37.T, aut_orders=c37.aut_orders)
+        return Census(**{**fields, **kw})
+
+    c37.validate()
+    cases = [
+        (edit(involution=(1, 0)), "field lengths disagree"),
+        (edit(aut_orders=(2, 2)), "field lengths disagree"),
+        (edit(j_points=(js[0], js[1], js[0])), "duplicate j-invariants"),
+        # Fp2Element itself does not reduce; field.elem would.
+        (edit(j_points=(Fp2Element(3 + 37, 10, field), js[1], js[2])), "not F_p2-rational"),
+        (edit(j_points=(js[0], js[1], Fp2Element(8, 37, field))), "not F_p2-rational"),
+        (edit(j_points=(js[0], js[1], Fp2Element(-29, 0, field))), "not F_p2-rational"),
+        (edit(involution=(0, 1, 2), F=3, T=3), "does not realize j -> j^p"),
+        (edit(involution=(1, 1, 2)), "not self-inverse"),
+        (edit(involution=(1, 0, 3)), "involution index out of range"),
+        (edit(involution=(1, 0, -1)), "involution index out of range"),
+        (edit(F=c37.F + 2), "F != number of fixed points"),
+        (edit(T=c37.T + 1), "T != (H + F)/2"),
+        (edit(j_points=(js[2],), involution=(0,), H=1, F=1, T=1, aut_orders=(2,)),
+         "class-number formula"),
+        (edit(j_points=(js[0], js[1], other_field.elem(8))), "outside the census's field"),
+        (edit(j_points=(js[0], other_field.elem(3, 27), js[2])), "outside the census's field"),
+        (edit(p=41), "outside the census's field"),
+        (edit(aut_orders=(2, 2, 4)), "aut_orders disagree"),
+        (Census(p=2, j_points=(Fp2Field(2, 1).elem(0),), involution=(0,), H=1, F=1, T=1,
+                aut_orders=(6,)), "aut_orders disagree"),
+        (edit(j_points=(), involution=(), H=0, F=0, T=0, aut_orders=()), "empty j-set"),
+        (Census(p=3, j_points=(), involution=(), H=0, F=0, T=0, aut_orders=()), "empty j-set"),
+    ]
+    for broken, message in cases:
+        with pytest.raises(CensusInvariantError, match=re.escape(message)):
+            broken.validate()
 
 
 # sha256 of the cache lines of every census 5 <= p <= 1000, joined by newlines;
