@@ -21,7 +21,7 @@ from pathlib import Path
 from . import acceptance, cosettrace, massform, sslocus
 from .cosettrace import InvariantViolation, ModelSpecError
 from .exactnum import frac_dict
-from .ffield import is_prime
+from .ffield import format_pair, is_prime
 from .finitegroup import GroupConstructionError
 from .massform import IntegralityError
 from .sslocus import CensusInvariantError
@@ -41,6 +41,17 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
+
+
+def _count(text: str) -> int:
+    """argparse type of a count flag: a non-negative int."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -86,7 +97,7 @@ def _census_payload(c: sslocus.Census) -> dict:
         "T": c.T,
         "trace_R_pi0": sslocus.trace_R_pi0(c),
         "type_number": sslocus.type_number(c),
-        "j_points": [str(j) for j in c.j_points],
+        "j_points": [format_pair(a, b) for a, b in c.j_points],
         "involution": list(c.involution),
         "aut_orders": list(c.aut_orders),
         "mass": frac_dict(mass),
@@ -259,7 +270,7 @@ def build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="census sweep over a prime range (CSV)")
     p_sweep.add_argument("--pmin", type=int, required=True)
     p_sweep.add_argument("--pmax", type=int, required=True)
-    p_sweep.add_argument("--jobs", type=int, default=0, help="worker processes (0 = auto)")
+    p_sweep.add_argument("--jobs", type=_count, default=0, help="worker processes (0 = auto)")
     p_sweep.add_argument("--cache", default=None)
     p_sweep.add_argument("--timing", action="store_true", help="print timing to stderr")
     p_sweep.add_argument("-o", "--output", default=None)
@@ -276,12 +287,12 @@ def build_parser() -> _Parser:
 
     p_trace = sub.add_parser("trace-demo", help="trace formula on a finite model")
     p_trace.add_argument("--model", default=None, help="path to a JSON model spec")
-    p_trace.add_argument("--trials", type=int, default=None,
+    p_trace.add_argument("--trials", type=_count, default=None,
                          help="run seeded random models instead of a spec")
     p_trace.add_argument("--seed", type=int, default=42)
     p_trace.add_argument("--family", default=None,
                          help="restrict random trials to one group family")
-    p_trace.add_argument("--volume-checks", type=int, default=2,
+    p_trace.add_argument("--volume-checks", type=_count, default=2,
                          help="volume identity checks per random model")
     p_trace.add_argument("-o", "--output", default=None)
     p_trace.set_defaults(func=cmd_trace_demo)
@@ -289,7 +300,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the full acceptance suite")
     p_verify.add_argument("--pmax", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument("--trials", type=_count, default=100)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

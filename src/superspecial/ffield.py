@@ -117,10 +117,6 @@ class Fp2Field:
         return cls(p, canonical_nonresidue(p))
 
     def __post_init__(self) -> None:
-        if self.p == 2:
-            # Degenerate constant used only by the hard-coded p=2 census,
-            # where every stored element lies in the prime field (b = 0).
-            return
         _check_odd_prime(self.p)
         if legendre(self.d, self.p) != -1:
             raise ValueError(f"d = {self.d} is a square mod {self.p}")
@@ -139,15 +135,8 @@ class Fp2Field:
         return self.elem(0, 1)
 
     def parse(self, text: str) -> "Fp2Element":
-        """Inverse of str(): accepts "a" or "a+b*t"."""
-        text = text.strip()
-        if "t" in text:
-            head, sep, tail = text.partition("*t")
-            a_str, _, b_str = head.rpartition("+")
-            if not a_str or not sep or tail:
-                raise ValueError(f"malformed F_p2 literal: {text!r}")
-            return self.elem(int(a_str), int(b_str))
-        return self.elem(int(text))
+        """Inverse of str(): the element of the literal "a" or "a+b*t" (see parse_pair)."""
+        return self.elem(*parse_pair(text, self.p))
 
 
 @dataclass(frozen=True)
@@ -210,12 +199,23 @@ class Fp2Element:
         return result
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a}+{self.b}*t"
+        return format_pair(self.a, self.b)
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.a, self.b)
+
+def format_pair(a: int, b: int) -> str:
+    """The literal of a + b*t: "a" when b = 0, else "a+b*t"."""
+    return str(a) if b == 0 else f"{a}+{b}*t"
+
+
+def parse_pair(text: str, p: int) -> tuple[int, int]:
+    """Inverse of format_pair on residues mod p: accepts exactly what it writes
+    for 0 <= a, b < p (no sign, space, '_', leading zero or "+0*t"), else
+    raises ValueError."""
+    head, sep, tail = text.partition("+")
+    a, b = int(head), (int(tail.removesuffix("*t")) if sep else 0)
+    if not (0 <= a < p and 0 <= b < p) or format_pair(a, b) != text:
+        raise ValueError(f"malformed F_p2 literal mod {p}: {text!r}")
+    return a, b
 
 
 def frobenius_pair(a: int, b: int, p: int) -> tuple[int, int]:

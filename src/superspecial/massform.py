@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .exactnum import zeta_negative
+from .ffield import MAX_PRIME
 
 
 class GenusKind(Enum):
@@ -43,6 +44,14 @@ NONPRINCIPAL_CAVEAT = (
 )
 
 
+# Largest genus MassParams (and so `superspecial mass`) accepts.  Every value
+# it accepts must print in full, and Python writes no int of more than 4300
+# digits as text.  At p = 2^31 - 1 (MAX_PRIME bounds p) and N = 999999999989
+# (the largest prime below LEVEL_MAX) the largest value, the class number, has
+# 3652 digits at g = 11 and 4332 at g = 12.
+GENUS_MAX = 11
+
+
 @dataclass(frozen=True)
 class MassParams:
     g: int
@@ -51,6 +60,10 @@ class MassParams:
     genus_kind: GenusKind = GenusKind.PRINCIPAL
 
     def __post_init__(self) -> None:
+        if self.g > GENUS_MAX:
+            raise ValueError(f"genus g = {self.g} is above the ceiling {GENUS_MAX}")
+        if self.p >= MAX_PRIME:
+            raise ValueError(f"p = {self.p} is beyond the word-size bound p < 2^31")
         if self.genus_kind is GenusKind.NON_PRINCIPAL and self.g % 2 != 0:
             raise ValueError("non-principal genus requires even g")
 

@@ -3,10 +3,11 @@
 For p >= 5 the supersingular j-invariants are the images of the roots of the
 Legendre supersingularity polynomial under the 6-to-1 map lambda -> j; every
 one of them lies in F_{p^2}, and the arithmetic Frobenius acts on them by
-j -> j^p.  The census records
+j -> j^p.  A census is the prime p and its sorted j-set, each point
+j = a + b t carried as its residue pair (a, b); from these it derives
 
     H = number of points,
-    F = number of Frobenius-fixed points (the F_p-rational ones),
+    F = number of Frobenius-fixed points (the F_p-rational ones, b = 0),
     T = number of Frobenius orbits,
 
 which satisfy F = 2T - H: each orbit has size 1 or 2, so H = F + 2(T - F).
@@ -15,19 +16,19 @@ space, and T as the type number; the identity is the counting shadow of
 "trace = 2 * type number - class number".
 
 p = 2 and p = 3 fall outside the Legendre parametrization (and outside the
-6/4/2 automorphism-order rule); their censuses are hard-coded constants:
-the single supersingular point j = 0 with H = F = T = 1.
+6/4/2 automorphism-order rule); their census is the single supersingular
+point j = 0, with H = F = T = 1.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .ffield import Fp2Element, Fp2Field, frobenius_pair, is_prime, lambda_to_j
+from .ffield import Fp2Field, format_pair, frobenius_pair, is_prime, lambda_to_j, parse_pair
 from .fppoly import hasse_poly, roots_in_fp2
 
 # Automorphism group orders of supersingular curves for p > 3: the two special
@@ -42,8 +43,8 @@ _AUT_GENERIC = 2
 # and hours; beyond this ceiling the census is refused up front.
 CENSUS_MAX_PRIME = 10**6
 
-# True automorphism orders at the hard-coded small primes (j = 0 is the unique
-# supersingular point; the 6/4/2 rule does not apply in characteristic 2, 3).
+# True automorphism orders at p = 2, 3, where j = 0 is the unique
+# supersingular point (the 6/4/2 rule does not apply in characteristic 2, 3).
 _SMALL_AUT = {2: 24, 3: 12}
 
 
@@ -53,92 +54,63 @@ class CensusInvariantError(Exception):
 
 @dataclass(frozen=True)
 class Census:
-    """The superspecial locus at a prime together with its involution data."""
+    """The superspecial locus at a prime together with its involution data.
+
+    Built from p and the sorted residue pairs (a, b) of its j-invariants
+    j = a + b t; the other fields are derived from those two, so they cannot
+    disagree with them.  Raises CensusInvariantError when j -> j^p does not
+    map the j-set to itself.
+    """
 
     p: int
-    j_points: tuple[Fp2Element, ...]
-    involution: tuple[int, ...]  # index permutation realizing j -> j^p
-    H: int
-    F: int
-    T: int
-    aut_orders: tuple[int, ...]
+    j_points: tuple[tuple[int, int], ...]
+    involution: tuple[int, ...] = field(init=False)  # index permutation realizing j -> j^p
+    H: int = field(init=False)
+    F: int = field(init=False)
+    T: int = field(init=False)
+    aut_orders: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        p, js = self.p, self.j_points
+        index = {pair: i for i, pair in enumerate(js)}
+        try:
+            involution = tuple(index[frobenius_pair(a, b, p)] for a, b in js)
+        except KeyError:
+            raise CensusInvariantError(f"p={p}: j-set not Frobenius-stable") from None
+        H = len(js)
+        F = sum(1 for i, k in enumerate(involution) if i == k)
+        if p in _SMALL_AUT:
+            aut_orders = (_SMALL_AUT[p],) * H
+        else:
+            special = {(0, 0): _AUT_SPECIAL_ZERO, (1728 % p, 0): _AUT_SPECIAL_1728}
+            aut_orders = tuple(special.get(pair, _AUT_GENERIC) for pair in js)
+        derived = dict(involution=involution, H=H, F=F, T=(H + F) // 2, aut_orders=aut_orders)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def validate(self) -> None:
-        """Raise CensusInvariantError unless, with each point j = a + b t read
-        as its raw residue pair (a, b) and visited once:
+        """Raise CensusInvariantError unless j_points is the j-set of a census:
 
-        - H, j_points, involution and aut_orders have one length, and it is not 0;
-        - the pairs are distinct;
-        - 0 <= a, b < p (j is F_p2-rational, i.e. j^(p^2) = j);
-        - every point lies in one field model, that of the census's prime p;
-        - involution[i] lies in [0, H) and is the index of frobenius_pair(a, b, p)
-          = (a, -b mod p), the pair of j^p, and involution is its own inverse;
-        - aut_orders is _aut_orders(p, pairs): 6/4/2 at p > 3, _SMALL_AUT else;
-        - F is the number of fixed points and T = (H + F)/2 (so F = 2T - H);
-        - for p > 3, H = class_number_formula(p).
+        - p is prime;
+        - the j-set is not empty;
+        - its pairs strictly increase, so they are sorted and distinct;
+        - 0 <= a, b < p for each pair (a, b) (j is F_p2-rational, j^(p^2) = j);
+        - at p <= 3 it is {0}, at p > 3 its size H is class_number_formula(p).
         """
-        p, js, inv, H = self.p, self.j_points, self.involution, self.H
-        if not H == len(js) == len(inv) == len(self.aut_orders):
-            raise CensusInvariantError(f"p={p}: field lengths disagree")
+        p, js = self.p, self.j_points
+        if not is_prime(p):
+            raise CensusInvariantError(f"p={p}: not a prime")
         if not js:
             raise CensusInvariantError(f"p={p}: empty j-set")
-        pairs = [(j.a, j.b) for j in js]
-        if len(set(pairs)) != H:
-            raise CensusInvariantError(f"p={p}: duplicate j-invariants")
-        field = js[0].field
-        fixed = 0
-        for i, (j, (a, b)) in enumerate(zip(js, pairs)):
-            if not (0 <= a < p and 0 <= b < p):
-                raise CensusInvariantError(f"p={p}: point not F_p2-rational")
-            if j.field != field or field.p != p:
-                raise CensusInvariantError(f"p={p}: point outside the census's field")
-            k = inv[i]
-            if not 0 <= k < H:
-                raise CensusInvariantError(f"p={p}: involution index out of range")
-            if pairs[k] != frobenius_pair(a, b, p):
-                raise CensusInvariantError(f"p={p}: involution does not realize j -> j^p")
-            if inv[k] != i:
-                raise CensusInvariantError(f"p={p}: involution is not self-inverse")
-            fixed += k == i
-        if self.aut_orders != _aut_orders(p, pairs):
-            raise CensusInvariantError(f"p={p}: aut_orders disagree with the j-invariants")
-        if fixed != self.F:
-            raise CensusInvariantError(f"p={p}: F != number of fixed points")
-        if (H + self.F) % 2 != 0 or self.T != (H + self.F) // 2:
-            raise CensusInvariantError(f"p={p}: T != (H + F)/2")
-        if p > 3 and not class_number_crosscheck(self):
+        if any(x >= y for x, y in zip(js, js[1:])):
+            raise CensusInvariantError(f"p={p}: duplicate or unsorted j-invariants")
+        if not all(0 <= a < p and 0 <= b < p for a, b in js):
+            raise CensusInvariantError(f"p={p}: point not F_p2-rational")
+        if p <= 3:
+            if js != ((0, 0),):
+                raise CensusInvariantError(f"p={p}: j-set differs from the hard-coded {{0}}")
+        elif not class_number_crosscheck(self):
             raise CensusInvariantError(f"p={p}: H fails the class-number formula")
-
-
-def _aut_orders(p: int, pairs) -> tuple[int, ...]:
-    """|Aut(E_j)| for each j, given by its raw pair (a, b): _SMALL_AUT at p <= 3,
-    else the 6/4/2 rule (6 at j = 0, 4 at j = 1728, 2 elsewhere)."""
-    if p in _SMALL_AUT:
-        return (_SMALL_AUT[p],) * len(pairs)
-    special = {(0, 0): _AUT_SPECIAL_ZERO, (1728 % p, 0): _AUT_SPECIAL_1728}
-    return tuple(special.get(pair, _AUT_GENERIC) for pair in pairs)
-
-
-def _assemble(field: Fp2Field, js: tuple[Fp2Element, ...]) -> Census:
-    """The census of the j-set js at p > 3: involution, F, T and aut orders.
-
-    Raises KeyError when js is not Frobenius-stable.
-    """
-    p = field.p
-    pairs = [(j.a, j.b) for j in js]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    involution = tuple(index[frobenius_pair(a, b, p)] for a, b in pairs)
-    H = len(js)
-    F = sum(1 for i, k in enumerate(involution) if i == k)
-    return Census(p=p, j_points=js, involution=involution, H=H, F=F,
-                  T=(H + F) // 2, aut_orders=_aut_orders(p, pairs))
-
-
-def _small_census(p: int) -> Census:
-    field = Fp2Field(p, 2 if p == 3 else 1)
-    j0 = field.elem(0)
-    return Census(p=p, j_points=(j0,), involution=(0,), H=1, F=1, T=1,
-                  aut_orders=_aut_orders(p, [(0, 0)]))
 
 
 def check_census_cost(p: int) -> None:
@@ -153,17 +125,16 @@ def census(p: int) -> Census:
         raise ValueError(f"census requires a prime, got {p}")
     check_census_cost(p)
     if p <= 3:
-        result = _small_census(p)
+        js = {(0, 0)}
     else:
-        field = Fp2Field.of(p)
-        lambdas = roots_in_fp2(hasse_poly(p), field)
+        lambdas = roots_in_fp2(hasse_poly(p), Fp2Field.of(p))
         if len(lambdas) != (p - 1) // 2:
             # The Legendre supersingularity polynomial is squarefree with every
             # root in F_{p^2}; anything else is a root-finder regression.
             raise CensusInvariantError(
                 f"p={p}: found {len(lambdas)} Legendre parameters, expected {(p - 1) // 2}")
-        js = sorted({lambda_to_j(lam) for lam in lambdas}, key=Fp2Element.sort_key)
-        result = _assemble(field, tuple(js))
+        js = {(j.a, j.b) for j in map(lambda_to_j, lambdas)}
+    result = Census(p, tuple(sorted(js)))
     result.validate()
     return result
 
@@ -200,8 +171,9 @@ def eichler_mass(c: Census) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Census cache: one line per prime, "p;j1,j2,...;F;T", append-only writes.
-# Entries are revalidated when read back: _assemble recomputes the involution,
-# F, T and aut orders from the cached j-set, and Census.validate checks them.
+# A line is read back only in the exact form encode_census writes; the Census
+# built from its p and j-set derives F and T, which must match the cached ones,
+# and Census.validate checks the j-set.
 # ---------------------------------------------------------------------------
 
 ENV_CACHE_DIR = "SUPERSPECIAL_CACHE_DIR"
@@ -216,32 +188,30 @@ def default_cache_path() -> Path | None:
 
 
 def encode_census(c: Census) -> str:
-    return f"{c.p};{','.join(str(j) for j in c.j_points)};{c.F};{c.T}"
+    return f"{c.p};{','.join(format_pair(a, b) for a, b in c.j_points)};{c.F};{c.T}"
+
+
+def _canonical_count(text: str) -> int:
+    """int(text) if str() writes a count as text, else ValueError ('+1', '01', '1_0')."""
+    n = int(text)
+    if n < 0 or str(n) != text:
+        raise ValueError(f"not a count: {text!r}")
+    return n
 
 
 def decode_census(line: str) -> Census:
     """Parse and revalidate one cache line; any fault raises CensusInvariantError."""
     try:
         p_str, j_str, f_str, t_str = line.strip().split(";")
-        p, cached = int(p_str), (int(f_str), int(t_str))
-        # Fp2Field.of refuses a p that is not prime or beyond the word size.
-        field = None if p in _SMALL_AUT else Fp2Field.of(p)
+        p, f, t = (_canonical_count(s) for s in (p_str, f_str, t_str))
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        check_census_cost(p)
+        js = tuple(parse_pair(tok, p) for tok in j_str.split(","))
     except ValueError as exc:
         raise CensusInvariantError(f"malformed cache line: {line!r}") from exc
-    if field is None:
-        c = _small_census(p)
-        if j_str != encode_census(c).split(";")[1]:
-            raise CensusInvariantError(f"p={p}: cached j-set differs from the hard-coded census")
-    else:
-        try:
-            js = tuple(field.parse(tok) for tok in j_str.split(","))
-        except ValueError as exc:
-            raise CensusInvariantError(f"p={p}: unparsable j-invariant: {exc}") from exc
-        try:
-            c = _assemble(field, js)
-        except KeyError as exc:
-            raise CensusInvariantError(f"p={p}: cached set not Frobenius-stable") from exc
-    if (c.F, c.T) != cached:
+    c = Census(p, js)
+    if (c.F, c.T) != (f, t):
         raise CensusInvariantError(f"p={p}: cached F/T disagree with recomputation")
     c.validate()
     return c

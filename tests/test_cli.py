@@ -7,6 +7,7 @@ import time
 import pytest
 
 import superspecial
+from superspecial import massform
 from superspecial.cli import (EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE,
                               main)
 
@@ -163,6 +164,39 @@ def test_mass_examples(capsys):
     assert rc == EXIT_USAGE  # gcd(N, p) != 1
 
 
+def test_mass_prints_every_accepted_genus_in_full(capsys):
+    # The largest values mass accepts (g = GENUS_MAX, the largest p and N)
+    # have more than 3000 digits, and print exactly.
+    rc, out, _ = run_cli(capsys, "mass", "-g", "11", "-p", "2147483647", "-N", "999999999989")
+    assert rc == EXIT_OK
+    payload = json.loads(out)
+    expected = massform.class_number_level(11, 2147483647, 999999999989)
+    assert payload["class_number"] == expected and len(str(expected)) > 3000
+    # g = 100 used to be computed and then fail to print, g = 1000 after 75 s;
+    # a p beyond the word size at g = 1 has a class number too long to print.
+    for argv, message in [(("-g", "12", "-p", "5", "-N", "1"), "ceiling 11"),
+                          (("-g", "1000", "-p", "5", "-N", "1"), "ceiling 11"),
+                          (("-g", "1", "-p", "2147483659", "-N", "3"), "word-size bound")]:
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "mass", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert rc == EXIT_USAGE and out == "" and message in err, argv
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--jobs", ("sweep", "--pmin", "5", "--pmax", "7", "--jobs", "-3")),
+    ("--trials", ("trace-demo", "--trials", "-3")),
+    ("--volume-checks", ("trace-demo", "--trials", "1", "--volume-checks", "-4")),
+    ("--trials", ("verify", "--trials", "-1")),
+])
+def test_negative_counts_are_usage_errors(capsys, flag, argv):
+    # These used to run serially, fail as an invariant violation, run no
+    # volume checks, and pass criteria 6 and 7 on no models.
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == EXIT_USAGE and out == ""
+    assert f"error: argument {flag}: must not be negative" in err
+
+
 def test_mass_output_file(capsys, tmp_path):
     out_path = tmp_path / "mass.json"
     rc, out, _ = run_cli(capsys, "mass", "-g", "1", "-p", "11", "-N", "3",
@@ -241,10 +275,16 @@ def test_corrupted_cache_is_invariant_violation(capsys, tmp_path):
     assert "invariant" in err
 
 
-@pytest.mark.parametrize("line", ["11;0,1;x;2", "12;0;1;1", "1;0;1;1", "2147483659;0;1;1"])
+@pytest.mark.parametrize("line", [
+    "11;0,1;x;2", "12;0;1;1", "1;0;1;1", "2147483659;0;1;1",
+    "37;3+10*t,3+27*t,-8;1;2", "37;3+10*t,3+27*t,45;1;2", "37;3+10*t,3+27*t,1_0;1;2",
+    "37;3+10*t,3+27*t,8+0*t;1;2", "037;3+10*t,3+27*t,8;1;2", "37;3+10*t,3+27*t,8;+1;2",
+])
 def test_malformed_cache_line_is_invariant_violation(capsys, tmp_path, line):
     # A non-numeric F, a non-prime p and a prime beyond the word size used to
-    # escape decode as ValueError (exit 1).
+    # escape decode as ValueError (exit 1); the rest are lines encode_census
+    # would not write (an unreduced, signed, '_' or "+0*t" j, a zero-padded p,
+    # a signed F) that a lenient int() used to read as the census at 37.
     cache = tmp_path / "c.cache"
     cache.write_text(line + "\n")
     rc, out, err = run_cli(capsys, "census", "-p", "11", "--cache", str(cache))

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from superspecial.ffield import (Fp2Field, canonical_nonresidue, frobenius,
-                                 is_prime, lambda_to_j, legendre, sqrt_mod)
+from superspecial.ffield import (Fp2Field, canonical_nonresidue, format_pair, frobenius,
+                                 is_prime, lambda_to_j, legendre, parse_pair, sqrt_mod)
 
 
 def test_canonical_nonresidue_small():
@@ -24,6 +24,8 @@ def test_canonical_nonresidue_is_nonresidue():
 def test_nonresidue_rejects_bad_input():
     with pytest.raises(ValueError):
         canonical_nonresidue(2)
+    with pytest.raises(ValueError, match="p = 2"):
+        Fp2Field(2, 1)
     with pytest.raises(ValueError):
         canonical_nonresidue(15)
 
@@ -96,6 +98,16 @@ def test_encoding_round_trip():
         assert field.parse(str(x)) == x
     assert str(field.elem(3)) == "3"
     assert str(field.elem(3, 4)) == "3+4*t"
+    for a in range(13):
+        for b in range(13):
+            assert parse_pair(format_pair(a, b), 13) == (a, b)
+    # Only what format_pair writes for residues mod 13 is read back.
+    for bad in ("-8", "13", "45", "1_0", "+1", "01", " 1", "1 ", "8+0*t", "3+-4*t",
+                "3+4", "3+4*t+1", "3+13*t", "3+04*t", "", "t", "3*t"):
+        with pytest.raises(ValueError):
+            parse_pair(bad, 13)
+        with pytest.raises(ValueError):
+            field.parse(bad)
 
 
 def test_lambda_to_j_examples():

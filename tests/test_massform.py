@@ -1,10 +1,11 @@
 import itertools
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from superspecial.massform import (LEVEL_MAX, GenusKind, MassParams,
+from superspecial.massform import (GENUS_MAX, LEVEL_MAX, GenusKind, MassParams,
                                    class_number_level, component_genus, evaluate,
                                    gsp_order, nonprincipal_class_number_level,
                                    principal_mass, recover_type_number)
@@ -146,3 +147,16 @@ def test_evaluate_bundles():
 def test_mass_params_rejects_odd_nonprincipal():
     with pytest.raises(ValueError):
         MassParams(g=3, p=2, N=3, genus_kind=GenusKind.NON_PRINCIPAL)
+
+
+def test_genus_ceiling_is_the_last_genus_whose_values_print():
+    # Python writes an int of at most sys.get_int_max_str_digits() (4300)
+    # digits as text; the class number at the largest p and N is the largest value.
+    p, N = 2**31 - 1, 999999999989
+    assert len(str(class_number_level(GENUS_MAX, p, N))) <= sys.get_int_max_str_digits()
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        str(class_number_level(GENUS_MAX + 1, p, N))
+    with pytest.raises(ValueError, match=f"ceiling {GENUS_MAX}"):
+        MassParams(g=GENUS_MAX + 1, p=5, N=1)
+    with pytest.raises(ValueError, match="word-size bound"):
+        MassParams(g=1, p=2**31 + 11, N=3)

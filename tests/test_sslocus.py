@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import re
 from fractions import Fraction
 
 import pytest
 
-from superspecial.ffield import Fp2Element, Fp2Field, frobenius, is_prime
+from superspecial.ffield import Fp2Field, frobenius_pair, is_prime
 from superspecial.sslocus import (CENSUS_MAX_PRIME, Census, CensusCache, CensusInvariantError,
                                   census, class_number_crosscheck, decode_census,
                                   eichler_mass, encode_census, trace_R_pi0,
@@ -21,22 +22,27 @@ def sweep():
 def test_census_examples():
     c5 = census(5)
     assert (c5.H, c5.F, c5.T) == (1, 1, 1)
-    assert [str(j) for j in c5.j_points] == ["0"]
+    assert c5.j_points == ((0, 0),)
 
     c11 = census(11)
     assert (c11.H, c11.F, c11.T) == (2, 2, 2)
-    assert [str(j) for j in c11.j_points] == ["0", "1"]  # 1728 = 157*11 + 1
+    assert c11.j_points == ((0, 0), (1, 0))  # 1728 = 157*11 + 1
 
     c13 = census(13)
     assert (c13.H, c13.F, c13.T) == (1, 1, 1)
-    assert [str(j) for j in c13.j_points] == ["5"]
+    assert c13.j_points == ((5, 0),)
+
+    c37 = census(37)  # j = 3 +- 10t, a Frobenius pair, and j = 8
+    assert c37.j_points == ((3, 10), (3, 27), (8, 0))
+    assert (c37.involution, c37.H, c37.F, c37.T) == ((1, 0, 2), 3, 1, 2)
 
 
 def test_census_hard_coded_small_primes():
-    for p in (2, 3):
+    for p, aut in ((2, 24), (3, 12)):
         c = census(p)
         assert (c.H, c.F, c.T) == (1, 1, 1)
-        assert [str(j) for j in c.j_points] == ["0"]
+        assert c.j_points == ((0, 0),)
+        assert (c.involution, c.aut_orders) == ((0,), (aut,))
 
 
 def test_census_validates_the_hard_coded_small_primes(monkeypatch):
@@ -104,20 +110,20 @@ def test_sweep_identities(sweep):
 
 
 def test_nonfixed_orbits_are_galois_pairs(sweep):
-    for c in sweep.values():
+    for p, c in sweep.items():
         for i, k in enumerate(c.involution):
+            a, b = c.j_points[i]
             if i != k:
-                assert frobenius(c.j_points[i]) == c.j_points[k]
-                assert not c.j_points[i].in_prime_field()
+                assert frobenius_pair(a, b, p) == c.j_points[k]
+                assert b != 0
             else:
-                assert c.j_points[i].in_prime_field()
+                assert b == 0
 
 
 def test_special_j_membership(sweep):
     for p, c in sweep.items():
-        field = c.j_points[0].field
-        has_zero = field.zero() in c.j_points
-        has_1728 = field.elem(1728) in c.j_points
+        has_zero = (0, 0) in c.j_points
+        has_1728 = (1728 % p, 0) in c.j_points
         assert has_zero == (p % 3 == 2)
         assert has_1728 == (p % 4 == 3)
 
@@ -128,11 +134,10 @@ def test_census_deterministic():
 
 def test_aut_orders(sweep):
     for p, c in sweep.items():
-        field = c.j_points[0].field
         for j, a in zip(c.j_points, c.aut_orders):
-            if j == field.zero():
+            if j == (0, 0):
                 assert a == 6
-            elif j == field.elem(1728):
+            elif j == (1728 % p, 0):
                 assert a == 4
             else:
                 assert a == 2
@@ -163,7 +168,8 @@ def test_exhaustive_enumeration_oracle():
                 if lam in (field.zero(), field.one()):
                     continue
                 if f.evaluate(lam) == field.zero():
-                    js.add(lambda_to_j(lam))
+                    j = lambda_to_j(lam)
+                    js.add((j.a, j.b))
         c = census(p)
         assert set(c.j_points) == js, p
 
@@ -184,21 +190,20 @@ def test_cache_round_trip(tmp_path):
 
 def test_cache_rejects_corruption(tmp_path):
     path = tmp_path / "census.cache"
-    path.write_text("11;0,1;1;2\n")  # F corrupted: parity of H + F breaks
-    with pytest.raises(CensusInvariantError):
-        CensusCache(path)
-    path.write_text("11;0,1;0;1\n")  # F=0 contradicts the recomputed involution
-    with pytest.raises(CensusInvariantError):
-        CensusCache(path)
-    path.write_text("11;0;1;1\n")  # wrong class number for p = 11
-    with pytest.raises(CensusInvariantError):
-        CensusCache(path)
-    path.write_text("garbage\n")
-    with pytest.raises(CensusInvariantError):
-        CensusCache(path)
-    path.write_text("3;7,8;1;1\n")  # p = 3 has the single point j = 0
-    with pytest.raises(CensusInvariantError, match="hard-coded"):
-        CensusCache(path)
+    for line, message in [
+        ("11;0,1;1;2", "cached F/T disagree"),  # F corrupted: parity of H + F breaks
+        ("11;0,1;0;1", "cached F/T disagree"),  # F=0 contradicts the recomputed involution
+        ("11;0;1;1", "class-number formula"),  # wrong class number for p = 11
+        ("garbage", "malformed cache line"),
+        ("3;7,8;1;1", "malformed cache line"),  # 7 and 8 are not residues mod 3
+        ("3;1;1;1", "hard-coded"),  # p = 3 has the single point j = 0
+        ("2;0,1;2;2", "hard-coded"),
+        ("37;3+10*t,8;1;1", "not Frobenius-stable"),  # 3 + 10t without 3 + 27t
+        ("37;8,3+10*t,3+27*t;1;2", "duplicate or unsorted"),
+    ]:
+        path.write_text(line + "\n")
+        with pytest.raises(CensusInvariantError, match=re.escape(message)):
+            CensusCache(path)
 
 
 def test_decode_compares_cached_counts_with_recomputation():
@@ -219,43 +224,47 @@ def test_encode_decode(censuses_1000):
         assert eichler_mass(c) == per_point
 
 
+def test_counts_match_an_independent_oracle(censuses_1000):
+    # Read straight off the j-set: F counts the F_p-rational points (b = 0),
+    # and the others fall into Frobenius pairs, one orbit each.
+    for c in censuses_1000:
+        rational = sum(1 for a, b in c.j_points if b == 0)
+        assert (c.H, c.F) == (len(c.j_points), rational)
+        assert c.T == rational + (c.H - rational) // 2
+
+
+def test_constructor_derives_every_field_and_refuses_unstable_sets():
+    c37 = census(37)  # j = 3 +- 10t (a Frobenius pair) and j = 8
+    assert Census(37, ((3, 10), (3, 27), (8, 0))) == c37
+    for name in ("involution", "H", "F", "T", "aut_orders"):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(c37, **{name: getattr(c37, name)})
+    for js in [((3, 10), (8, 0)),  # 3 + 10t without its conjugate 3 + 27t
+               ((3, 40), (3, 27), (8, 0)),  # unreduced b: j^p of (3, 40) is (3, 34)
+               ((3, 10), (3, 27), (8, 37)),  # j^p of (8, 37) is (8, 0)
+               ((40, 10), (3, 27), (8, 0))]:  # unreduced a
+        with pytest.raises(CensusInvariantError, match="not Frobenius-stable"):
+            Census(37, js)
+    # At p = 41 the pair of 3 + 10t is 3 + 31t.
+    with pytest.raises(CensusInvariantError, match="not Frobenius-stable"):
+        Census(41, c37.j_points)
+
+
 def test_validate_catches_bad_census():
     # One hand-built Census per check of validate, with the message it must give.
-    c37 = census(37)  # j = 3 +- 10t (a Frobenius pair) and j = 8, aut orders 2, 2, 2
-    js = c37.j_points
-    field = js[0].field
-    other_field = Fp2Field(37, 5)  # 5 is a non-square mod 37, but not the canonical d = 2
-
-    def edit(**kw):
-        fields = dict(p=37, j_points=js, involution=c37.involution, H=c37.H, F=c37.F,
-                      T=c37.T, aut_orders=c37.aut_orders)
-        return Census(**{**fields, **kw})
-
-    c37.validate()
+    js = census(37).j_points  # ((3, 10), (3, 27), (8, 0))
     cases = [
-        (edit(involution=(1, 0)), "field lengths disagree"),
-        (edit(aut_orders=(2, 2)), "field lengths disagree"),
-        (edit(j_points=(js[0], js[1], js[0])), "duplicate j-invariants"),
-        # Fp2Element itself does not reduce; field.elem would.
-        (edit(j_points=(Fp2Element(3 + 37, 10, field), js[1], js[2])), "not F_p2-rational"),
-        (edit(j_points=(js[0], js[1], Fp2Element(8, 37, field))), "not F_p2-rational"),
-        (edit(j_points=(js[0], js[1], Fp2Element(-29, 0, field))), "not F_p2-rational"),
-        (edit(involution=(0, 1, 2), F=3, T=3), "does not realize j -> j^p"),
-        (edit(involution=(1, 1, 2)), "not self-inverse"),
-        (edit(involution=(1, 0, 3)), "involution index out of range"),
-        (edit(involution=(1, 0, -1)), "involution index out of range"),
-        (edit(F=c37.F + 2), "F != number of fixed points"),
-        (edit(T=c37.T + 1), "T != (H + F)/2"),
-        (edit(j_points=(js[2],), involution=(0,), H=1, F=1, T=1, aut_orders=(2,)),
-         "class-number formula"),
-        (edit(j_points=(js[0], js[1], other_field.elem(8))), "outside the census's field"),
-        (edit(j_points=(js[0], other_field.elem(3, 27), js[2])), "outside the census's field"),
-        (edit(p=41), "outside the census's field"),
-        (edit(aut_orders=(2, 2, 4)), "aut_orders disagree"),
-        (Census(p=2, j_points=(Fp2Field(2, 1).elem(0),), involution=(0,), H=1, F=1, T=1,
-                aut_orders=(6,)), "aut_orders disagree"),
-        (edit(j_points=(), involution=(), H=0, F=0, T=0, aut_orders=()), "empty j-set"),
-        (Census(p=3, j_points=(), involution=(), H=0, F=0, T=0, aut_orders=()), "empty j-set"),
+        (Census(37, (js[0], js[1], js[0])), "duplicate or unsorted j-invariants"),
+        (Census(37, (js[2], js[0], js[1])), "duplicate or unsorted j-invariants"),
+        (Census(37, (js[0], js[1], (8 + 37, 0))), "not F_p2-rational"),
+        (Census(37, ((-29, 0), js[0], js[1])), "not F_p2-rational"),
+        (Census(37, (js[2],)), "class-number formula"),
+        (Census(37, ()), "empty j-set"),
+        (Census(3, ()), "empty j-set"),
+        (Census(2, ((1, 0),)), "hard-coded"),
+        (Census(3, ((0, 0), (1, 0))), "hard-coded"),
+        (Census(4, ((0, 0),)), "not a prime"),
+        (Census(1, ((0, 0),)), "not a prime"),
     ]
     for broken, message in cases:
         with pytest.raises(CensusInvariantError, match=re.escape(message)):
