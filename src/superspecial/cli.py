@@ -32,6 +32,8 @@ EXIT_INVARIANT = 2
 EXIT_IO = 3
 
 CSV_HEADER = "p,H,F,T,mass_num,mass_den,checks"
+# verify's census criteria run on the primes 5..pmax, so a smaller pmax checks none.
+VERIFY_PMIN = 5
 
 
 class UsageError(Exception):
@@ -51,6 +53,14 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if n < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
+def _positive(text: str) -> int:
+    """argparse type of a count that must not be zero: a positive int."""
+    n = _count(text)
+    if n == 0:
+        raise argparse.ArgumentTypeError("must be positive, got 0")
     return n
 
 
@@ -244,6 +254,8 @@ def cmd_trace_demo(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.pmax < VERIFY_PMIN:
+        raise UsageError(f"argument --pmax: must be at least {VERIFY_PMIN}, got {args.pmax}")
     results = acceptance.run_all(pmax=args.pmax, seed=args.seed, trials=args.trials,
                                  log=lambda s: print(s, file=sys.stderr))
     for r in results:
@@ -287,7 +299,7 @@ def build_parser() -> _Parser:
 
     p_trace = sub.add_parser("trace-demo", help="trace formula on a finite model")
     p_trace.add_argument("--model", default=None, help="path to a JSON model spec")
-    p_trace.add_argument("--trials", type=_count, default=None,
+    p_trace.add_argument("--trials", type=_positive, default=None,
                          help="run seeded random models instead of a spec")
     p_trace.add_argument("--seed", type=int, default=42)
     p_trace.add_argument("--family", default=None,
@@ -300,7 +312,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the full acceptance suite")
     p_verify.add_argument("--pmax", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--trials", type=_count, default=100)
+    p_verify.add_argument("--trials", type=_positive, default=100)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

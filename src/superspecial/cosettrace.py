@@ -35,6 +35,11 @@ shadows, where conjugations carry rational centralizers to rational
 centralizers; NOT automatic for an arbitrary finite model).  Outside that
 regime the factored value is reported as absent with a diagnostic naming the
 obstruction, so a defined factored value always equals the kernel trace.
+
+Computation: each x is labelled min(Gamma x K), the least over gamma of the
+row minimum of table[gamma x, K], by one (|Gamma| x n) gather; the hits of all
+the Gamma-classes are one (classes x n) gather; the coset form of O_gamma walks
+the hits once, ascending, each hit not yet covered opening a G_gamma a K.
 """
 
 from __future__ import annotations
@@ -67,23 +72,22 @@ class FiniteGroupModel:
 
 def build_model(group: Group, gamma_gens, k_gens, pi: int) -> FiniteGroupModel:
     """Close the generating sets and verify that pi normalizes K."""
-    n = group.n
-    for idx in (*gamma_gens, *k_gens, pi):
-        if not 0 <= idx < n:
-            raise ModelSpecError(f"element index {idx} outside group of order {n}")
+    _check_indices(group, (*gamma_gens, *k_gens, pi))
     gamma = group.subgroup(gamma_gens)
     k = group.subgroup(k_gens)
-    conj = np.unique(group.table[group.table[pi, k], group.inv[pi]])
-    if not np.array_equal(conj, k):
-        bad = next(int(x) for x in group.table[group.table[pi, k], group.inv[pi]]
-                   if int(x) not in set(map(int, k)))
+    # Conjugation is injective, so pi K pi^{-1} = K once it lies in K.
+    conj = group.table[group.table[pi, k], group.inv[pi]]
+    escapes = ~_mask(group.n, k)[conj]
+    if escapes.any():
         raise ModelSpecError(
-            f"pi does not normalize K: conjugate element {bad} escapes K"
-        )
-    return FiniteGroupModel(group=group,
-                            gamma=tuple(map(int, gamma)),
-                            k=tuple(map(int, k)),
-                            pi=pi)
+            f"pi does not normalize K: conjugate element {conj[escapes.argmax()]} escapes K")
+    return FiniteGroupModel(group, tuple(gamma.tolist()), tuple(k.tolist()), pi)
+
+
+def _check_indices(group: Group, indices) -> None:
+    for idx in indices:
+        if not 0 <= idx < group.n:
+            raise ModelSpecError(f"element index {idx} outside group of order {group.n}")
 
 
 @dataclass(frozen=True)
@@ -106,21 +110,16 @@ def _meet_conjugate(G: Group, cent: np.ndarray, in_k: np.ndarray, a: int) -> int
 
 
 def double_cosets(model: FiniteGroupModel) -> DoubleCosetSpace:
+    """Gamma \\ G / K, each x labelled min(Gamma x K) (see the module notes)."""
     G = model.group
-    gam = np.array(model.gamma)
-    k = np.array(model.k)
-    rep_of = np.full(G.n, -1, dtype=np.int64)
-    reps = []
-    for x in range(G.n):
-        if rep_of[x] >= 0:
-            continue
-        # x is minimal: smaller indices already covered
-        rep_of[G.table[np.ix_(gam, G.table[x, k])]] = x
-        reps.append(x)
-    hecke = {r: int(rep_of[G.table[r, model.pi]]) for r in reps}
-    if sorted(hecke.values()) != sorted(reps):
+    row_min = G.table.take(np.array(model.k), axis=1).min(axis=1)
+    rep_of = row_min[G.table[np.array(model.gamma)]].min(axis=0).astype(np.int64)
+    reps = (rep_of == G.indices).nonzero()[0]
+    images = rep_of[G.table[reps, model.pi]]
+    if not _mask(G.n, images)[reps].all():
         raise InvariantViolation("Hecke translation is not a bijection on cosets")
-    return DoubleCosetSpace(tuple(reps), rep_of, hecke)
+    return DoubleCosetSpace(tuple(reps.tolist()), rep_of,
+                            dict(zip(reps.tolist(), images.tolist())))
 
 
 def kernel_trace(model: FiniteGroupModel) -> int:
@@ -156,17 +155,14 @@ class _GammaClass:
 
 
 def _gamma_classes(model: FiniteGroupModel) -> list[_GammaClass]:
-    """One walk over the Gamma-conjugacy classes, one conj_vector per class."""
+    """The Gamma-classes; row j of the one gather holds x^{-1} rep_j x for every x."""
     G = model.group
     in_pik = _mask(G.n, G.table[model.pi, np.array(model.k)])
     in_pi_class = _mask(G.n, G.conj_class(model.pi))
-    classes = []
-    for cls in G.conjugacy_partition(np.array(model.gamma)):
-        rep = int(cls[0])
-        hits = in_pik[G.conj_vector(rep)]  # conj_vector(rep)[x] = x^{-1} rep x
-        classes.append(_GammaClass(rep, hits, int(np.count_nonzero(hits)),
-                                   bool(in_pi_class[rep])))
-    return classes
+    reps = np.array([int(cls[0]) for cls in G.conjugacy_partition(np.array(model.gamma))])
+    hits = in_pik[G.table[G.table[G.inv, reps[:, None]], G.indices]]
+    return [_GammaClass(rep, row, int(np.count_nonzero(row)), bool(in_pi_class[rep]))
+            for rep, row in zip(reps.tolist(), hits)]
 
 
 def _deltas(classes: list[_GammaClass]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -180,10 +176,10 @@ def _orbital_by_cosets(G: Group, cent: np.ndarray, k: np.ndarray, in_k: np.ndarr
     G_gamma \\ E / K double cosets and sum vol(G_gamma ∩ aKa^{-1})^{-1}."""
     remaining = hits.copy()
     total = Fraction(0)
-    while remaining.any():
-        a = int(np.argmax(remaining))
-        remaining[G.table[np.ix_(cent, G.table[a, k])]] = False
-        total += Fraction(cent_k, _meet_conjugate(G, cent, in_k, a))
+    for a in hits.nonzero()[0].tolist():  # each coset's smallest element first
+        if remaining[a]:
+            remaining[G.table[cent[:, None], G.table[a, k]]] = False
+            total += Fraction(cent_k, _meet_conjugate(G, cent, in_k, a))
     return total
 
 
@@ -194,7 +190,7 @@ def _term(G: Group, gam: np.ndarray, k: np.ndarray, in_k: np.ndarray, gamma: int
     cent = G.centralizer(gamma)
     cent_k = int(np.count_nonzero(in_k[cent]))
     a_val = Fraction(len(cent), len(G.centralizer(gamma, within=gam)) * cent_k)
-    return a_val, Fraction(cent_k, len(cent) * len(k)) * count, cent, cent_k
+    return a_val, Fraction(cent_k * count, len(cent) * len(k)), cent, cent_k
 
 
 def _orbital_for_class(G: Group, gam: np.ndarray, k: np.ndarray, in_k: np.ndarray,
@@ -288,12 +284,13 @@ def volume_identity_check(model: FiniteGroupModel, gamma: int, a: int) -> bool:
     rationals under the model's normalizations.
     """
     G = model.group
+    _check_indices(G, (gamma, a))
     k = np.array(model.k)
     in_k = _mask(G.n, k)
     cent = G.centralizer(gamma)
     cent_k = int(np.count_nonzero(in_k[cent]))
 
-    orbit = _mask(G.n, G.table[np.ix_(cent, G.table[a, k])])
+    orbit = _mask(G.n, G.table[cent[:, None], G.table[a, k]])
     n_cosets = int(np.count_nonzero(orbit)) // len(cent)
     lhs = Fraction(n_cosets) * Fraction(cent_k, len(k))
 

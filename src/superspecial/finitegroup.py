@@ -9,7 +9,11 @@ Supported families (the "kind" strings used by model specs and the CLI):
 
 Every group is materialized as an element list in a canonical (sorted) order
 plus a full Cayley table, so conjugacy classes, centralizers, and coset
-partitions are exact enumerations (no character theory, no randomization).
+partitions are exact enumerations (no character theory, no randomization):
+table gathers marked into boolean masks, never sorted.  A subgroup is closed
+by squaring, S -> S*S = table[S, S], until it stops growing; a class is the
+orbit table[table[inv[h], i], h], taken once per class by `conjugacy_partition`;
+a centralizer compares a table row with a column.
 
 Every sym, gl2 and gsp2 group comes from one closure, `_close`: a
 breadth-first search over right multiplication from the identity by a few
@@ -56,9 +60,10 @@ class Group:
         self.index = {el: i for i, el in enumerate(elements)}
         self.n = len(elements)
         self.table = table
+        self.indices = np.arange(self.n)
         # Only a row with table[i, 0] == 0 can be the identity's row, arange(n).
         cands = np.flatnonzero(table[:, 0] == 0)
-        ids = cands[np.all(table[cands] == np.arange(self.n), axis=1)]
+        ids = cands[np.all(table[cands] == self.indices, axis=1)]
         if len(ids) != 1:
             raise GroupConstructionError(f"{kind}: multiplication table has no identity")
         self.identity = int(ids[0])
@@ -80,25 +85,27 @@ class Group:
 
     def subgroup(self, gens) -> np.ndarray:
         """Sorted element indices of the subgroup generated by gens."""
-        cur = np.unique(np.array(list(gens) + [self.identity], dtype=np.int64))
-        while True:
-            nxt = np.unique(self.table[np.ix_(cur, cur)])
-            if len(nxt) == len(cur):
-                return nxt
-            cur = nxt
+        mask = np.zeros(self.n, dtype=bool)
+        mask[[*gens, self.identity]] = True
+        cur = self.indices[:0]
+        while len(cur) < np.count_nonzero(mask):  # square the set until it stops growing
+            cur = mask.nonzero()[0]
+            mask[self.table[cur[:, None], cur]] = True
+        return cur
 
     def conj_class(self, i: int, within: np.ndarray | None = None) -> np.ndarray:
         """Sorted orbit {h^{-1} i h : h in within} (default: the whole group)."""
-        h = np.arange(self.n) if within is None else within
-        return np.unique(self.table[self.table[self.inv[h], i], h])
+        h = self.indices if within is None else within
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.table[self.table[self.inv[h], i], h]] = True
+        return mask.nonzero()[0]
 
     def conj_vector(self, i: int) -> np.ndarray:
         """Array y with y[x] = x^{-1} i x for every x in the group."""
-        xs = np.arange(self.n)
-        return self.table[self.table[self.inv, i], xs]
+        return self.table[self.table[self.inv, i], self.indices]
 
     def centralizer(self, i: int, within: np.ndarray | None = None) -> np.ndarray:
-        h = np.arange(self.n) if within is None else within
+        h = self.indices if within is None else within
         return h[self.table[h, i] == self.table[i, h]]
 
     def normalizer_of(self, sub: np.ndarray) -> np.ndarray:
@@ -119,7 +126,7 @@ class Group:
         each sorted, listed by their smallest representative."""
         seen = np.zeros(self.n, dtype=bool)
         classes = []
-        for i in map(int, members):
+        for i in members.tolist():
             if seen[i]:
                 continue
             cls = self.conj_class(i, within=members)

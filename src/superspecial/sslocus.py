@@ -249,5 +249,13 @@ class CensusCache:
             return
         self._entries[c.p] = c
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(encode_census(c) + "\n")
+        # One write on an O_APPEND descriptor: concurrent writers cannot
+        # interleave inside a line.
+        line = (encode_census(c) + "\n").encode()
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            written = os.write(fd, line)
+        finally:
+            os.close(fd)
+        if written != len(line):
+            raise OSError(f"short write to census cache {self.path}: {written} of {len(line)} bytes")

@@ -1,15 +1,19 @@
-"""The names the benchmark's tracer wraps must exist in the package.
+"""The names the benchmark's tracer and workloads use must exist in the package.
 
 perfbench/tracer.py wraps package functions and methods by name to take its
-per-layer metrics; a renamed or deleted target would only show up in a traced
-benchmark run.  This test loads the tracer by path and resolves every target.
+per-layer metrics, and perfbench/workloads.py calls the trace sandbox by name;
+a renamed or deleted target would only show up in a benchmark run.  These
+tests load the tracer by path and resolve every target, and read the
+workloads' source to resolve every cosettrace attribute they use.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_WORKLOADS = _TRACER.with_name("workloads.py")
 
 
 def _load_tracer():
@@ -28,6 +32,20 @@ def test_every_traced_name_resolves_in_the_package():
         cls = getattr(importlib.import_module(f"superspecial.{mod}"), cls_name, None)
         assert cls is not None, f"{mod}.{cls_name}"
         assert callable(vars(cls).get(attr)), f"{mod}.{cls_name}.{attr}"
+
+
+def test_every_cosettrace_name_the_workloads_use_resolves():
+    # The workloads reach the trace sandbox as `cosettrace.<name>` or, inside
+    # a pass, `ct.<name>`; a rename there would only fail the benchmark.
+    tree = ast.parse(_WORKLOADS.read_text())
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("cosettrace", "ct")}
+    assert used >= {"random_model", "TRIAL_FAMILIES", "orbital_trace", "factored_trace",
+                    "with_trivial_k", "volume_identity_check", "InvariantViolation"}
+    cosettrace = importlib.import_module("superspecial.cosettrace")
+    missing = sorted(name for name in used if not hasattr(cosettrace, name))
+    assert not missing, missing
 
 
 def test_every_acceptance_criterion_is_traced():

@@ -197,6 +197,19 @@ def test_negative_counts_are_usage_errors(capsys, flag, argv):
     assert f"error: argument {flag}: must not be negative" in err
 
 
+@pytest.mark.parametrize("flag, argv, message", [
+    ("--trials", ("verify", "--pmax", "20", "--trials", "0"), "must be positive, got 0"),
+    ("--trials", ("trace-demo", "--trials", "0"), "must be positive, got 0"),
+    ("--pmax", ("verify", "--pmax", "3", "--trials", "5"), "must be at least 5, got 3"),
+])
+def test_runs_that_would_check_nothing_are_usage_errors(capsys, flag, argv, message):
+    # These used to print PASS (verify, all nine criteria or 1-3 on no
+    # censuses) or exit 0 (trace-demo) having checked nothing.
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == EXIT_USAGE and out == ""
+    assert f"error: argument {flag}: {message}" in err
+
+
 def test_mass_output_file(capsys, tmp_path):
     out_path = tmp_path / "mass.json"
     rc, out, _ = run_cli(capsys, "mass", "-g", "1", "-p", "11", "-N", "3",

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from superspecial import cosettrace
@@ -234,6 +235,30 @@ def test_shrinking_chain_monotone():
     assert deltas[2][0] <= deltas[1][0] <= deltas[0][0]
 
 
+def test_volume_identity_check_refuses_indices_outside_the_group():
+    S3 = _s3()
+    m = build_model(S3, [S3.index[(1, 0, 2)]], [], S3.identity)
+    for gamma, a, bad in [(-1, 0, -1), (0, 6, 6), (6, -7, 6)]:
+        with pytest.raises(ModelSpecError,
+                           match=f"element index {bad} outside group of order 6"):
+            volume_identity_check(m, gamma, a)
+
+
+def test_gamma_class_hits_match_per_class_conj_vectors():
+    rng = random.Random(28)
+    for _ in range(20):
+        m = random_model(rng, ("sym:4", "sym:5", "gl2:3", "gl2:5"))
+        G = m.group
+        in_pik = np.zeros(G.n, dtype=bool)
+        in_pik[[G.mul(m.pi, k) for k in m.k]] = True
+        classes = cosettrace._gamma_classes(m)
+        assert [c.rep for c in classes] == [int(cls[0]) for cls in
+                                            G.conjugacy_partition(np.array(m.gamma))]
+        for c in classes:
+            want = in_pik[G.conj_vector(c.rep)]
+            assert np.array_equal(c.hits, want) and c.count == np.count_nonzero(want)
+
+
 def test_with_trivial_k():
     rng = random.Random(24)
     m = random_model(rng)
@@ -268,6 +293,17 @@ def test_double_cosets_against_brute_force():
             reps = {int(got.rep_of[x]) for x in coset}
             assert len(reps) == 1  # the partition agrees
             assert min(coset) in reps
+    # Larger groups, where each label is a minimum over many Gamma-rows.
+    for _ in range(6):
+        m = random_model(rng, ("sym:5", "gl2:5"))
+        got = double_cosets(m)
+        want = sorted(_brute_double_cosets(m), key=min)
+        assert got.representatives == tuple(min(coset) for coset in want)
+        assert got.rep_of.dtype == np.int64
+        assert all(got.rep_of[x] == min(coset) for coset in want for x in coset)
+        assert list(got.hecke_action) == list(got.representatives)
+        assert all(got.hecke_action[r] == got.rep_of[m.group.mul(r, m.pi)]
+                   for r in got.representatives)
 
 
 def test_kernel_trace_against_brute_force():

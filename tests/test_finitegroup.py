@@ -106,6 +106,50 @@ def test_conjugacy_partition():
     assert sum(len(c) for c in parts) == len(sub)
 
 
+def _closure_by_loop(G, gens):
+    """Oracle: the subgroup generated by gens, as a pure-Python breadth-first
+    search over right multiplication by the generators (in a finite group,
+    inverses are positive powers)."""
+    found = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        frontier = list({G.mul(a, g) for a in frontier for g in gens} - found)
+        found.update(frontier)
+    return sorted(found)
+
+
+def test_subgroup_matches_a_python_closure():
+    rng = random.Random(15)
+    for kind in ("sym:4", "gl2:3", "cyclic:12"):
+        G = group_from_kind(kind)
+        assert G.subgroup([]).tolist() == [G.identity]
+        for _ in range(12):
+            gens = [rng.randrange(G.n) for _ in range(rng.choice((0, 1, 2, 3)))]
+            assert G.subgroup(gens).tolist() == _closure_by_loop(G, gens), (kind, gens)
+
+
+def _partition_by_loop(G, members):
+    """Oracle: classes {h^{-1} m h : h in members} as Python sets, by least element."""
+    classes = {frozenset(G.mul(G.mul(G.inverse(h), m), h) for h in members)
+               for m in members}
+    return sorted(sorted(c) for c in classes)
+
+
+def test_conjugacy_partition_matches_a_python_oracle():
+    rng = random.Random(16)
+    for kind in ("sym:4", "sym:5", "gl2:3"):
+        G = group_from_kind(kind)
+        checked = 0
+        while checked < 4:
+            sub = G.subgroup([rng.randrange(G.n) for _ in range(2)])
+            members = sub.tolist()
+            if all(G.mul(a, b) == G.mul(b, a) for a in members for b in members):
+                continue  # abelian: every class is a point
+            checked += 1
+            got = [c.tolist() for c in G.conjugacy_partition(sub)]
+            assert got == _partition_by_loop(G, members), kind
+
+
 def test_literals_round_trip():
     for kind in KINDS:
         G = group_from_kind(kind)

@@ -1,10 +1,14 @@
 import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from superspecial import sslocus
 from superspecial.ffield import Fp2Field, frobenius_pair, is_prime
 from superspecial.sslocus import (CENSUS_MAX_PRIME, Census, CensusCache, CensusInvariantError,
                                   census, class_number_crosscheck, decode_census,
@@ -186,6 +190,42 @@ def test_cache_round_trip(tmp_path):
     cache2 = CensusCache(path)
     assert 11 in cache2
     assert cache2.get(11) == c1
+
+
+def test_cache_put_writes_each_line_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    real_write = os.write
+
+    def spy(fd, data):
+        calls.append(bytes(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", spy)
+    path = tmp_path / "census.cache"
+    cache = CensusCache(path)
+    for p in (11, 37, 11):
+        cache.get(p)
+    assert calls == [b"11;0,1;2;2\n", b"37;3+10*t,3+27*t,8;1;2\n"]
+    assert path.read_bytes() == b"".join(calls)
+
+
+def test_concurrent_sweeps_leave_only_whole_lines(tmp_path):
+    # Two writers append to one cache at once; each line is one O_APPEND
+    # write, so the lines may repeat but never interleave.
+    path = tmp_path / "census.cache"
+    src = os.path.dirname(os.path.dirname(sslocus.__file__))
+    env = {**os.environ, "SUPERSPECIAL_CACHE_DIR": "",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "superspecial.cli", "sweep", "--pmin", "5",
+            "--pmax", "300", "--jobs", "1", "--cache", str(path)]
+    procs = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE) for _ in range(2)]
+    outs = [proc.communicate(timeout=300)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outs[0] == outs[1]
+    lines = path.read_text().splitlines()
+    primes = [p for p in range(5, 301) if is_prime(p)]
+    assert sorted({decode_census(line).p for line in lines}) == primes
+    assert all(encode_census(decode_census(line)) == line for line in lines)
 
 
 def test_cache_rejects_corruption(tmp_path):
