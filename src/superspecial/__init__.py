@@ -10,10 +10,10 @@ CLI (cli), acceptance suite (acceptance).
 from .cosettrace import (FiniteGroupModel, TraceReport, build_model, delta_sets,
                          double_cosets, factored_trace, involution_census,
                          kernel_trace, orbital_trace, volume_identity_check)
-from .exactnum import BernoulliTable, BigRational, bernoulli, zeta_negative
-from .ffield import Fp2Element, Fp2Field, canonical_nonresidue, frobenius, lambda_to_j
+from .exactnum import BernoulliTable, bernoulli, zeta_negative
+from .ffield import Fp2Field, canonical_nonresidue, frobenius, lambda_to_j
 from .finitegroup import Group, group_from_kind
-from .fppoly import FpPoly, hasse_poly, roots_in_fp2
+from .fppoly import hasse_poly, roots_in_fp2
 from .massform import (GenusKind, MassParams, MassResult, class_number_level,
                        component_genus, gsp_order, nonprincipal_class_number_level,
                        principal_mass, recover_type_number)
@@ -21,9 +21,9 @@ from .sslocus import (Census, CensusCache, census, class_number_crosscheck,
                       eichler_mass, trace_R_pi0, type_number)
 
 __all__ = [
-    "BernoulliTable", "BigRational", "bernoulli", "zeta_negative",
-    "Fp2Element", "Fp2Field", "canonical_nonresidue", "frobenius", "lambda_to_j",
-    "FpPoly", "hasse_poly", "roots_in_fp2",
+    "BernoulliTable", "bernoulli", "zeta_negative",
+    "Fp2Field", "canonical_nonresidue", "frobenius", "lambda_to_j",
+    "hasse_poly", "roots_in_fp2",
     "Census", "CensusCache", "census", "class_number_crosscheck", "eichler_mass",
     "trace_R_pi0", "type_number",
     "GenusKind", "MassParams", "MassResult", "class_number_level",

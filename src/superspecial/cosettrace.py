@@ -45,7 +45,7 @@ the hits once, ascending, each hit not yet covered opening a G_gamma a K.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -429,5 +429,9 @@ def random_model(rng, families=TRIAL_FAMILIES) -> FiniteGroupModel:
 
 
 def with_trivial_k(model: FiniteGroupModel) -> FiniteGroupModel:
-    """The same model with its level subgroup shrunk to the identity."""
-    return build_model(model.group, model.gamma, [], model.pi)
+    """The same model with its level subgroup shrunk to the identity.
+
+    Gamma and pi were checked when model was built, and every pi normalizes
+    K = {e}, so nothing is re-closed or re-checked.
+    """
+    return replace(model, k=(model.group.identity,))

@@ -20,12 +20,6 @@ import threading
 from fractions import Fraction
 from math import comb
 
-# Carrier type for every exact quantity in the package (masses, zeta values,
-# orbital terms).  Fraction already maintains the canonical-form invariants:
-# denominator > 0 and gcd(|num|, den) = 1.
-BigRational = Fraction
-
-
 def frac_dict(q: Fraction) -> dict:
     """JSON form of an exact rational: numerator and denominator as decimal strings."""
     return {"num": str(q.numerator), "den": str(q.denominator)}

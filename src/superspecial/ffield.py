@@ -3,8 +3,11 @@
 Prime-field elements are carried as canonical int residues in [0, p); the
 quadratic extension is modelled as F_p[t]/(t^2 - d) where d is the *smallest*
 quadratic non-residue mod p, so that element encodings and cache files are
-stable across runs.  Primes are restricted to p < 2^31: double-word products
-then stay exact in machine arithmetic, which the polynomial layer exploits.
+stable across runs.  An element a + b t of F_{p^2} is carried as its residue
+pair (a, b), written "a" or "a+b*t" (format_pair / parse_pair); Fp2Field is
+the checked descriptor (p, d).  Primes are restricted to p < 2^31:
+double-word products then stay exact in machine arithmetic, which the
+polynomial layer exploits.
 
 The Frobenius x -> x^p on F_{p^2} is (a + b t) -> (a - b t), since
 t^p = t * (t^2)^((p-1)/2) = t * d^((p-1)/2) = -t.
@@ -121,85 +124,9 @@ class Fp2Field:
         if legendre(self.d, self.p) != -1:
             raise ValueError(f"d = {self.d} is a square mod {self.p}")
 
-    def elem(self, a: int, b: int = 0) -> "Fp2Element":
-        return Fp2Element(a % self.p, b % self.p, self)
-
-    def zero(self) -> "Fp2Element":
-        return self.elem(0)
-
-    def one(self) -> "Fp2Element":
-        return self.elem(1)
-
-    def gen(self) -> "Fp2Element":
-        """The generator t with t^2 = d."""
-        return self.elem(0, 1)
-
-    def parse(self, text: str) -> "Fp2Element":
-        """Inverse of str(): the element of the literal "a" or "a+b*t" (see parse_pair)."""
-        return self.elem(*parse_pair(text, self.p))
-
-
-@dataclass(frozen=True)
-class Fp2Element:
-    """Element a + b*t of F_{p^2}; equality includes the field descriptor."""
-
-    a: int
-    b: int
-    field: Fp2Field
-
-    def _need(self, other: "Fp2Element") -> None:
-        if self.field != other.field:
-            raise ValueError("elements live in different field models")
-
-    @property
-    def p(self) -> int:
-        return self.field.p
-
-    def in_prime_field(self) -> bool:
-        return self.b == 0
-
-    def __add__(self, other: "Fp2Element") -> "Fp2Element":
-        self._need(other)
-        return self.field.elem(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "Fp2Element") -> "Fp2Element":
-        self._need(other)
-        return self.field.elem(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "Fp2Element":
-        return self.field.elem(-self.a, -self.b)
-
-    def __mul__(self, other: "Fp2Element") -> "Fp2Element":
-        self._need(other)
-        p, d = self.field.p, self.field.d
-        a, b, c, e = self.a, self.b, other.a, other.b
-        return self.field.elem((a * c + b * e % p * d) % p, (a * e + b * c) % p)
-
-    def inverse(self) -> "Fp2Element":
-        p, d = self.field.p, self.field.d
-        norm = (self.a * self.a - d * self.b % p * self.b) % p
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in F_p2")
-        ninv = pow(norm, p - 2, p)
-        return self.field.elem(self.a * ninv, -self.b * ninv)
-
-    def __truediv__(self, other: "Fp2Element") -> "Fp2Element":
-        return self * other.inverse()
-
-    def __pow__(self, e: int) -> "Fp2Element":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __str__(self) -> str:
-        return format_pair(self.a, self.b)
+    def parse(self, text: str) -> tuple[int, int]:
+        """The residue pair of the literal "a" or "a+b*t" (see parse_pair)."""
+        return parse_pair(text, self.p)
 
 
 def format_pair(a: int, b: int) -> str:
@@ -218,15 +145,9 @@ def parse_pair(text: str, p: int) -> tuple[int, int]:
     return a, b
 
 
-def frobenius_pair(a: int, b: int, p: int) -> tuple[int, int]:
-    """frobenius on a raw residue pair: (a, b) -> (a, -b mod p)."""
+def frobenius(a: int, b: int, p: int) -> tuple[int, int]:
+    """The field automorphism x -> x^p on a residue pair: (a, b) -> (a, -b mod p)."""
     return a, -b % p
-
-
-def frobenius(x: Fp2Element) -> Fp2Element:
-    """The field automorphism x -> x^p, i.e. (a + b t) -> (a - b t)."""
-    a, b = frobenius_pair(x.a, x.b, x.field.p)
-    return x.field.elem(a, b)
 
 
 def _mul_pair(x: tuple[int, int], y: tuple[int, int], p: int, d: int) -> tuple[int, int]:
@@ -234,17 +155,16 @@ def _mul_pair(x: tuple[int, int], y: tuple[int, int], p: int, d: int) -> tuple[i
     return ((x[0] * y[0] + x[1] * y[1] * d) % p, (x[0] * y[1] + x[1] * y[0]) % p)
 
 
-def lambda_to_j(lam: Fp2Element) -> Fp2Element:
-    """Map a Legendre parameter to its j-invariant.
+def lambda_to_j(lam: tuple[int, int], field: Fp2Field) -> tuple[int, int]:
+    """Map the residue pair of a Legendre parameter to that of its j-invariant.
 
     j = 2^8 (lam^2 - lam + 1)^3 / (lam^2 (lam - 1)^2); the six parameters
     {lam, 1-lam, 1/lam, 1/(1-lam), lam/(lam-1), (lam-1)/lam} all map to the
     same value.  lam in {0, 1} is the degenerate curve and is rejected.
-    The arithmetic runs on raw (a, b) pairs with a single norm inversion.
+    The arithmetic uses a single norm inversion.
     """
-    field = lam.field
     p, d = field.p, field.d
-    a, b = lam.a, lam.b
+    a, b = lam[0] % p, lam[1] % p
     if b == 0 and a in (0, 1):
         raise ValueError("lambda in {0, 1} does not define a curve")
     lam2 = _mul_pair((a, b), (a, b), p, d)
@@ -253,5 +173,4 @@ def lambda_to_j(lam: Fp2Element) -> Fp2Element:
     den = _mul_pair(lam2, _mul_pair((a - 1, b), (a - 1, b), p, d), p, d)
     # 1/(x + y t) = (x - y t) / (x^2 - d y^2); the norm vanishes only at 0.
     scale = 256 * pow((den[0] * den[0] - d * den[1] * den[1]) % p, p - 2, p)
-    j = _mul_pair(num, (den[0] * scale, -den[1] * scale), p, d)
-    return Fp2Element(j[0], j[1], field)
+    return _mul_pair(num, (den[0] * scale, -den[1] * scale), p, d)

@@ -1,7 +1,9 @@
 """Dense polynomial arithmetic over F_p and root extraction in F_{p^2}.
 
-Coefficient vectors are numpy int64 arrays, low degree first, trimmed so the
-leading coefficient is non-zero (the empty array is the zero polynomial).
+A polynomial is its coefficient vector: a numpy int64 array, low degree
+first, trimmed so the leading coefficient is non-zero (the empty array is the
+zero polynomial).  Roots in F_{p^2} are returned as residue pairs (a, b) for
+a + b t, as everywhere in ffield.
 Exactness: a product convolution is done in int64 only when
 min(len_a, len_b) * (p-1)^2 fits safely below 2^63; otherwise it falls back to
 an object (big-int) convolution, so no modulus is ever silently wrong.
@@ -12,13 +14,14 @@ Root finding follows a gcd-with-Frobenius strategy:
      x^(p^2) - x is the product of all monic linear factors over F_{p^2}, so
      g is squarefree by construction whatever the multiplicities in f.
   2. g splits into its linear part g1 = gcd(g, x^p - x), whose roots lie in
-     F_p and are extracted by a vectorized scan of the prime field (refused
-     for p above PRIME_SCAN_MAX), and g2 = g / g1, a product of distinct
-     irreducible quadratics.  g2 is split by the Legendre ladder
-     gcd(g2, (x+c)^((p^2-1)/2) - 1) for c = 0, 1, 2, ...; conjugate root
-     pairs share the norm (x+c)(x^p+c), so they stay together and the ladder
-     separates distinct quadratic factors (a character-sum bound guarantees
-     a separating c for p >= 11; smaller p never need a split).
+     F_p and are extracted by a vectorized scan of the prime field
+     (roots_in_prime_field, refused for p above PRIME_SCAN_MAX), and
+     g2 = g / g1, a product of distinct irreducible quadratics.  g2 is
+     split by the Legendre ladder gcd(g2, (x+c)^((p^2-1)/2) - 1) for
+     c = 0, 1, 2, ...; conjugate root pairs share the norm (x+c)(x^p+c), so
+     they stay together and the ladder separates distinct quadratic factors
+     (a character-sum bound guarantees a separating c for p >= 11; smaller p
+     never need a split).
   3. Each quadratic x^2 - s x + n is solved by descending to F_p: its
      discriminant is d times a square, so the root is (s + t*sqrt(disc/d))/2
      with a Tonelli-Shanks square root in the prime field.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ffield import Fp2Element, Fp2Field, is_prime, sqrt_mod
+from .ffield import Fp2Field, is_prime, sqrt_mod
 
 _INT64_SAFE = (1 << 62)
 
@@ -64,14 +67,6 @@ def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if len(a) == 0 or len(b) == 0:
         return a[:0]
     return _trim(_conv(a, b, p))
-
-
-def _add(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] = (out[: len(b)] + b) % p
-    return _trim(out)
 
 
 def _sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -176,118 +171,19 @@ class _Modulus:
         return result
 
 
-class FpPoly:
-    """Immutable dense polynomial over F_p."""
-
-    __slots__ = ("coeffs", "p")
-
-    def __init__(self, coeffs, p: int):
-        self.p = p
-        arr = np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs,
-                         dtype=np.int64)
-        self.coeffs = _trim(arr % p)
-
-    @classmethod
-    def _raw(cls, arr: np.ndarray, p: int) -> "FpPoly":
-        out = object.__new__(cls)
-        out.coeffs = arr
-        out.p = p
-        return out
-
-    @classmethod
-    def x(cls, p: int) -> "FpPoly":
-        return cls([0, 1], p)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 0
-
-    def _need(self, other: "FpPoly") -> None:
-        if self.p != other.p:
-            raise ValueError("polynomials over different primes")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FpPoly) and self.p == other.p
-                and np.array_equal(self.coeffs, other.coeffs))
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs.tobytes()))
-
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        self._need(other)
-        return FpPoly._raw(_add(self.coeffs, other.coeffs, self.p), self.p)
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        self._need(other)
-        return FpPoly._raw(_sub(self.coeffs, other.coeffs, self.p), self.p)
-
-    def __mul__(self, other: "FpPoly") -> "FpPoly":
-        self._need(other)
-        return FpPoly._raw(_mul(self.coeffs, other.coeffs, self.p), self.p)
-
-    def __divmod__(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
-        self._need(other)
-        q, r = _divmod(self.coeffs, other.coeffs, self.p)
-        return FpPoly._raw(q, self.p), FpPoly._raw(r, self.p)
-
-    def __floordiv__(self, other: "FpPoly") -> "FpPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "FpPoly") -> "FpPoly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "FpPoly":
-        if self.is_zero():
-            return self
-        inv = pow(int(self.coeffs[-1]), self.p - 2, self.p)
-        return FpPoly._raw(self.coeffs * inv % self.p, self.p)
-
-    def gcd(self, other: "FpPoly") -> "FpPoly":
-        self._need(other)
-        return FpPoly._raw(_gcd(self.coeffs, other.coeffs, self.p), self.p)
-
-    def derivative(self) -> "FpPoly":
-        if self.degree() < 1:
-            return FpPoly._raw(self.coeffs[:0], self.p)
-        n = np.arange(1, len(self.coeffs), dtype=np.int64)
-        return FpPoly._raw(_trim(self.coeffs[1:] * n % self.p), self.p)
-
-    def is_squarefree(self) -> bool:
-        return self.gcd(self.derivative()).degree() == 0
-
-    def evaluate(self, x):
-        """Horner evaluation; x may be an int residue or an Fp2Element."""
-        if isinstance(x, Fp2Element):
-            acc = x.field.zero()
-            for c in self.coeffs[::-1]:
-                acc = acc * x + x.field.elem(int(c))
-            return acc
-        acc = 0
-        for c in self.coeffs[::-1]:
-            acc = (acc * x + int(c)) % self.p
-        return acc
-
-    def roots_in_prime_field(self) -> list[int]:
-        """All roots in F_p by scanning the prime field (vectorized Horner)."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has every root")
-        if self.p > PRIME_SCAN_MAX:
-            raise ValueError(
-                f"p = {self.p} is above the prime-field scan ceiling {PRIME_SCAN_MAX}")
-        xs = np.arange(self.p, dtype=np.int64)
-        acc = np.zeros(self.p, dtype=np.int64)
-        for c in self.coeffs[::-1]:
-            acc = (acc * xs + int(c)) % self.p
-        return [int(r) for r in xs[acc == 0]]
-
-    def __repr__(self) -> str:
-        return f"FpPoly({list(map(int, self.coeffs))}, p={self.p})"
+def roots_in_prime_field(f: np.ndarray, p: int) -> list[int]:
+    """All roots in F_p of the non-zero f by scanning the prime field (vectorized Horner)."""
+    if p > PRIME_SCAN_MAX:
+        raise ValueError(f"p = {p} is above the prime-field scan ceiling {PRIME_SCAN_MAX}")
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in f[::-1]:
+        acc = (acc * xs + int(c)) % p
+    return [int(r) for r in xs[acc == 0]]
 
 
-def hasse_poly(p: int) -> FpPoly:
-    """The supersingularity polynomial sum_i C(m,i)^2 x^i with m = (p-1)/2.
+def hasse_poly(p: int) -> np.ndarray:
+    """Coefficients of the supersingularity polynomial sum_i C(m,i)^2 x^i, m = (p-1)/2.
 
     Its roots are exactly the Legendre parameters of supersingular curves.
     Only p >= 5 (the small primes are handled by hard-coded censuses).
@@ -307,10 +203,10 @@ def hasse_poly(p: int) -> FpPoly:
     row[0] = 1
     for i in range(m):
         row[i + 1] = row[i] * ((m - i) % p) % p * inv[i + 1] % p
-    return FpPoly(row * row % p, p)
+    return row * row % p  # leading coefficient C(m,m)^2 = 1: already trimmed
 
 
-def _quadratic_roots(B: int, C: int, field: Fp2Field) -> list[Fp2Element]:
+def _quadratic_roots(B: int, C: int, field: Fp2Field) -> list[tuple[int, int]]:
     """Roots in F_{p^2} of the irreducible monic quadratic x^2 + B x + C over F_p."""
     p, d = field.p, field.d
     disc = (B * B - 4 * C) % p
@@ -319,7 +215,7 @@ def _quadratic_roots(B: int, C: int, field: Fp2Field) -> list[Fp2Element]:
     inv2 = pow(2, p - 2, p)
     a = (-B) * inv2 % p
     b = w * inv2 % p
-    return [field.elem(a, b), field.elem(a, -b)]
+    return [(a, b), (a, -b % p)]
 
 
 def _split_quadratics(h: np.ndarray, xp_h: np.ndarray, p: int) -> list[tuple[int, int]]:
@@ -375,30 +271,31 @@ def _split_quadratics(h: np.ndarray, xp_h: np.ndarray, p: int) -> list[tuple[int
     return out
 
 
-def roots_in_fp2(f: FpPoly, field: Fp2Field) -> set[Fp2Element]:
-    """Exact set of roots of f in F_{p^2} (multiplicity ignored)."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has every root")
+def roots_in_fp2(f: np.ndarray, field: Fp2Field) -> set[tuple[int, int]]:
+    """Exact set of roots of f in F_{p^2} as residue pairs (multiplicity ignored).
+
+    f is a coefficient vector, low degree first; it is reduced mod p and
+    trimmed here, so any integer coefficients are accepted.
+    """
     p = field.p
-    if f.p != p:
-        raise ValueError("polynomial prime does not match the field descriptor")
-    roots: set[Fp2Element] = set()
-    if f.degree() == 0:
+    f = _trim(np.asarray(f, dtype=np.int64) % p)
+    if len(f) == 0:
+        raise ValueError("zero polynomial has every root")
+    roots: set[tuple[int, int]] = set()
+    if len(f) == 1:
         return roots
 
-    fm = f.monic().coeffs
-    ctx = _Modulus(fm, p)
+    ctx = _Modulus(f, p)
     x_arr = np.array([0, 1], dtype=np.int64)
     xp = ctx.powmod(x_arr, p)  # x^p mod f
-    g = _gcd(fm, _sub(ctx.powmod(xp, p), x_arr, p), p)
+    g = _gcd(ctx.m, _sub(ctx.powmod(xp, p), x_arr, p), p)
     if len(g) - 1 < 1:
         return roots
     # g divides f, so x^p mod g is (x^p mod f) mod g.
     g1 = _gcd(g, _sub(_divmod(xp, g, p)[1], x_arr, p), p)
     g2 = g
     if len(g1) - 1 >= 1:
-        for r in FpPoly._raw(g1, p).roots_in_prime_field():
-            roots.add(field.elem(r))
+        roots.update((r, 0) for r in roots_in_prime_field(g1, p))
         g2 = _divmod(g, g1, p)[0]
     if len(g2) - 1 >= 1:
         for B, C in _split_quadratics(g2, _divmod(xp, g2, p)[1], p):

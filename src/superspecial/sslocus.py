@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .ffield import Fp2Field, format_pair, frobenius_pair, is_prime, lambda_to_j, parse_pair
+from .ffield import Fp2Field, format_pair, frobenius, is_prime, lambda_to_j, parse_pair
 from .fppoly import hasse_poly, roots_in_fp2
 
 # Automorphism group orders of supersingular curves for p > 3: the two special
@@ -74,7 +74,7 @@ class Census:
         p, js = self.p, self.j_points
         index = {pair: i for i, pair in enumerate(js)}
         try:
-            involution = tuple(index[frobenius_pair(a, b, p)] for a, b in js)
+            involution = tuple(index[frobenius(a, b, p)] for a, b in js)
         except KeyError:
             raise CensusInvariantError(f"p={p}: j-set not Frobenius-stable") from None
         H = len(js)
@@ -127,13 +127,14 @@ def census(p: int) -> Census:
     if p <= 3:
         js = {(0, 0)}
     else:
-        lambdas = roots_in_fp2(hasse_poly(p), Fp2Field.of(p))
+        field = Fp2Field.of(p)
+        lambdas = roots_in_fp2(hasse_poly(p), field)
         if len(lambdas) != (p - 1) // 2:
             # The Legendre supersingularity polynomial is squarefree with every
             # root in F_{p^2}; anything else is a root-finder regression.
             raise CensusInvariantError(
                 f"p={p}: found {len(lambdas)} Legendre parameters, expected {(p - 1) // 2}")
-        js = {(j.a, j.b) for j in map(lambda_to_j, lambdas)}
+        js = {lambda_to_j(lam, field) for lam in lambdas}
     result = Census(p, tuple(sorted(js)))
     result.validate()
     return result

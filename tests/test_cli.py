@@ -12,6 +12,13 @@ from superspecial.cli import (EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE,
                               main)
 
 
+def test_export_list_resolves_without_duplicates():
+    names = superspecial.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(superspecial, name)]
+    assert not missing, missing
+
+
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()

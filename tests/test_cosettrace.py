@@ -261,10 +261,12 @@ def test_gamma_class_hits_match_per_class_conj_vectors():
 
 def test_with_trivial_k():
     rng = random.Random(24)
-    m = random_model(rng)
-    mt = with_trivial_k(m)
-    assert mt.k == (mt.group.identity,)
-    assert mt.gamma == m.gamma and mt.pi == m.pi
+    for _ in range(12):
+        m = random_model(rng)
+        mt = with_trivial_k(m)
+        assert mt.k == (mt.group.identity,)
+        assert mt.gamma == m.gamma and mt.pi == m.pi
+        assert mt == build_model(m.group, m.gamma, [], m.pi)
 
 
 def _brute_double_cosets(m):
