@@ -39,6 +39,7 @@ def _result(number: int, name: str, failures: list[str]) -> CriterionResult:
 
 
 def sweep_censuses(pmax: int = 1000) -> list[sslocus.Census]:
+    sslocus.check_census_cost(pmax)  # before hours of censuses below the ceiling
     return [sslocus.census(p) for p in range(5, pmax + 1) if is_prime(p)]
 
 

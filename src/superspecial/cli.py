@@ -21,7 +21,7 @@ from pathlib import Path
 from . import acceptance, cosettrace, massform, sslocus
 from .cosettrace import InvariantViolation, ModelSpecError
 from .exactnum import frac_dict
-from .ffield import format_pair, is_prime
+from .ffield import MAX_PRIME, format_pair, is_prime
 from .finitegroup import GroupConstructionError
 from .massform import IntegralityError
 from .sslocus import CensusInvariantError
@@ -170,37 +170,49 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mass(args) -> int:
-    if not is_prime(args.p):
-        raise UsageError(f"p must be prime, got {args.p}")
-    if args.N == 2:
+    g, p, N = args.g, args.p, args.N
+    if not is_prime(p):
+        raise UsageError(f"p must be prime, got {p}")
+    if N == 2:
         raise UsageError(
             "class numbers need level N >= 3 (automorphisms are only rigid from "
             "level 3 on); use -N 1 for the bare mass")
-    if args.N < 1:
-        raise UsageError(f"N must be positive, got {args.N}")
-    kind = massform.GenusKind.NON_PRINCIPAL if args.nonprincipal else massform.GenusKind.PRINCIPAL
-    try:
-        params = massform.MassParams(g=args.g, p=args.p, N=args.N, genus_kind=kind)
-        result = massform.evaluate(params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if N < 1:
+        raise UsageError(f"N must be positive, got {N}")
+    # Ceilings on what can be printed; the formulas themselves have none.
+    if g > massform.GENUS_MAX:
+        raise UsageError(f"genus g = {g} is above the ceiling {massform.GENUS_MAX}")
+    if p >= MAX_PRIME:
+        raise UsageError(f"p = {p} is beyond the word-size bound p < 2^31")
+    # The formulas refuse a bad genus or level with a ValueError, which main
+    # maps to exit 1.
+    if args.nonprincipal:
+        kind, note = massform.GenusKind.NON_PRINCIPAL, massform.NONPRINCIPAL_CAVEAT
+        mass = massform.nonprincipal_mass(g, p)
+        class_number_of = massform.nonprincipal_class_number_level
+    else:
+        kind, note = massform.GenusKind.PRINCIPAL, ""
+        mass = massform.principal_mass(g, p)
+        class_number_of = massform.class_number_level
+    order = massform.gsp_order(g, N)
+    class_number = class_number_of(g, p, N) if N >= 3 else None
     payload = {
-        "g": args.g,
-        "p": args.p,
-        "N": args.N,
+        "g": g,
+        "p": p,
+        "N": N,
         "genus": kind.value,
-        "mass": frac_dict(result.mass),
-        "gsp_order": result.gsp_order,
-        "class_number": result.class_number,
-        "note": result.note,
+        "mass": frac_dict(mass),
+        "gsp_order": order,
+        "class_number": class_number,
+        "note": note,
     }
     if args.format == "json":
         _emit(_json_text(payload), args.output)
     else:
         _emit(
             "g,p,N,genus,mass_num,mass_den,gsp_order,class_number\n"
-            f"{args.g},{args.p},{args.N},{kind.value},{result.mass.numerator},"
-            f"{result.mass.denominator},{result.gsp_order},{result.class_number}\n",
+            f"{g},{p},{N},{kind.value},{mass.numerator},"
+            f"{mass.denominator},{order},{class_number}\n",
             args.output,
         )
     return EXIT_OK

@@ -26,7 +26,9 @@ delta_f ⊆ delta_K, with equality once K is small enough (K trivial in
 particular).  When delta_K = delta_f, every orbital term belongs to the
 G-conjugacy class of pi and the sum may collapse to the factored form
 
-    |delta_f| * a(G_pi) * O_pi.
+    |delta_f| * a(G_pi) * O_pi  =  |delta_f| * n_pi / (|C_Gamma(pi)| |K|),
+
+n_pi = #{x in G : x^{-1} pi x in pi K}, since |G_pi| and |G_pi ∩ K| cancel.
 
 The collapse replaces every class term by the pi-term, which is valid
 exactly when all classes in delta_f have the same rational-centralizer size
@@ -183,20 +185,13 @@ def _orbital_by_cosets(G: Group, cent: np.ndarray, k: np.ndarray, in_k: np.ndarr
     return total
 
 
-def _term(G: Group, gam: np.ndarray, k: np.ndarray, in_k: np.ndarray, gamma: int,
-          count: int) -> tuple[Fraction, Fraction, np.ndarray, int]:
-    """(a(G_gamma), O_gamma, G_gamma, |G_gamma ∩ K|), where count is
-    #{x in G : x^{-1} gamma x in pi K}."""
-    cent = G.centralizer(gamma)
-    cent_k = int(np.count_nonzero(in_k[cent]))
-    a_val = Fraction(len(cent), len(G.centralizer(gamma, within=gam)) * cent_k)
-    return a_val, Fraction(cent_k * count, len(cent) * len(k)), cent, cent_k
-
-
 def _orbital_for_class(G: Group, gam: np.ndarray, k: np.ndarray, in_k: np.ndarray,
                        cls: _GammaClass) -> tuple[Fraction, Fraction]:
     """(a(G_gamma), O_gamma) for one Gamma-class."""
-    a_val, o_direct, cent, cent_k = _term(G, gam, k, in_k, cls.rep, cls.count)
+    cent = G.centralizer(cls.rep)
+    cent_k = int(np.count_nonzero(in_k[cent]))
+    a_val = Fraction(len(cent), len(G.centralizer(cls.rep, within=gam)) * cent_k)
+    o_direct = Fraction(cent_k * cls.count, len(cent) * len(k))
     o_cosets = _orbital_by_cosets(G, cent, k, in_k, cls.hits, cent_k)
     if o_cosets != o_direct:
         raise InvariantViolation(
@@ -247,19 +242,16 @@ def _factored(model, d_k, d_f, kernel) -> tuple[Fraction | None, str]:
                       "outside delta_f")
     G = model.group
     gam = np.array(model.gamma)
-    k = np.array(model.k)
-    in_k = _mask(G.n, k)
-    in_pik = _mask(G.n, G.table[model.pi, k])
+    in_pik = _mask(G.n, G.table[model.pi, np.array(model.k)])
     n_pi = int(np.count_nonzero(in_pik[G.conj_vector(model.pi)]))
-    a_pi, o_pi, _, _ = _term(G, gam, k, in_k, model.pi, n_pi)
-    value = len(d_f) * a_pi * o_pi
+    c_pi = len(G.centralizer(model.pi, within=gam))
+    value = Fraction(len(d_f) * n_pi, c_pi * len(model.k))
     if value != kernel:
         sizes = {rep: len(G.centralizer(rep, within=gam)) for rep in d_f}
         return None, (
             "term collapse invalid for this model: rational-centralizer sizes "
             f"{sizes} across delta_f are not all equal to |C_Gamma(pi)| = "
-            f"{len(G.centralizer(model.pi, within=gam))}, so the common-term "
-            "factorization does not apply"
+            f"{c_pi}, so the common-term factorization does not apply"
         )
     return value, ""
 

@@ -13,19 +13,21 @@ rigidifies automorphisms, and the class number becomes the integer
 The non-principal genus (g = 2d even, polarization kernel the Frobenius
 kernel) replaces the (p^k + (-1)^k) factors by prod_{k=1..d} (p^(4k-2) - 1).
 
+Each genus rule has one home: principal_mass refuses g < 1, nonprincipal_mass
+refuses all but even g >= 2, and the level-N functions take their mass from
+those two, so they refuse the same genera.
+
 Type numbers are recovered from a supplied trace via T = (H + trace)/2, the
 inverse of trace = 2T - H.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, prod
 
 from .exactnum import zeta_negative
-from .ffield import MAX_PRIME
 
 
 class GenusKind(Enum):
@@ -44,37 +46,13 @@ NONPRINCIPAL_CAVEAT = (
 )
 
 
-# Largest genus MassParams (and so `superspecial mass`) accepts.  Every value
-# it accepts must print in full, and Python writes no int of more than 4300
-# digits as text.  At p = 2^31 - 1 (MAX_PRIME bounds p) and N = 999999999989
-# (the largest prime below LEVEL_MAX) the largest value, the class number, has
-# 3652 digits at g = 11 and 4332 at g = 12.
+# Largest genus `superspecial mass` accepts.  Every value it accepts must
+# print in full, and Python writes no int of more than 4300 digits as text.
+# At p = 2^31 - 1 (ffield.MAX_PRIME bounds p) and N = 999999999989 (the
+# largest prime below LEVEL_MAX) the largest value, the class number, has 3652
+# digits at g = 11 and 4332 at g = 12.  The formulas themselves have no
+# ceiling; the CLI refuses g above it.
 GENUS_MAX = 11
-
-
-@dataclass(frozen=True)
-class MassParams:
-    g: int
-    p: int
-    N: int
-    genus_kind: GenusKind = GenusKind.PRINCIPAL
-
-    def __post_init__(self) -> None:
-        if self.g > GENUS_MAX:
-            raise ValueError(f"genus g = {self.g} is above the ceiling {GENUS_MAX}")
-        if self.p >= MAX_PRIME:
-            raise ValueError(f"p = {self.p} is beyond the word-size bound p < 2^31")
-        if self.genus_kind is GenusKind.NON_PRINCIPAL and self.g % 2 != 0:
-            raise ValueError("non-principal genus requires even g")
-
-
-@dataclass(frozen=True)
-class MassResult:
-    params: MassParams
-    mass: Fraction
-    gsp_order: int
-    class_number: int | None
-    note: str = ""
 
 
 # gsp_order factorizes N by trial division (about sqrt(N) steps); this
@@ -134,22 +112,21 @@ def principal_mass(g: int, p: int) -> Fraction:
     return _mass(g, prod(p**k + (-1) ** k for k in range(1, g + 1)))
 
 
-def _nonprincipal_mass(g: int, p: int) -> Fraction:
+def nonprincipal_mass(g: int, p: int) -> Fraction:
+    """The exact mass of the non-principal genus; g = 2d must be even and positive."""
+    if g < 2 or g % 2 != 0:
+        raise ValueError(f"non-principal genus requires even g >= 2, got g={g}")
     return _mass(g, prod(p ** (4 * k - 2) - 1 for k in range(1, g // 2 + 1)))
 
 
-def _check_level(p: int, N: int) -> None:
+def _level_class_number(g: int, p: int, N: int, mass: Fraction, what: str) -> int:
+    """|GSp_2g(Z/N)| * mass at a rigid level N; checked to be a positive integer."""
     if N < 3:
         raise ValueError(
             f"the class-number formula needs N >= 3 (level rigidity), got N={N}"
         )
     if gcd(N, p) != 1:
         raise ValueError(f"level N={N} must be coprime to p={p}")
-
-
-def _level_class_number(g: int, p: int, N: int, mass: Fraction, what: str) -> int:
-    """|GSp_2g(Z/N)| * mass at a rigid level N; checked to be a positive integer."""
-    _check_level(p, N)
     value = gsp_order(g, N) * mass
     if value.denominator != 1 or value < 1:
         raise IntegralityError(
@@ -164,9 +141,7 @@ def class_number_level(g: int, p: int, N: int) -> int:
 
 def nonprincipal_class_number_level(g: int, p: int, N: int) -> int:
     """H'_N for the non-principal genus (g = 2d even); checked integral."""
-    if g % 2 != 0:
-        raise ValueError("non-principal genus requires even g = 2d")
-    return _level_class_number(g, p, N, _nonprincipal_mass(g, p), "H'_N")
+    return _level_class_number(g, p, N, nonprincipal_mass(g, p), "H'_N")
 
 
 def recover_type_number(H: int, trace: int) -> int:
@@ -188,18 +163,3 @@ def component_genus(g: int) -> GenusKind:
     if g < 1:
         raise ValueError("g must be positive")
     return GenusKind.PRINCIPAL if g % 2 == 1 else GenusKind.NON_PRINCIPAL
-
-
-def evaluate(params: MassParams) -> MassResult:
-    """Bundle mass, group order, and (when N >= 3) the class number."""
-    g, p, N = params.g, params.p, params.N
-    if params.genus_kind is GenusKind.PRINCIPAL:
-        mass = principal_mass(g, p)
-        note = ""
-    else:
-        mass = _nonprincipal_mass(g, p)
-        note = NONPRINCIPAL_CAVEAT
-    order = gsp_order(g, N)
-    class_number = _level_class_number(g, p, N, mass, "class number ") if N >= 3 else None
-    return MassResult(params=params, mass=mass, gsp_order=order,
-                      class_number=class_number, note=note)

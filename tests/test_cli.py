@@ -7,7 +7,7 @@ import time
 import pytest
 
 import superspecial
-from superspecial import massform
+from superspecial import massform, sslocus
 from superspecial.cli import (EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE,
                               main)
 
@@ -160,7 +160,15 @@ def test_mass_examples(capsys):
     assert rc == EXIT_OK
     payload = json.loads(out)
     assert payload["class_number"] == 54
-    assert payload["note"]  # existence caveat for the non-principal genus
+    assert payload["gsp_order"] == 103680
+    assert payload["mass"] == {"num": "1", "den": "1920"}
+    assert "polarization kernel" in payload["note"]  # non-principal caveat
+    rc, out, _ = run_cli(capsys, "mass", "-g", "1", "-p", "11", "-N", "1")
+    assert rc == EXIT_OK
+    payload = json.loads(out)
+    assert payload["class_number"] is None  # no class number below level 3
+    assert payload["mass"] == {"num": "5", "den": "12"}
+    assert payload["gsp_order"] == 1 and payload["note"] == ""
     rc, _, err = run_cli(capsys, "mass", "-g", "1", "-p", "5", "-N", "2")
     assert rc == EXIT_USAGE
     assert "N >= 3" in err
@@ -188,6 +196,28 @@ def test_mass_prints_every_accepted_genus_in_full(capsys):
         rc, out, err = run_cli(capsys, "mass", *argv)
         assert time.perf_counter() - start < 1.0
         assert rc == EXIT_USAGE and out == "" and message in err, argv
+
+
+@pytest.mark.parametrize("g", ["-2", "0", "3"])
+def test_mass_nonprincipal_refuses_all_but_even_positive_genus(capsys, g):
+    # The genus rule must refuse g = -2 before the mass formula runs (where it
+    # would raise a TypeError) and g = 0 itself, not through gsp_order.
+    rc, out, err = run_cli(capsys, "mass", "-g", g, "-p", "5", "-N", "1", "--nonprincipal")
+    assert rc == EXIT_USAGE and out == ""
+    assert f"error: non-principal genus requires even g >= 2, got g={g}" in err
+    assert "Traceback" not in err
+
+
+def test_mass_csv_bytes(capsys):
+    rc, out, _ = run_cli(capsys, "mass", "-g", "1", "-p", "11", "-N", "1", "--format", "csv")
+    assert rc == EXIT_OK
+    assert out == ("g,p,N,genus,mass_num,mass_den,gsp_order,class_number\n"
+                   "1,11,1,principal,5,12,1,None\n")
+    rc, out, _ = run_cli(capsys, "mass", "-g", "2", "-p", "2", "-N", "3", "--nonprincipal",
+                         "--format", "csv")
+    assert rc == EXIT_OK
+    assert out == ("g,p,N,genus,mass_num,mass_den,gsp_order,class_number\n"
+                   "2,2,3,non-principal,1,1920,103680,54\n")
 
 
 @pytest.mark.parametrize("flag, argv", [
@@ -320,6 +350,17 @@ def test_verify_small_run(capsys):
     assert len(lines) == 9
     assert all(l.startswith(("PASS", "FAIL")) for l in lines)
     assert rc in (EXIT_OK, EXIT_INVARIANT)
+
+
+def test_verify_refuses_pmax_above_the_census_ceiling(capsys, monkeypatch):
+    # The ceiling must be checked before the censuses below it, which take hours.
+    def reached(p):
+        raise AssertionError(f"census({p}) computed before the ceiling check")
+
+    monkeypatch.setattr(sslocus, "census", reached)
+    rc, out, err = run_cli(capsys, "verify", "--pmax", "1000003", "--trials", "1")
+    assert rc == EXIT_USAGE and out == ""
+    assert "census ceiling" in err
 
 
 def test_console_entry_point():

@@ -5,9 +5,9 @@ from math import gcd
 
 import pytest
 
-from superspecial.massform import (GENUS_MAX, LEVEL_MAX, GenusKind, MassParams,
-                                   class_number_level, component_genus, evaluate,
-                                   gsp_order, nonprincipal_class_number_level,
+from superspecial.massform import (GENUS_MAX, LEVEL_MAX, GenusKind, class_number_level,
+                                   component_genus, gsp_order,
+                                   nonprincipal_class_number_level, nonprincipal_mass,
                                    principal_mass, recover_type_number)
 
 
@@ -133,20 +133,22 @@ def test_component_genus():
     assert component_genus(4) is GenusKind.NON_PRINCIPAL
 
 
-def test_evaluate_bundles():
-    res = evaluate(MassParams(g=2, p=2, N=3, genus_kind=GenusKind.NON_PRINCIPAL))
-    assert res.class_number == 54
-    assert res.gsp_order == 103680
-    assert res.mass == Fraction(1, 1920)
-    assert "polarization kernel" in res.note
-    res = evaluate(MassParams(g=1, p=11, N=1))
-    assert res.class_number is None
-    assert res.mass == Fraction(10, 24)
+def test_nonprincipal_pieces():
+    # The pieces `mass --nonprincipal` prints at (g, p, N) = (2, 2, 3); the
+    # payload itself (note, null class number at N = 1) is pinned in test_cli.
+    assert nonprincipal_class_number_level(2, 2, 3) == 54
+    assert gsp_order(2, 3) == 103680
+    assert nonprincipal_mass(2, 2) == Fraction(1, 1920)
+    assert principal_mass(1, 11) == Fraction(10, 24)
 
 
-def test_mass_params_rejects_odd_nonprincipal():
-    with pytest.raises(ValueError):
-        MassParams(g=3, p=2, N=3, genus_kind=GenusKind.NON_PRINCIPAL)
+def test_nonprincipal_mass_rejects_odd_and_nonpositive_genus():
+    # Refused before any arithmetic: at g = -2 the formula raises a TypeError.
+    for g in (-2, 0, 1, 3):
+        with pytest.raises(ValueError, match="even g >= 2"):
+            nonprincipal_mass(g, 5)
+        with pytest.raises(ValueError, match="even g >= 2"):
+            nonprincipal_class_number_level(g, 2, 3)
 
 
 def test_genus_ceiling_is_the_last_genus_whose_values_print():
@@ -156,7 +158,5 @@ def test_genus_ceiling_is_the_last_genus_whose_values_print():
     assert len(str(class_number_level(GENUS_MAX, p, N))) <= sys.get_int_max_str_digits()
     with pytest.raises(ValueError, match="Exceeds the limit"):
         str(class_number_level(GENUS_MAX + 1, p, N))
-    with pytest.raises(ValueError, match=f"ceiling {GENUS_MAX}"):
-        MassParams(g=GENUS_MAX + 1, p=5, N=1)
-    with pytest.raises(ValueError, match="word-size bound"):
-        MassParams(g=1, p=2**31 + 11, N=3)
+    # `mass` refusing g above GENUS_MAX and p beyond the word size is
+    # test_cli.test_mass_prints_every_accepted_genus_in_full.
