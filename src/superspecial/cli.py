@@ -194,8 +194,13 @@ def cmd_mass(args) -> int:
         kind, note = massform.GenusKind.PRINCIPAL, ""
         mass = massform.principal_mass(g, p)
         class_number_of = massform.class_number_level
-    order = massform.gsp_order(g, N)
-    class_number = class_number_of(g, p, N) if N >= 3 else None
+    if N >= 3:
+        class_number = class_number_of(g, p, N)
+        # class_number = |GSp_2g(Z/N)| * mass exactly, so the order needs no
+        # second factorization of N.
+        order = int(class_number / mass)
+    else:
+        class_number, order = None, massform.gsp_order(g, N)
     payload = {
         "g": g,
         "p": p,

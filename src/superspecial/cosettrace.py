@@ -38,10 +38,17 @@ centralizers; NOT automatic for an arbitrary finite model).  Outside that
 regime the factored value is reported as absent with a diagnostic naming the
 obstruction, so a defined factored value always equals the kernel trace.
 
-Computation: each x is labelled min(Gamma x K), the least over gamma of the
-row minimum of table[gamma x, K], by one (|Gamma| x n) gather; the hits of all
-the Gamma-classes are one (classes x n) gather; the coset form of O_gamma walks
-the hits once, ascending, each hit not yet covered opening a G_gamma a K.
+Computation: x is labelled row_min[x] = min(xK), the least element of its
+K-coset, by one (n x |K|) gather taken once per orbital_trace and shared by
+both sides.  The kernel side labels each x min(Gamma x K), the least over
+gamma of row_min[gamma x], by one (|Gamma| x n) gather.  The hits of all the
+Gamma-classes are one (classes x n) gather; a class without hits has
+O_gamma = 0 and lies in neither delta set, so it contributes nothing and is
+skipped.  For the others, |C_Gamma(gamma)| is a Gamma-mask counted over the
+G-centralizer, and the coset form of O_gamma walks the K-coset labels inside
+the support in ascending order: each label not yet covered is the least
+element of a new G_gamma a K and covers that double coset's labels
+row_min[c a], c in G_gamma, with one |G_gamma| gather.
 """
 
 from __future__ import annotations
@@ -111,10 +118,13 @@ def _meet_conjugate(G: Group, cent: np.ndarray, in_k: np.ndarray, a: int) -> int
     return int(np.count_nonzero(in_k[G.table[G.table[G.inv[a], cent], a]]))
 
 
-def double_cosets(model: FiniteGroupModel) -> DoubleCosetSpace:
-    """Gamma \\ G / K, each x labelled min(Gamma x K) (see the module notes)."""
+def _k_labels(model: FiniteGroupModel) -> np.ndarray:
+    """row_min[x] = min(xK), the label of the K-coset of x."""
+    return model.group.table.take(np.array(model.k), axis=1).min(axis=1)
+
+
+def _double_cosets(model: FiniteGroupModel, row_min: np.ndarray) -> DoubleCosetSpace:
     G = model.group
-    row_min = G.table.take(np.array(model.k), axis=1).min(axis=1)
     rep_of = row_min[G.table[np.array(model.gamma)]].min(axis=0).astype(np.int64)
     reps = (rep_of == G.indices).nonzero()[0]
     images = rep_of[G.table[reps, model.pi]]
@@ -124,10 +134,18 @@ def double_cosets(model: FiniteGroupModel) -> DoubleCosetSpace:
                             dict(zip(reps.tolist(), images.tolist())))
 
 
+def double_cosets(model: FiniteGroupModel) -> DoubleCosetSpace:
+    """Gamma \\ G / K, each x labelled min(Gamma x K) (see the module notes)."""
+    return _double_cosets(model, _k_labels(model))
+
+
+def _kernel_trace(space: DoubleCosetSpace) -> int:
+    return sum(1 for r, s in space.hecke_action.items() if r == s)
+
+
 def kernel_trace(model: FiniteGroupModel) -> int:
     """Fixed points of [x] -> [x pi] on Gamma \\ G / K (the kernel side)."""
-    space = double_cosets(model)
-    return sum(1 for r, s in space.hecke_action.items() if r == s)
+    return _kernel_trace(double_cosets(model))
 
 
 @dataclass(frozen=True)
@@ -172,32 +190,42 @@ def _deltas(classes: list[_GammaClass]) -> tuple[tuple[int, ...], tuple[int, ...
             tuple(sorted(c.rep for c in classes if c.meets_pi_class)))
 
 
-def _orbital_by_cosets(G: Group, cent: np.ndarray, k: np.ndarray, in_k: np.ndarray,
-                       hits: np.ndarray, cent_k: int) -> Fraction:
-    """O_gamma in coset-decomposed form: decompose the support E into
-    G_gamma \\ E / K double cosets and sum vol(G_gamma ∩ aKa^{-1})^{-1}."""
-    remaining = hits.copy()
-    total = Fraction(0)
-    for a in hits.nonzero()[0].tolist():  # each coset's smallest element first
-        if remaining[a]:
-            remaining[G.table[cent[:, None], G.table[a, k]]] = False
-            total += Fraction(cent_k, _meet_conjugate(G, cent, in_k, a))
-    return total
+def _coset_walk(G: Group, cent: np.ndarray, in_k: np.ndarray, row_min: np.ndarray,
+                starts: np.ndarray) -> list[tuple[int, int]]:
+    """The double cosets G_gamma a K that meet the ascending K-coset labels
+    `starts`, as (a, |G_gamma ∩ aKa^{-1}|) with a the least element of each."""
+    covered = np.zeros(G.n, dtype=bool)
+    walk = []
+    for a in starts.tolist():
+        if not covered[a]:
+            covered[row_min[G.table[cent, a]]] = True  # the labels of c a K, c in G_gamma
+            walk.append((a, _meet_conjugate(G, cent, in_k, a)))
+    return walk
 
 
-def _orbital_for_class(G: Group, gam: np.ndarray, k: np.ndarray, in_k: np.ndarray,
-                       cls: _GammaClass) -> tuple[Fraction, Fraction]:
-    """(a(G_gamma), O_gamma) for one Gamma-class."""
+def _orbital_by_cosets(G: Group, cent: np.ndarray, in_k: np.ndarray, row_min: np.ndarray,
+                       starts: np.ndarray, cent_k: int) -> Fraction:
+    """O_gamma in coset-decomposed form: decompose the support E, given by the
+    labels `starts` of its K-cosets, into G_gamma \\ E / K double cosets and sum
+    vol(G_gamma ∩ aKa^{-1})^{-1} over them (see the module notes)."""
+    return sum((Fraction(cent_k, meet) for _, meet in _coset_walk(G, cent, in_k, row_min, starts)),
+               Fraction(0))
+
+
+def _orbital_term(model: FiniteGroupModel, in_gamma: np.ndarray, in_k: np.ndarray,
+                  row_min: np.ndarray, starts: np.ndarray, cls: _GammaClass) -> OrbitalTerm:
+    """a(G_gamma) and O_gamma for one Gamma-class with support."""
+    G = model.group
     cent = G.centralizer(cls.rep)
     cent_k = int(np.count_nonzero(in_k[cent]))
-    a_val = Fraction(len(cent), len(G.centralizer(cls.rep, within=gam)) * cent_k)
-    o_direct = Fraction(cent_k * cls.count, len(cent) * len(k))
-    o_cosets = _orbital_by_cosets(G, cent, k, in_k, cls.hits, cent_k)
+    a_val = Fraction(len(cent), int(np.count_nonzero(in_gamma[cent])) * cent_k)
+    o_direct = Fraction(cent_k * cls.count, len(cent) * len(model.k))
+    o_cosets = _orbital_by_cosets(G, cent, in_k, row_min, starts, cent_k)
     if o_cosets != o_direct:
         raise InvariantViolation(
             f"orbital integral mismatch at class {cls.rep}: {o_direct} vs {o_cosets}"
         )
-    return a_val, o_direct
+    return OrbitalTerm(cls.rep, a_val, o_direct)
 
 
 def delta_sets(model: FiniteGroupModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -208,18 +236,16 @@ def delta_sets(model: FiniteGroupModel) -> tuple[tuple[int, ...], tuple[int, ...
 def orbital_trace(model: FiniteGroupModel) -> TraceReport:
     """Evaluate the orbital side, check it against the kernel side, and report."""
     G = model.group
-    gam = np.array(model.gamma)
-    k = np.array(model.k)
-    in_k = _mask(G.n, k)
+    in_gamma = _mask(G.n, np.array(model.gamma))
+    in_k = _mask(G.n, np.array(model.k))
+    row_min = _k_labels(model)
+    labels = (row_min == G.indices).nonzero()[0]
     classes = _gamma_classes(model)
-    terms = []
-    total = Fraction(0)
-    for cls in classes:
-        a_val, o_val = _orbital_for_class(G, gam, k, in_k, cls)
-        if o_val != 0:
-            terms.append(OrbitalTerm(cls.rep, a_val, o_val))
-        total += a_val * o_val
-    kernel = kernel_trace(model)
+    # A class without hits has O_gamma = 0 and no term (see the module notes).
+    terms = tuple(_orbital_term(model, in_gamma, in_k, row_min, labels[cls.hits[labels]], cls)
+                  for cls in classes if cls.count)
+    total = sum((t.a_value * t.orbital_integral for t in terms), Fraction(0))
+    kernel = _kernel_trace(_double_cosets(model, row_min))
     if total != kernel:
         raise InvariantViolation(
             f"trace formula failed: orbital {total} != kernel {kernel}"
@@ -227,7 +253,7 @@ def orbital_trace(model: FiniteGroupModel) -> TraceReport:
     d_k, d_f = _deltas(classes)
     value, diagnostic = _factored(model, d_k, d_f, kernel)
     return TraceReport(kernel_trace=kernel,
-                       orbital_terms=tuple(terms),
+                       orbital_terms=terms,
                        orbital_trace=total,
                        delta_K=d_k,
                        delta_f=d_f,

@@ -220,6 +220,21 @@ def test_mass_csv_bytes(capsys):
                    "2,2,3,non-principal,1,1920,103680,54\n")
 
 
+def test_mass_factorizes_the_level_once(capsys, monkeypatch):
+    real = massform._factorize
+    calls = []
+    monkeypatch.setattr(massform, "_factorize", lambda n: calls.append(n) or real(n))
+    rc, out, _ = run_cli(capsys, "mass", "-g", "2", "-p", "7", "-N", "15")
+    assert rc == EXIT_OK and calls == [15]
+    payload = json.loads(out)
+    assert payload["gsp_order"] == massform.gsp_order(2, 15)
+    assert payload["class_number"] == massform.class_number_level(2, 7, 15)
+    # p = 5 divides N = 15: refused before any factorization.
+    calls.clear()
+    rc, out, err = run_cli(capsys, "mass", "-g", "2", "-p", "5", "-N", "15")
+    assert rc == EXIT_USAGE and out == "" and "coprime" in err and calls == []
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--jobs", ("sweep", "--pmin", "5", "--pmax", "7", "--jobs", "-3")),
     ("--trials", ("trace-demo", "--trials", "-3")),

@@ -160,6 +160,12 @@ def test_trace_equality_on_seeded_models():
         m = random_model(rng)
         report = orbital_trace(m)  # internal cross-checks both orbital routes
         assert report.orbital_trace == report.kernel_trace
+    # The cap shapes Gamma = K = G: one double coset, every Gamma-class supported.
+    for kind in ("cyclic:720", "sym:5"):
+        G = group_from_kind(kind)
+        m = build_model(G, G.indices.tolist(), G.indices.tolist(), G.identity)
+        report = orbital_trace(m)
+        assert report.kernel_trace == report.orbital_trace == 1
 
 
 def test_volume_identities():
@@ -283,6 +289,44 @@ def _brute_double_cosets(m):
     return cosets
 
 
+def test_coset_walk_against_brute_force():
+    # The walk's double cosets G_gamma a K of each supported class, with their
+    # least elements a and |G_gamma ∩ aKa^{-1}|, against the partition of the
+    # support E_gamma built element by element.
+    rng = random.Random(29)
+    small = ("cyclic:6", "cyclic:12", "sym:3", "sym:4", "gl2:2", "gl2:3")
+    walked = 0
+    for _ in range(25):
+        m = random_model(rng, small)
+        G = m.group
+        k = set(m.k)
+        pik = {G.mul(m.pi, h) for h in k}
+        in_k = np.zeros(G.n, dtype=bool)
+        in_k[list(k)] = True
+        row_min = cosettrace._k_labels(m)
+        assert row_min.tolist() == [min(G.mul(x, h) for h in k) for x in range(G.n)]
+        for cls in cosettrace._gamma_classes(m):
+            if not cls.count:
+                continue
+            gamma = cls.rep
+            cent = [c for c in range(G.n) if G.mul(c, gamma) == G.mul(gamma, c)]
+            support = [x for x in range(G.n)
+                       if G.mul(G.mul(G.inverse(x), gamma), x) in pik]
+            want, seen = [], set()
+            for x in support:
+                if x in seen:
+                    continue
+                coset = {G.mul(G.mul(c, x), h) for c in cent for h in k}
+                assert coset <= set(support)
+                seen |= coset
+                want.append((x, sum(G.mul(G.mul(G.inverse(x), c), x) in k for c in cent)))
+            starts = np.array(sorted({min(G.mul(x, h) for h in k) for x in support}))
+            got = cosettrace._coset_walk(G, np.array(cent), in_k, row_min, starts)
+            assert got == want
+            walked += len(want)
+    assert walked > 50  # the draw is not vacuous
+
+
 def test_double_cosets_against_brute_force():
     rng = random.Random(25)
     small = tuple(k for k in ("cyclic:6", "cyclic:12", "sym:3", "sym:4", "gl2:2", "gl2:3"))
@@ -394,14 +438,17 @@ def test_orbital_trace_rejects_coset_sum_mismatch(monkeypatch):
     real = cosettrace._orbital_by_cosets
     monkeypatch.setattr(cosettrace, "_orbital_by_cosets",
                         lambda *args: real(*args) + Fraction(1, 7))
+    # pi = 0, so that class 0 has support (with pi = 2 it has none and is skipped).
     Z4 = group_from_kind("cyclic:4")
     with pytest.raises(InvariantViolation, match="orbital integral mismatch at class 0"):
-        orbital_trace(build_model(Z4, [2], [], 2))
+        orbital_trace(build_model(Z4, [2], [], 0))
 
 
 def test_orbital_trace_rejects_kernel_mismatch(monkeypatch):
-    real = cosettrace.kernel_trace
-    monkeypatch.setattr(cosettrace, "kernel_trace", lambda m: real(m) + 1)
+    # orbital_trace counts the fixed cosets with _kernel_trace, on double
+    # cosets built from its own K-coset labels.
+    real = cosettrace._kernel_trace
+    monkeypatch.setattr(cosettrace, "_kernel_trace", lambda space: real(space) + 1)
     Z4 = group_from_kind("cyclic:4")
     with pytest.raises(InvariantViolation, match="trace formula failed: orbital 2 != kernel 3"):
         orbital_trace(build_model(Z4, [2], [], 2))
