@@ -41,11 +41,12 @@ obstruction, so a defined factored value always equals the kernel trace.
 Computation: x is labelled row_min[x] = min(xK), the least element of its
 K-coset, by one (n x |K|) gather taken once per orbital_trace and shared by
 both sides.  The kernel side labels each x min(Gamma x K), the least over
-gamma of row_min[gamma x], by one (|Gamma| x n) gather.  The hits of all the
-Gamma-classes are one (classes x n) gather; a class without hits has
-O_gamma = 0 and lies in neither delta set, so it contributes nothing and is
-skipped.  For the others, |C_Gamma(gamma)| is a Gamma-mask counted over the
-G-centralizer, and the coset form of O_gamma walks the K-coset labels inside
+gamma of row_min[gamma x], by one (|Gamma| x n) gather.  The hits of the
+Gamma-classes are (classes x n) gathers in row blocks, of which only the rows
+of classes with hits are kept; a class without hits has O_gamma = 0 and lies
+in neither delta set, so it contributes nothing and is skipped.  For the
+others, |C_Gamma(gamma)| is a Gamma-mask counted over the G-centralizer, and
+the coset form of O_gamma walks the K-coset labels inside
 the support in ascending order: each label not yet covered is the least
 element of a new G_gamma a K and covers that double coset's labels
 row_min[c a], c in G_gamma, with one |G_gamma| gather.
@@ -60,7 +61,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactnum import frac_dict
-from .finitegroup import Group, GroupConstructionError, group_from_kind
+from .finitegroup import _BLOCK_ENTRIES, Group, GroupConstructionError, group_from_kind
 
 
 class InvariantViolation(Exception):
@@ -169,20 +170,28 @@ class TraceReport:
 @dataclass(frozen=True)
 class _GammaClass:
     rep: int  # smallest element of the Gamma-conjugacy class
-    hits: np.ndarray  # hits[x]: x^{-1} rep x lies in pi K
+    hits: np.ndarray | None  # hits[x]: x^{-1} rep x lies in pi K; None without hits
     count: int  # number of hits
     meets_pi_class: bool  # rep is G-conjugate to pi
 
 
 def _gamma_classes(model: FiniteGroupModel) -> list[_GammaClass]:
-    """The Gamma-classes; row j of the one gather holds x^{-1} rep_j x for every x."""
+    """The Gamma-classes; row j of a block's gather holds x^{-1} rep_j x for every x."""
     G = model.group
     in_pik = _mask(G.n, G.table[model.pi, np.array(model.k)])
     in_pi_class = _mask(G.n, G.conj_class(model.pi))
     reps = np.array([int(cls[0]) for cls in G.conjugacy_partition(np.array(model.gamma))])
-    hits = in_pik[G.table[G.table[G.inv, reps[:, None]], G.indices]]
-    return [_GammaClass(rep, row, int(np.count_nonzero(row)), bool(in_pi_class[rep]))
-            for rep, row in zip(reps.tolist(), hits)]
+    classes = []
+    # Row blocks bound the (rows, n) gathers, as in finitegroup.
+    rows = max(1, _BLOCK_ENTRIES // G.n)
+    for lo in range(0, len(reps), rows):
+        block = reps[lo : lo + rows]
+        hits = in_pik[G.table[G.table[G.inv, block[:, None]], G.indices]]
+        counts = np.count_nonzero(hits, axis=1)
+        kept = iter(hits[counts > 0])
+        classes += [_GammaClass(rep, next(kept) if count else None, count, bool(in_pi_class[rep]))
+                    for rep, count in zip(block.tolist(), counts.tolist())]
+    return classes
 
 
 def _deltas(classes: list[_GammaClass]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -239,13 +248,15 @@ def orbital_trace(model: FiniteGroupModel) -> TraceReport:
     in_gamma = _mask(G.n, np.array(model.gamma))
     in_k = _mask(G.n, np.array(model.k))
     row_min = _k_labels(model)
+    # The kernel side first: its (|Gamma| x n) gather is then freed before the
+    # classes' hit rows are built.
+    kernel = _kernel_trace(_double_cosets(model, row_min))
     labels = (row_min == G.indices).nonzero()[0]
     classes = _gamma_classes(model)
     # A class without hits has O_gamma = 0 and no term (see the module notes).
     terms = tuple(_orbital_term(model, in_gamma, in_k, row_min, labels[cls.hits[labels]], cls)
                   for cls in classes if cls.count)
     total = sum((t.a_value * t.orbital_integral for t in terms), Fraction(0))
-    kernel = _kernel_trace(_double_cosets(model, row_min))
     if total != kernel:
         raise InvariantViolation(
             f"trace formula failed: orbital {total} != kernel {kernel}"

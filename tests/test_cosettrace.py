@@ -250,19 +250,25 @@ def test_volume_identity_check_refuses_indices_outside_the_group():
             volume_identity_check(m, gamma, a)
 
 
-def test_gamma_class_hits_match_per_class_conj_vectors():
+def test_gamma_class_hits_match_per_class_conj_vectors(monkeypatch):
+    # One block for all classes, and blocks of one and of three classes.
     rng = random.Random(28)
-    for _ in range(20):
-        m = random_model(rng, ("sym:4", "sym:5", "gl2:3", "gl2:5"))
-        G = m.group
-        in_pik = np.zeros(G.n, dtype=bool)
-        in_pik[[G.mul(m.pi, k) for k in m.k]] = True
-        classes = cosettrace._gamma_classes(m)
-        assert [c.rep for c in classes] == [int(cls[0]) for cls in
-                                            G.conjugacy_partition(np.array(m.gamma))]
-        for c in classes:
-            want = in_pik[G.conj_vector(c.rep)]
-            assert np.array_equal(c.hits, want) and c.count == np.count_nonzero(want)
+    models = [random_model(rng, ("sym:4", "sym:5", "gl2:3", "gl2:5")) for _ in range(20)]
+    for rows in (None, 1, 3):
+        for m in models:
+            G = m.group
+            if rows:
+                monkeypatch.setattr(cosettrace, "_BLOCK_ENTRIES", rows * G.n)
+            in_pik = np.zeros(G.n, dtype=bool)
+            in_pik[[G.mul(m.pi, k) for k in m.k]] = True
+            classes = cosettrace._gamma_classes(m)
+            assert [c.rep for c in classes] == [int(cls[0]) for cls in
+                                                G.conjugacy_partition(np.array(m.gamma))]
+            for c in classes:
+                want = in_pik[G.conj_vector(c.rep)]
+                assert c.count == np.count_nonzero(want)
+                # Only the rows of classes with hits are kept.
+                assert np.array_equal(c.hits, want) if c.count else c.hits is None
 
 
 def test_with_trivial_k():

@@ -1,11 +1,15 @@
+import inspect
 import random
+import types
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from superspecial.ffield import Fp2Field, lambda_to_j, legendre
-from superspecial.fppoly import (PRIME_SCAN_MAX, _divmod, _gcd, _Modulus, _mul, _sub, _trim,
-                                 hasse_poly, roots_in_fp2, roots_in_prime_field)
+from superspecial import fppoly
+from superspecial.fppoly import (PRIME_SCAN_MAX, _divmod, _gcd, _Modulus, _mul, _rem, _sub,
+                                 _trim, hasse_poly, roots_in_fp2, roots_in_prime_field)
 from superspecial.sslocus import CENSUS_MAX_PRIME
 
 
@@ -75,8 +79,9 @@ def _is_prime(n):
 
 
 def test_arithmetic_against_divmod_round_trip():
+    # The remainder-only _rem agrees with _divmod's remainder.
     rng = random.Random(5)
-    for p in (5, 13, 101):
+    for p in (5, 13, 101, _P31):
         for _ in range(80):
             a = _random_poly(rng, p, 12)
             b = _random_poly(rng, p, 8)
@@ -85,6 +90,10 @@ def test_arithmetic_against_divmod_round_trip():
             q, r = _divmod(a, b, p)
             assert _eq(_add(_mul(q, b, p), r, p), a)
             assert len(r) < len(b)
+            assert _eq(_rem(a, b, p), r), (p, a, b)
+    for div in (_divmod, _rem):
+        with pytest.raises(ZeroDivisionError):
+            div(_poly([1, 2], 5), _poly([], 5), 5)
 
 
 def test_gcd_properties():
@@ -115,6 +124,22 @@ def test_modulus_reduction_matches_schoolbook():
             ctx = _Modulus(m, p)
             a = _random_poly(rng, p, 45)
             assert _eq(ctx.reduce(a), _divmod(a, m, p)[1])
+
+
+def test_mulmod_matches_reduced_product():
+    # p = 2^31 - 1 takes the Python-integer convolutions of a wide context.
+    rng = random.Random(15)
+    for p in (13, 997, _P31):
+        for _ in range(30):
+            m = _random_poly(rng, p, 12)
+            if len(m) < 2:
+                continue
+            ctx = _Modulus(m, p)
+            a = _random_poly(rng, p, len(m) - 2)
+            b = _random_poly(rng, p, len(m) - 2)
+            got = ctx.mulmod(a, b)
+            assert got.dtype == np.int64
+            assert _eq(got, ctx.reduce(_mul(a, b, p))), (p, m, a, b)
 
 
 def _naive_powmod(base, e, m, p):
@@ -195,18 +220,88 @@ def test_roots_with_repeated_factors():
         assert got == {(2, 0), (0, 1), (0, p - 1), (0, 2), (0, p - 2)}
 
 
-def test_all_quadratic_pairs_split_at_tiny_p():
-    # Below p = 11 the character-sum argument for ladder termination is vacuous,
-    # so check every product of two distinct irreducible quadratics directly.
-    from itertools import combinations
+def _irreducible_quadratics(p):
+    return [_poly([n, -s, 1], p) for s in range(p) for n in range(p)
+            if legendre((s * s - 4 * n) % p, p) == -1]
 
+
+def _products_against_scans(p, k):
+    """roots_in_fp2 on every product of k distinct irreducible quadratics, against
+    the union of the factors' scanned roots (a product vanishes where a factor does)."""
+    field = Fp2Field.of(p)
+    scanned = [(q, _scan_roots(q, field)) for q in _irreducible_quadratics(p)]
+    for factors in combinations(scanned, k):
+        f = _poly([1], p)
+        for q, _ in factors:
+            f = _mul(f, q, p)
+        want = set().union(*(roots for _, roots in factors))
+        assert roots_in_fp2(f, field) == want, (p, f)
+
+
+def test_all_quadratic_pairs_split_at_tiny_p():
+    # Every product of two distinct irreducible quadratics, which the closed
+    # form solves without the ladder.
+    for p in (5, 7, 11, 13):
+        _products_against_scans(p, 2)
+
+
+def test_all_quadratic_triples_split_at_tiny_p():
+    # Below p = 11 the character-sum argument for ladder termination is
+    # vacuous, and only nodes of three or more factors reach the ladder.
     for p in (5, 7):
+        _products_against_scans(p, 3)
+
+
+def _random_irreducible(rng, p, s=None, n=None):
+    """(s, n) with x^2 - s x + n irreducible, drawing whichever is not given."""
+    while True:
+        s_ = rng.randrange(p) if s is None else s
+        n_ = rng.randrange(p) if n is None else n
+        if legendre(s_ * s_ - 4 * n_, p) == -1:
+            return s_, n_
+
+
+def test_random_quadratic_pairs_split_in_closed_form():
+    # Pairs with distinct traces and norms, with equal traces (x + x^p is
+    # constant, so the norms are solved for) and with equal norms.  Four
+    # distinct roots, two of each factor, are the whole root set.
+    rng = random.Random(16)
+    for p in (997, _P31):
         field = Fp2Field.of(p)
-        irred = [_poly([n, -s, 1], p) for s in range(p) for n in range(p)
-                 if legendre((s * s - 4 * n) % p, p) == -1]
-        for f1, f2 in combinations(irred, 2):
-            f = _mul(f1, f2, p)
-            assert roots_in_fp2(f, field) == _scan_roots(f, field), (p, f1, f2)
+        for shared in (None, "trace", "norm") * 8:
+            s1, n1 = _random_irreducible(rng, p)
+            while True:
+                s2, n2 = _random_irreducible(rng, p, s=s1 if shared == "trace" else None,
+                                             n=n1 if shared == "norm" else None)
+                if (s2, n2) != (s1, n1):
+                    break
+            q1, q2 = _poly([n1, -s1, 1], p), _poly([n2, -s2, 1], p)
+            got = roots_in_fp2(_mul(q1, q2, p), field)
+            assert len(got) == 4, (p, q1, q2)
+            for q in (q1, q2):
+                assert sum(_eval_pair(q, r, field) == (0, 0) for r in got) == 2, (p, q1, q2)
+
+
+def test_closed_form_check_catches_a_wrong_pairing():
+    # A copy of fppoly whose closed form pairs each trace with the other
+    # factor's norm is stopped by the check that the factors multiply back.
+    src = inspect.getsource(fppoly)
+    right = "((e1, f1), (e2, f2)) if E is S else ((f1, e1), (f2, e2))"
+    wrong = "((e1, f2), (e2, f1)) if E is S else ((f2, e1), (f1, e2))"
+    assert src.count(right) == 1
+    mutant = types.ModuleType("superspecial.fppoly_mispaired")
+    mutant.__package__ = "superspecial"
+    exec(compile(src.replace(right, wrong), fppoly.__file__, "exec"), mutant.__dict__)
+    p = 997
+    field = Fp2Field.of(p)
+    rng = random.Random(17)
+    s1, n1 = _random_irreducible(rng, p)
+    s2, n2 = _random_irreducible(rng, p)
+    assert s1 != s2 and n1 != n2
+    f = _mul(_poly([n1, -s1, 1], p), _poly([n2, -s2, 1], p), p)
+    with pytest.raises(RuntimeError, match="closed-form split failed"):
+        mutant.roots_in_fp2(f, field)
+    assert len(roots_in_fp2(f, field)) == 4
 
 
 def test_int64_overflow_guard_falls_back_exactly():
