@@ -82,29 +82,39 @@ def sqrt_mod(a: int, p: int) -> int:
         return 0
     if legendre(a, p) != 1:
         raise ValueError(f"{a} is not a quadratic residue mod {p}")
+    return _tonelli_shanks(a, p, None if p % 4 == 3 else canonical_nonresidue(p))
+
+
+def _tonelli_shanks(a: int, p: int, z: int | None) -> int:
+    """The smaller square root of the non-zero residue a mod the odd prime p,
+    given a non-residue z (read only when p = 1 mod 4); raises ValueError
+    if the result does not square to a."""
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # Tonelli-Shanks: write p-1 = q * 2^s with q odd.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = canonical_nonresidue(p)
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
+    else:
+        # Write p-1 = q * 2^s with q odd.
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        c = pow(z, q, p)
+        r = pow(a, (q + 1) // 2, p)
+        t = pow(a, q, p)
+        m = s
+        while t != 1:
+            t2, i = t * t % p, 1
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            if i >= m:  # a is a non-residue, or z is not one
+                break
+            b = pow(c, 1 << (m - i - 1), p)
+            r = r * b % p
+            c = b * b % p
+            t = t * c % p
+            m = i
+    if r * r % p != a % p:
+        raise ValueError(f"Tonelli-Shanks found no square root of {a} mod {p}")
     return min(r, p - r)
 
 

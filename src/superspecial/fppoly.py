@@ -17,16 +17,22 @@ Root finding follows a gcd-with-Frobenius strategy:
   2. g splits into its linear part g1 = gcd(g, x^p - x), whose roots lie in
      F_p and are extracted by a vectorized scan of the prime field
      (roots_in_prime_field, refused for p above PRIME_SCAN_MAX), and
-     g2 = g / g1, a product of distinct irreducible quadratics.  g2 is
-     split by the Legendre ladder gcd(g2, (x+c)^((p^2-1)/2) - 1) for
-     c = 0, 1, 2, ...; conjugate root pairs share the norm (x+c)(x^p+c), so
-     they stay together and the ladder separates distinct quadratic factors.
-     A node of two factors is finished in closed form instead: x + x^p and
-     x * x^p are the pairs (trace, norm) of the two factors, read off by
-     solving one quadratic over F_p.  So the ladder runs only on nodes of
-     three or more factors (a character-sum bound guarantees a separating c
-     for p >= 11, and at p = 5 and 7 no two irreducible quadratics agree on
-     every rung).
+     g2 = g / g1, a product of m distinct irreducible quadratics
+     x^2 - s_i x + n_i.  Modulo g2, x + x^p takes the trace s_i and x * x^p
+     the norm n_i on the i-th factor, so the trace form gives the power sums
+     sum_i s_i^j n_i^l; the moment solve reads every factor off them in one
+     pass (baby-step/giant-step power projection, Newton's identities, a scan
+     of F_p for the distinct traces and a transposed Vandermonde solve for
+     each trace's multiplicity and norms), with no gcd tree, and checks that
+     the factors multiply back.  It runs when m < p (Newton's identities
+     divide by 1..m), m <= MOMENT_MAX_FACTORS and p <= MOMENT_MAX_PRIME, the
+     measured crossovers.  A larger node takes a step of the Legendre ladder
+     gcd(g2, (x+c)^((p^2-1)/2) - 1) for c = 0, 1, 2, ... first; conjugate
+     root pairs share the norm (x+c)(x^p+c), so they stay together and the
+     ladder separates distinct quadratic factors.  Nodes with m >= p, and
+     every node at p above MOMENT_MAX_PRIME, take the ladder down to single
+     factors (a character-sum bound guarantees a separating c for p >= 11,
+     and at p = 5 and 7 no two irreducible quadratics agree on every rung).
   3. Each quadratic x^2 - s x + n is solved by descending to F_p: its
      discriminant is d times a square, so the root is (s + t*sqrt(disc/d))/2
      with a Tonelli-Shanks square root in the prime field.
@@ -37,9 +43,11 @@ reversed modulus, which keeps the hot loop inside C-speed convolutions.
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
-from .ffield import Fp2Field, is_prime, sqrt_mod
+from .ffield import Fp2Field, _tonelli_shanks, is_prime, legendre
 
 _INT64_SAFE = (1 << 62)
 
@@ -47,6 +55,28 @@ _INT64_SAFE = (1 << 62)
 # int64 arrays of length p.  Not below sslocus.CENSUS_MAX_PRIME, so every
 # census it admits can be scanned.
 PRIME_SCAN_MAX = 10**6
+
+# Largest node, in irreducible quadratic factors, that _split_quadratics
+# finishes by the moment solve; a larger node takes a ladder step first.
+# Measured crossover (random products of m distinct irreducible quadratics,
+# best of 3, 2-vCPU Xeon VM, Python 3.11, numpy 2.4; moment solve at once
+# against one ladder step and moment solves of the children), p = 997, 4999,
+# 10007: m = 128 took 15.5 / 20.3 / 20.3 ms against 17.2 / 21.8 / 25.7 ms,
+# m = 160 took 28.4 / 31.4 / 30.8 ms against 25.8 / 29.5 / 35.5 ms, and
+# m = 256 took 80 / 69 / 83 ms against 57 / 56 / 69 ms.  The ladder alone
+# took 74 / 95 / 91 ms at m = 128.
+MOMENT_MAX_FACTORS = 128
+
+# Largest prime at which _split_quadratics uses the moment solve.  It scans
+# F_p for the traces, a pass over p residues per degree, so at large p the
+# ladder wins.  Measured as above, moment solve against the ladder alone,
+# m = 2, 4, 8, 32, 64, 128: at p = 20011 1.2 / 1.5 / 2.4 / 6.9 / 14 / 36 ms
+# against 1.7 / 1.3 / 4.4 / 21 / 46 / 90 ms; at p = 49999 1.9 / 2.4 / 3.8 /
+# 11 / 18 / 45 ms against 0.4 / 1.4 / 3.8 / 19 / 34 / 89 ms; at p = 99991
+# 4.0 / 5.0 / 7.0 / 20 / 38 / 73 ms against 1.0 / 2.1 / 4.9 / 23 / 49 / 53 ms;
+# at p = 199999, m = 16 and 128, 25 and 157 ms against 10 and 84 ms.  Below
+# PRIME_SCAN_MAX, so every scan it asks for is allowed.
+MOMENT_MAX_PRIME = 50_000
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -242,77 +272,172 @@ def _quadratic_roots(B: int, C: int, field: Fp2Field) -> list[tuple[int, int]]:
     p, d = field.p, field.d
     disc = (B * B - 4 * C) % p
     # Irreducible means disc is a non-residue, so disc/d is a square in F_p.
-    w = sqrt_mod(disc * pow(d, p - 2, p) % p, p)
+    w = _tonelli_shanks(disc * pow(d, p - 2, p) % p, p, d)
     inv2 = pow(2, p - 2, p)
     a = (-B) * inv2 % p
     b = w * inv2 % p
     return [(a, b), (a, -b % p)]
 
 
-def _split_pair(h: np.ndarray, xp_h: np.ndarray, p: int) -> list[tuple[int, int]]:
-    """The factors (B, C) of a product h of two distinct irreducible quadratics
-    x^2 + B x + C, in closed form from xp_h = x^p mod h.
+def _trace_and_norm(ctx: _Modulus, xp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S = x + x^p and N = x^(p+1) mod ctx.m, both padded to length ctx.n >= 2,
+    from xp = x^p mod ctx.m.
 
-    Modulo h = q1 q2 with q_i = x^2 - s_i x + n_i, S = x + x^p is the pair
-    (s1, s2) and N = x * x^p the pair (n1, n2): each root and its conjugate
-    sum to s_i and multiply to n_i.  Distinct factors differ in s or in n, so
-    one of S, N is not constant; call it E = (e1, e2).  It is a root of
-    y^2 - sigma1 y + sigma2 with sigma1 = e1 + e2 and sigma2 = e1 e2, read off
-    from E^2 = sigma1 E - sigma2, so e1 and e2 are one square root in F_p
-    apart.  The other element is alpha + beta E, which pairs each e_i with its
-    partner.  The factors are checked to multiply back to h.
+    On a factor x^2 - s x + n of the modulus, whose roots are a conjugate
+    pair, S is the trace s and N the norm n.  N is x^p shifted up and reduced
+    once by the monic ctx.m.
     """
-    inv_lc = pow(int(h[-1]), p - 2, p)
-    h0, h1, h2, h3 = (int(c) * inv_lc % p for c in h[:4])
-    xp = [int(c) for c in xp_h] + [0] * (4 - len(xp_h))
-    S = [xp[0], (xp[1] + 1) % p, xp[2], xp[3]]
-    # x * x^p: shift up, then one reduction step by the monic h.
-    top = xp[3]
-    N = [-top * h0 % p, (xp[0] - top * h1) % p, (xp[1] - top * h2) % p,
-         (xp[2] - top * h3) % p]
-    E, F = (S, N) if any(S[1:]) else (N, S)
-    sq = [0] * 7
-    for i, ei in enumerate(E):
-        for j, ej in enumerate(E):
-            sq[i + j] += ei * ej
-    # E^2 mod h, from the top: x^k = -x^(k-4) (h0 + h1 x + h2 x^2 + h3 x^3) mod h.
-    for k in (6, 5, 4):
-        t = sq[k] % p
-        sq[k - 4] -= t * h0
-        sq[k - 3] -= t * h1
-        sq[k - 2] -= t * h2
-        sq[k - 1] -= t * h3
-    k = next(i for i in (1, 2, 3) if E[i])
-    inv_ek = pow(E[k], p - 2, p)
-    sigma1 = sq[k] * inv_ek % p
-    sigma2 = (sigma1 * E[0] - sq[0]) % p
-    root = sqrt_mod(sigma1 * sigma1 - 4 * sigma2, p)
-    inv2 = pow(2, p - 2, p)
-    e1, e2 = (sigma1 + root) * inv2 % p, (sigma1 - root) * inv2 % p
-    beta = F[k] * inv_ek % p
-    alpha = F[0] - beta * E[0]
-    f1, f2 = (alpha + beta * e1) % p, (alpha + beta * e2) % p
-    (s1, n1), (s2, n2) = ((e1, f1), (e2, f2)) if E is S else ((f1, e1), (f2, e2))
-    if ((s1 + s2 + h3) % p or (n1 + n2 + s1 * s2 - h2) % p
-            or (s1 * n2 + s2 * n1 + h1) % p or (n1 * n2 - h0) % p):
-        raise RuntimeError(
-            f"closed-form split failed: (x^2 - {s1}x + {n1})(x^2 - {s2}x + {n2}) "
-            f"is not the node {[h0, h1, h2, h3, 1]} mod {p}")
-    return [(-s1 % p, n1), (-s2 % p, n2)]
+    n, p = ctx.n, ctx.p
+    shifted = np.zeros(n + 1, dtype=np.int64)
+    shifted[1 : len(xp) + 1] = xp
+    norm = (shifted[:n] - shifted[n] * ctx.m[:n]) % p
+    trace = np.zeros(n, dtype=np.int64)
+    trace[: len(xp)] = xp
+    trace[1] = (trace[1] + 1) % p
+    return trace, norm
+
+
+def _from_power_sums(P: np.ndarray, p: int) -> np.ndarray:
+    """The monic polynomial whose k = len(P) - 1 roots have power sums P[1..k]
+    (P[0] is not read).
+
+    With Q(y) = prod (1 - r y), -y Q'/Q = sum_{j >= 1} P_j y^j gives Newton's
+    identities j q_j = -sum_{i=1..j} P_i q_{j-i}; they divide by j <= k, so
+    k < p.  The monic polynomial is Q reversed.
+    """
+    k = len(P) - 1
+    q = np.zeros(k + 1, dtype=np.int64)
+    q[0] = 1
+    for j in range(1, k + 1):
+        q[j] = -int(np.dot(P[1 : j + 1], q[j - 1 :: -1])) * pow(j, p - 2, p) % p
+    return q[::-1].copy()
+
+
+def _vandermonde_inverse(xs: np.ndarray, p: int) -> np.ndarray:
+    """The matrix that takes (sum_k x_k^j u_k for j < D) to (u_k) for D distinct
+    residues x_k: the transposed Vandermonde system, solved in O(D^2).
+
+    Row k holds the coefficients of M / (y - x_k), M = prod (y - x), divided by
+    M'(x_k): that quotient vanishes at every other x and is M'(x_k) at x_k.
+    """
+    D = len(xs)
+    M = np.ones(1, dtype=np.int64)
+    for x in xs.tolist():
+        M = np.convolve(M, (-x % p, 1)) % p
+    # Synthetic division of M by every (y - x_k) at once, from the top.
+    Q = np.zeros((D, D), dtype=np.int64)
+    Q[:, D - 1] = 1
+    for j in range(D - 1, 0, -1):
+        Q[:, j - 1] = (M[j] + xs * Q[:, j]) % p
+    deriv = np.ones(D, dtype=np.int64)
+    for j in range(D - 2, -1, -1):
+        deriv = (deriv * xs + Q[:, j]) % p
+    inv = np.array([pow(int(v), p - 2, p) for v in deriv], dtype=np.int64)
+    return Q * inv[:, None] % p
+
+
+def _split_by_moments(h: np.ndarray, xp_h: np.ndarray, p: int) -> list[tuple[int, int]]:
+    """The factors (B, C) of a product h of m distinct irreducible quadratics
+    x^2 + B x + C, from the power sums of their traces and norms; m < p.
+
+    Modulo h, S = x + x^p and N = x x^p take the trace s_i and the norm n_i
+    on the i-th factor, so the trace form gives Tr(S^j N^l) = 2 sum_i s_i^j n_i^l.
+    Tr(A) is the dot product of A's coefficients with the power sums tau_t of
+    the roots of h (-y R'/R = sum_{t >= 1} tau_t y^t for R = h reversed), so
+    the moments come from baby steps S^b (b < r ~ sqrt(m + 1), one
+    functional t -> Tr(S^b x^t) each), giant steps W G^i (G = S^r, weight
+    W = N^l) and one matrix product.  Newton's identities on sum_i s_i^j
+    (j <= m) give prod (y - s_i), whose distinct roots s are read off F_p; a
+    transposed Vandermonde solve on them gives each trace's multiplicity and
+    the power sums of its norms, and a trace shared by several factors has
+    its norms found as the roots of one more Newton polynomial.  The factors
+    are checked: m of them, multiplying back to h, each irreducible.
+    """
+    ctx = _Modulus(h, p)
+    n, node = ctx.n, ctx.m
+    m = n // 2
+    # Every correlation and matrix product below sums n products of residues.
+    assert n * (p - 1) * (p - 1) < (1 << 63)
+    S, N = (_trim(v) for v in _trace_and_norm(ctx, xp_h))
+    rev = node[::-1].copy()
+    series = _mul(_trim(-rev * np.arange(n + 1) % p),
+                  _newton_inverse(rev, 2 * n - 1, p), p)[: 2 * n - 1]
+    tau = np.zeros(2 * n - 1, dtype=np.int64)
+    tau[: len(series)] = series
+    tau[0] = n % p
+
+    r = isqrt(m) + 1
+    powers = [np.ones(1, dtype=np.int64), S]
+    while len(powers) <= r:
+        powers.append(ctx.mulmod(powers[-1], S))
+    giant = powers.pop()
+    functionals = np.zeros((r, n), dtype=np.int64)
+    for b, sb in enumerate(powers):
+        if len(sb):
+            functionals[b] = np.correlate(tau[: n + len(sb) - 1], sb, "valid") % p
+    half = (p + 1) // 2
+
+    def moments(weight: np.ndarray, count: int) -> np.ndarray:
+        """sum_i s_i^j w_i for j < count, where weight takes w_i on factor i."""
+        rows = np.zeros((-(-count // r), n), dtype=np.int64)
+        for i in range(len(rows)):
+            if i:
+                weight = ctx.mulmod(weight, giant)
+            rows[i, : len(weight)] = weight
+        return (rows @ functionals.T % p).ravel()[:count] * half % p
+
+    def failed(what: str) -> RuntimeError:
+        return RuntimeError(f"moment solve failed on the node {node.tolist()} mod {p}: {what}")
+
+    power_sums = moments(np.ones(1, dtype=np.int64), m + 1)
+    traces = np.array(roots_in_prime_field(_from_power_sums(power_sums, p), p), dtype=np.int64)
+    solve = _vandermonde_inverse(traces, p)
+    mult = solve @ power_sums[: len(traces)] % p
+    if int(mult.sum()) != m:
+        raise failed(f"{int(mult.sum())} factors counted by trace, expected {m}")
+    # Column l - 1 holds sum_i s_i^j n_i^l for j < D; once solved, row k holds
+    # the power sums n^1, n^2, ... of the norms of the factors of trace traces[k].
+    columns, norm_power = [], N
+    for l in range(1, int(mult.max()) + 1):
+        if l > 1:
+            norm_power = ctx.mulmod(norm_power, N)
+        columns.append(moments(norm_power, len(traces)))
+    norm_sums = solve @ np.column_stack(columns) % p
+
+    pairs = []
+    for s, mu, sums in zip(traces.tolist(), mult.tolist(), norm_sums.tolist()):
+        if mu == 1:
+            pairs.append((s, sums[0]))
+        else:
+            norms = _from_power_sums(np.array([mu] + sums[:mu], dtype=np.int64), p)
+            pairs.extend((s, nrm) for nrm in roots_in_prime_field(norms, p))
+    if len(pairs) != m:
+        raise failed(f"{len(pairs)} factors found, expected {m}")
+    product = np.ones(1, dtype=np.int64)
+    for s, nrm in pairs:
+        product = _mul(product, np.array([nrm, -s % p, 1], dtype=np.int64), p)
+    if not np.array_equal(product, node):
+        raise failed("the factors found do not multiply back to it")
+    for s, nrm in pairs:
+        if legendre(s * s - 4 * nrm, p) != -1:
+            raise failed(f"the factor x^2 - {s}x + {nrm} is reducible")
+    return [(-s % p, nrm) for s, nrm in pairs]
 
 
 def _split_quadratics(h: np.ndarray, xp_h: np.ndarray, p: int) -> list[tuple[int, int]]:
     """Split a squarefree product of irreducible quadratics into (B, C) pairs.
 
-    Nodes of one or two factors are finished directly (_split_pair).  Larger
-    ones take the Legendre ladder, splitting on norms: (x+c)^(p+1) =
-    (x^p+c)(x+c) = x^(p+1) + c(x^p + x) + c^2, so with x^p carried down the
-    tree and x^(p+1) formed once per node, each ladder step costs a scaled
-    vector sum plus a (p-1)/2 power.  Conjugate roots share the norm, so
-    gcd(h, ((x^p+c)(x+c))^((p-1)/2) - 1) groups whole quadratic factors; a
-    character-sum bound guarantees some c separates distinct factors for
-    p >= 11 (at p = 5 and 7 no two irreducible quadratics agree on every
-    rung), and children resume the ladder past the c their ancestors used.
+    A node of m factors is finished by the moment solve (_split_by_moments)
+    when m < p, m <= MOMENT_MAX_FACTORS and p <= MOMENT_MAX_PRIME.  Any other
+    node of two or more factors takes one step of the Legendre ladder,
+    splitting on norms: (x+c)^(p+1) = (x^p+c)(x+c) = x^(p+1) + c(x^p + x) + c^2,
+    so with x^p carried down the tree and x^(p+1) formed once per node, each
+    ladder step costs a scaled vector sum plus a (p-1)/2 power.  Conjugate
+    roots share the norm, so gcd(h, ((x^p+c)(x+c))^((p-1)/2) - 1) groups whole
+    quadratic factors; a character-sum bound guarantees some c separates
+    distinct factors for p >= 11 (at p = 5 and 7 no two irreducible quadratics
+    agree on every rung), and children resume the ladder past the c their
+    ancestors used.
     """
     out: list[tuple[int, int]] = []
     stack = [(h, xp_h, 0)]
@@ -327,20 +452,13 @@ def _split_quadratics(h: np.ndarray, xp_h: np.ndarray, p: int) -> list[tuple[int
             inv_lc = pow(int(cur[-1]), p - 2, p)
             out.append((int(cur[1]) * inv_lc % p, int(cur[0]) * inv_lc % p))
             continue
-        if deg == 4:
-            out.extend(_split_pair(cur, xp_cur, p))
+        if deg // 2 < p and deg // 2 <= MOMENT_MAX_FACTORS and p <= MOMENT_MAX_PRIME:
+            out.extend(_split_by_moments(cur, xp_cur, p))
             continue
         ctx = _Modulus(cur, p)
-        # The rung-c norm is N + c*S + c^2 with N = x^(p+1) and S = x^p + x
-        # mod cur, both padded to length deg.  N is x^p shifted up and reduced
-        # once by the monic ctx.m.  Every term is reduced below p first, so
-        # each entry of c*S + N + c^2 stays below p^2 < 2^62.
-        norm_n = np.zeros(deg + 1, dtype=np.int64)
-        norm_n[1 : len(xp_cur) + 1] = xp_cur
-        norm_n = (norm_n[:deg] - norm_n[deg] * ctx.m[:deg]) % p
-        norm_s = np.zeros(deg, dtype=np.int64)
-        norm_s[: len(xp_cur)] = xp_cur
-        norm_s[1] = (norm_s[1] + 1) % p
+        # The rung-c norm is N + c*S + c^2.  Every term is reduced below p
+        # first, so each entry of c*S + N + c^2 stays below p^2 < 2^62.
+        norm_s, norm_n = _trace_and_norm(ctx, xp_cur)
         for c in range(c0, c0 + p):
             cp = c % p
             v = cp * norm_s

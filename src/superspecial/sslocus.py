@@ -134,7 +134,11 @@ def census(p: int) -> Census:
             # root in F_{p^2}; anything else is a root-finder regression.
             raise CensusInvariantError(
                 f"p={p}: found {len(lambdas)} Legendre parameters, expected {(p - 1) // 2}")
-        js = {lambda_to_j(lam, field) for lam in lambdas}
+        # The roots are closed under lam -> 1 - lam, and j(lam) = j(1 - lam):
+        # map only the lexicographically smaller of each pair (lam = 1/2 is
+        # its own partner).
+        js = {lambda_to_j(lam, field) for lam in lambdas
+              if lam <= ((1 - lam[0]) % p, -lam[1] % p)}
     result = Census(p, tuple(sorted(js)))
     result.validate()
     return result

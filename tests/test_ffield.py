@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from superspecial.ffield import (Fp2Field, canonical_nonresidue, format_pair, frobenius,
-                                 is_prime, lambda_to_j, legendre, parse_pair, sqrt_mod)
+from superspecial.ffield import (Fp2Field, _tonelli_shanks, canonical_nonresidue, format_pair,
+                                 frobenius, is_prime, lambda_to_j, legendre, parse_pair, sqrt_mod)
 
 
 # A reference F_{p^2} on residue pairs (a, b) = a + b t, t^2 = d, written
@@ -82,6 +82,27 @@ def test_sqrt_mod():
             r = a * a % p
             s = sqrt_mod(r, p)
             assert s * s % p == r
+
+
+def test_tonelli_shanks_core_matches_sqrt_mod():
+    # p - 1 has 2-adic valuation 2, 4, 5 and 6.  The core takes its
+    # non-residue from the caller, so it runs no primality test.
+    for p in (13, 17, 97, 193):
+        d = canonical_nonresidue(p)
+        for a in range(1, p):
+            if legendre(a, p) == 1:
+                assert _tonelli_shanks(a, p, d) == sqrt_mod(a, p), (p, a)
+            else:
+                with pytest.raises(ValueError, match="no square root"):
+                    _tonelli_shanks(a, p, d)
+        # A residue in place of the non-residue: a right root or a ValueError.
+        z = next(z for z in range(2, p) if legendre(z, p) == 1)
+        for a in range(1, p):
+            try:
+                r = _tonelli_shanks(a, p, z)
+            except ValueError:
+                continue
+            assert r * r % p == a, (p, z, a)
 
 
 def test_frobenius_examples():

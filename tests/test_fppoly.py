@@ -211,7 +211,7 @@ def test_roots_with_repeated_factors():
         irr = _poly([-d, 0, 1], p)
         got = roots_in_fp2(_mul(sq, irr, p), field)
         assert got == {(2, 0), (0, 1), (0, p - 1)}
-        # Squared irreducible quadratics: the ladder must still see each pair once.
+        # Squared irreducible quadratics: the splitting must still see each pair once.
         irr2 = _poly([-4 * d, 0, 1], p)  # roots 2t, -2t
         f = sq
         for factor in (irr, irr, irr2, irr2):
@@ -239,17 +239,47 @@ def _products_against_scans(p, k):
 
 
 def test_all_quadratic_pairs_split_at_tiny_p():
-    # Every product of two distinct irreducible quadratics, which the closed
-    # form solves without the ladder.
+    # Every product of two distinct irreducible quadratics: m = 2 < p, so the
+    # moment solve takes each one whole.
     for p in (5, 7, 11, 13):
         _products_against_scans(p, 2)
 
 
 def test_all_quadratic_triples_split_at_tiny_p():
     # Below p = 11 the character-sum argument for ladder termination is
-    # vacuous, and only nodes of three or more factors reach the ladder.
+    # vacuous; here the moment solve takes every node.
     for p in (5, 7):
         _products_against_scans(p, 3)
+
+
+def _spy_moment_solves(monkeypatch):
+    """The factor counts of the nodes the moment solve is called on."""
+    sizes = []
+    real = fppoly._split_by_moments
+
+    def spy(h, xp_h, p):
+        sizes.append((len(h) - 1) // 2)
+        return real(h, xp_h, p)
+
+    monkeypatch.setattr(fppoly, "_split_by_moments", spy)
+    return sizes
+
+
+def test_all_quadratic_quadruples_split_at_p5(monkeypatch):
+    # At p = 5 each trace belongs to exactly two irreducible quadratics, so
+    # four factors always share a trace: the moment solve finds those norms
+    # as the roots of a second Newton polynomial.
+    sizes = _spy_moment_solves(monkeypatch)
+    _products_against_scans(5, 4)
+    assert sizes and set(sizes) == {4}
+
+
+def test_all_quadratic_quintuples_take_the_ladder_at_p5(monkeypatch):
+    # m = 5 = p: Newton's identities would divide by p, so every node of five
+    # factors takes a ladder step and only its children reach the moment solve.
+    sizes = _spy_moment_solves(monkeypatch)
+    _products_against_scans(5, 5)
+    assert sizes and max(sizes) < 5
 
 
 def _random_irreducible(rng, p, s=None, n=None):
@@ -261,10 +291,11 @@ def _random_irreducible(rng, p, s=None, n=None):
             return s_, n_
 
 
-def test_random_quadratic_pairs_split_in_closed_form():
+def test_random_quadratic_pairs_split():
     # Pairs with distinct traces and norms, with equal traces (x + x^p is
-    # constant, so the norms are solved for) and with equal norms.  Four
-    # distinct roots, two of each factor, are the whole root set.
+    # constant) and with equal norms; the moment solve takes them at p = 997
+    # and the ladder at p = 2^31 - 1.  Four distinct roots, two of each
+    # factor, are the whole root set.
     rng = random.Random(16)
     for p in (997, _P31):
         field = Fp2Field.of(p)
@@ -275,19 +306,64 @@ def test_random_quadratic_pairs_split_in_closed_form():
                                              n=n1 if shared == "norm" else None)
                 if (s2, n2) != (s1, n1):
                     break
-            q1, q2 = _poly([n1, -s1, 1], p), _poly([n2, -s2, 1], p)
-            got = roots_in_fp2(_mul(q1, q2, p), field)
-            assert len(got) == 4, (p, q1, q2)
-            for q in (q1, q2):
-                assert sum(_eval_pair(q, r, field) == (0, 0) for r in got) == 2, (p, q1, q2)
+            _check_split(field, [(s1, n1), (s2, n2)])
 
 
-def test_closed_form_check_catches_a_wrong_pairing():
-    # A copy of fppoly whose closed form pairs each trace with the other
-    # factor's norm is stopped by the check that the factors multiply back.
+def _check_split(field, pairs):
+    """roots_in_fp2 on the product of the distinct irreducible x^2 - s x + n of
+    pairs: 2 m roots, exactly two of them roots of each factor."""
+    p = field.p
+    factors = [_poly([n, -s, 1], p) for s, n in pairs]
+    f = _poly([1], p)
+    for q in factors:
+        f = _mul(f, q, p)
+    got = roots_in_fp2(f, field)
+    assert len(got) == 2 * len(pairs), (p, pairs)
+    for q in factors:
+        assert sum(_eval_pair(q, r, field) == (0, 0) for r in got) == 2, (p, q)
+
+
+def _node_with_shared_traces_and_norms(rng, p, m):
+    """m distinct (s, n) with x^2 - s x + n irreducible: one trace shared by at
+    least three factors, one norm shared by at least two, the rest random."""
+    pairs = set()
+    s0, n0 = _random_irreducible(rng, p)
+    while len(pairs) < min(4, m):
+        pairs.add(_random_irreducible(rng, p, s=s0))
+    while len(pairs) < min(7, m):
+        pairs.add(_random_irreducible(rng, p, n=n0))
+    while len(pairs) < m:
+        pairs.add(_random_irreducible(rng, p))
+    return sorted(pairs)
+
+
+def test_random_nodes_with_shared_traces_and_norms(monkeypatch):
+    # Up to the bound the moment solve takes the node whole; above it (and at
+    # m >= p) a ladder step comes first and its children are solved by
+    # moments.  Above MOMENT_MAX_PRIME the ladder takes every node.
+    sizes = _spy_moment_solves(monkeypatch)
+    rng = random.Random(18)
+    bound = fppoly.MOMENT_MAX_FACTORS
+    big = next(p for p in range(fppoly.MOMENT_MAX_PRIME + 1, 2 * fppoly.MOMENT_MAX_PRIME)
+               if _is_prime(p))
+    for p, m in ((101, 5), (101, 12), (101, 40), (101, 120), (997, 9), (997, 60),
+                 (997, bound), (997, bound + 3), (big, 8)):
+        sizes.clear()
+        _check_split(Fp2Field.of(p), _node_with_shared_traces_and_norms(rng, p, m))
+        if p > fppoly.MOMENT_MAX_PRIME:
+            assert sizes == [], (p, m)
+        elif m < p and m <= bound:
+            assert sizes == [m], (p, m)
+        else:
+            assert sizes and max(sizes) < m, (p, m)
+
+
+def test_moment_solve_check_catches_a_wrong_pairing():
+    # A copy of fppoly whose moment solve pairs each trace with another
+    # trace's norm sums is stopped by the check that the factors multiply back.
     src = inspect.getsource(fppoly)
-    right = "((e1, f1), (e2, f2)) if E is S else ((f1, e1), (f2, e2))"
-    wrong = "((e1, f2), (e2, f1)) if E is S else ((f2, e1), (f1, e2))"
+    right = "zip(traces.tolist(), mult.tolist(), norm_sums.tolist())"
+    wrong = "zip(traces.tolist(), mult.tolist(), np.roll(norm_sums, 1, axis=0).tolist())"
     assert src.count(right) == 1
     mutant = types.ModuleType("superspecial.fppoly_mispaired")
     mutant.__package__ = "superspecial"
@@ -295,13 +371,16 @@ def test_closed_form_check_catches_a_wrong_pairing():
     p = 997
     field = Fp2Field.of(p)
     rng = random.Random(17)
-    s1, n1 = _random_irreducible(rng, p)
-    s2, n2 = _random_irreducible(rng, p)
-    assert s1 != s2 and n1 != n2
-    f = _mul(_poly([n1, -s1, 1], p), _poly([n2, -s2, 1], p), p)
-    with pytest.raises(RuntimeError, match="closed-form split failed"):
+    pairs = {}
+    while len(pairs) < 6:
+        s, n = _random_irreducible(rng, p)
+        pairs[s] = n  # distinct traces: every multiplicity is 1
+    f = _poly([1], p)
+    for s, n in pairs.items():
+        f = _mul(f, _poly([n, -s, 1], p), p)
+    with pytest.raises(RuntimeError, match="moment solve failed on the node .*multiply back"):
         mutant.roots_in_fp2(f, field)
-    assert len(roots_in_fp2(f, field)) == 4
+    assert len(roots_in_fp2(f, field)) == 12
 
 
 def test_int64_overflow_guard_falls_back_exactly():

@@ -10,6 +10,7 @@ import pytest
 
 from superspecial import sslocus
 from superspecial.ffield import Fp2Field, frobenius, is_prime, lambda_to_j
+from superspecial.fppoly import hasse_poly, roots_in_fp2
 from superspecial.sslocus import (CENSUS_MAX_PRIME, Census, CensusCache, CensusInvariantError,
                                   census, class_number_crosscheck, decode_census,
                                   eichler_mass, encode_census, trace_R_pi0,
@@ -39,6 +40,31 @@ def test_census_examples():
     c37 = census(37)  # j = 3 +- 10t, a Frobenius pair, and j = 8
     assert c37.j_points == ((3, 10), (3, 27), (8, 0))
     assert (c37.involution, c37.H, c37.F, c37.T) == ((1, 0, 2), 3, 1, 2)
+
+
+def test_lambda_pairs_share_j_and_census_maps_one_of_each(monkeypatch):
+    # The Legendre roots are closed under lam -> 1 - lam with j(lam) = j(1 - lam),
+    # so census maps one of each pair; lam = 1/2 (a root at p = 3 mod 4,
+    # where j = 1728 is supersingular) is its own partner.
+    calls = []
+
+    def counted(lam, field):
+        calls.append(lam)
+        return lambda_to_j(lam, field)
+
+    monkeypatch.setattr(sslocus, "lambda_to_j", counted)
+    for p in (11, 13, 97, 101):
+        field = Fp2Field.of(p)
+        roots = roots_in_fp2(hasse_poly(p), field)
+        partners = {lam: ((1 - lam[0]) % p, -lam[1] % p) for lam in roots}
+        assert set(partners.values()) == roots, p
+        for lam, partner in partners.items():
+            assert lambda_to_j(lam, field) == lambda_to_j(partner, field), (p, lam)
+        half = ((p + 1) // 2, 0)
+        assert (half in roots) == (p % 4 == 3), p
+        calls.clear()
+        assert census(p) == Census(p, tuple(sorted({lambda_to_j(lam, field) for lam in roots})))
+        assert len(calls) == (len(roots) + (half in roots)) // 2, p
 
 
 def test_census_hard_coded_small_primes():
