@@ -41,27 +41,37 @@ obstruction, so a defined factored value always equals the kernel trace.
 Computation: x is labelled row_min[x] = min(xK), the least element of its
 K-coset, by one (n x |K|) gather taken once per orbital_trace and shared by
 both sides.  The kernel side labels each x min(Gamma x K), the least over
-gamma of row_min[gamma x], by one (|Gamma| x n) gather.  The hits of the
-Gamma-classes are (classes x n) gathers in row blocks, of which only the rows
-of classes with hits are kept; a class without hits has O_gamma = 0 and lies
-in neither delta set, so it contributes nothing and is skipped.  For the
-others, |C_Gamma(gamma)| is a Gamma-mask counted over the G-centralizer, and
-the coset form of O_gamma walks the K-coset labels inside
-the support in ascending order: each label not yet covered is the least
-element of a new G_gamma a K and covers that double coset's labels
-row_min[c a], c in G_gamma, with one |G_gamma| gather.
+gamma of row_min[gamma x], by one (|Gamma| x n) gather.  The Gamma-classes
+are read off class labels (`Group.conjugacy_partition` over Gamma's
+generators), and every element of G carries its G-class label
+(`Group.class_labels`, computed once per group).  The hit count of a class,
+#{x in G : x^{-1} gamma x in pi K}, is (n / |gamma^G|) * #{y in pi K : y is
+G-conjugate to gamma}, read off one bincount of the labels over pi K for
+every class at once, and delta_f membership is equality of gamma's and pi's
+G-labels; so the delta sets need no per-class work.  A class without hits
+has O_gamma = 0 and lies in neither delta set, so it contributes nothing and
+is skipped.  For the others, |C_Gamma(gamma)| is a Gamma-mask counted over
+the G-centralizer.  Since pi normalizes K, the hits of gamma are a union of
+K-cosets xK, so the K-coset labels a with a^{-1} gamma a in pi K are its
+support, one gather over the n / |K| labels; |K| times their number must
+equal the count.  The coset form of O_gamma walks those labels in ascending
+order: each label not yet covered is the least element of a new G_gamma a K
+and covers that double coset's labels row_min[c a], c in G_gamma, with one
+|G_gamma| gather.  The two forms of O_gamma agree exactly when the walked
+double cosets' sizes |G_gamma| |K| / |G_gamma ∩ aKa^{-1}| sum to the count,
+which is checked in integers.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .exactnum import frac_dict
-from .finitegroup import _BLOCK_ENTRIES, Group, GroupConstructionError, group_from_kind
+from .finitegroup import Group, GroupConstructionError, group_from_kind
 
 
 class InvariantViolation(Exception):
@@ -78,6 +88,7 @@ class FiniteGroupModel:
     gamma: tuple[int, ...]  # sorted subgroup of "rational" elements
     k: tuple[int, ...]  # sorted level subgroup
     pi: int
+    gamma_gens: tuple[int, ...] = field(compare=False)  # generators closed to gamma
 
 
 def build_model(group: Group, gamma_gens, k_gens, pi: int) -> FiniteGroupModel:
@@ -91,7 +102,8 @@ def build_model(group: Group, gamma_gens, k_gens, pi: int) -> FiniteGroupModel:
     if escapes.any():
         raise ModelSpecError(
             f"pi does not normalize K: conjugate element {conj[escapes.argmax()]} escapes K")
-    return FiniteGroupModel(group, tuple(gamma.tolist()), tuple(k.tolist()), pi)
+    return FiniteGroupModel(group, tuple(gamma.tolist()), tuple(k.tolist()), pi,
+                            tuple(map(int, gamma_gens)))
 
 
 def _check_indices(group: Group, indices) -> None:
@@ -170,28 +182,24 @@ class TraceReport:
 @dataclass(frozen=True)
 class _GammaClass:
     rep: int  # smallest element of the Gamma-conjugacy class
-    hits: np.ndarray | None  # hits[x]: x^{-1} rep x lies in pi K; None without hits
-    count: int  # number of hits
+    count: int  # hits: #{x in G : x^{-1} rep x lies in pi K}
     meets_pi_class: bool  # rep is G-conjugate to pi
 
 
 def _gamma_classes(model: FiniteGroupModel) -> list[_GammaClass]:
-    """The Gamma-classes; row j of a block's gather holds x^{-1} rep_j x for every x."""
+    """The Gamma-classes in ascending order of their least elements, counted
+    from G-class labels (see the module notes)."""
     G = model.group
-    in_pik = _mask(G.n, G.table[model.pi, np.array(model.k)])
-    in_pi_class = _mask(G.n, G.conj_class(model.pi))
-    reps = np.array([int(cls[0]) for cls in G.conjugacy_partition(np.array(model.gamma))])
-    classes = []
-    # Row blocks bound the (rows, n) gathers, as in finitegroup.
-    rows = max(1, _BLOCK_ENTRIES // G.n)
-    for lo in range(0, len(reps), rows):
-        block = reps[lo : lo + rows]
-        hits = in_pik[G.table[G.table[G.inv, block[:, None]], G.indices]]
-        counts = np.count_nonzero(hits, axis=1)
-        kept = iter(hits[counts > 0])
-        classes += [_GammaClass(rep, next(kept) if count else None, count, bool(in_pi_class[rep]))
-                    for rep, count in zip(block.tolist(), counts.tolist())]
-    return classes
+    gamma = np.array(model.gamma)
+    reps = np.unique(G.conjugacy_partition(gamma, model.gamma_gens)[gamma])
+    glab = G.class_labels
+    rep_lab = glab[reps]
+    class_size = np.bincount(glab, minlength=G.n)[rep_lab]
+    pik_hits = np.bincount(glab[G.table[model.pi, np.array(model.k)]], minlength=G.n)[rep_lab]
+    counts = G.n // class_size * pik_hits
+    meets = rep_lab == glab[model.pi]
+    return [_GammaClass(rep, count, meet)
+            for rep, count, meet in zip(reps.tolist(), counts.tolist(), meets.tolist())]
 
 
 def _deltas(classes: list[_GammaClass]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -212,29 +220,32 @@ def _coset_walk(G: Group, cent: np.ndarray, in_k: np.ndarray, row_min: np.ndarra
     return walk
 
 
-def _orbital_by_cosets(G: Group, cent: np.ndarray, in_k: np.ndarray, row_min: np.ndarray,
-                       starts: np.ndarray, cent_k: int) -> Fraction:
-    """O_gamma in coset-decomposed form: decompose the support E, given by the
-    labels `starts` of its K-cosets, into G_gamma \\ E / K double cosets and sum
-    vol(G_gamma ∩ aKa^{-1})^{-1} over them (see the module notes)."""
-    return sum((Fraction(cent_k, meet) for _, meet in _coset_walk(G, cent, in_k, row_min, starts)),
-               Fraction(0))
-
-
 def _orbital_term(model: FiniteGroupModel, in_gamma: np.ndarray, in_k: np.ndarray,
-                  row_min: np.ndarray, starts: np.ndarray, cls: _GammaClass) -> OrbitalTerm:
+                  in_pik: np.ndarray, row_min: np.ndarray, labels: np.ndarray,
+                  cls: _GammaClass) -> OrbitalTerm:
     """a(G_gamma) and O_gamma for one Gamma-class with support."""
     G = model.group
-    cent = G.centralizer(cls.rep)
+    rep, k_order = cls.rep, len(model.k)
+    # The support is a union of K-cosets (pi normalizes K): its labels suffice.
+    starts = labels[in_pik[G.table[G.table[G.inv[labels], rep], labels]]]
+    if k_order * len(starts) != cls.count:
+        raise InvariantViolation(
+            f"hit count mismatch at class {rep}: {len(starts)} K-cosets of {k_order} "
+            f"elements vs {cls.count} hits")
+    cent = G.centralizer(rep)
     cent_k = int(np.count_nonzero(in_k[cent]))
     a_val = Fraction(len(cent), int(np.count_nonzero(in_gamma[cent])) * cent_k)
-    o_direct = Fraction(cent_k * cls.count, len(cent) * len(model.k))
-    o_cosets = _orbital_by_cosets(G, cent, in_k, row_min, starts, cent_k)
-    if o_cosets != o_direct:
+    o_direct = Fraction(cent_k * cls.count, len(cent) * k_order)
+    # O_gamma by cosets sums |G_gamma ∩ K| / |G_gamma ∩ aKa^{-1}| over the walk; it
+    # equals o_direct exactly when the double cosets' sizes sum to the count.
+    walk = _coset_walk(G, cent, in_k, row_min, starts)
+    sizes = [divmod(len(cent) * k_order, meet) for _, meet in walk]
+    if any(rem for _, rem in sizes) or sum(size for size, _ in sizes) != cls.count:
+        o_cosets = sum((Fraction(cent_k, meet) for _, meet in walk), Fraction(0))
         raise InvariantViolation(
-            f"orbital integral mismatch at class {cls.rep}: {o_direct} vs {o_cosets}"
+            f"orbital integral mismatch at class {rep}: {o_direct} vs {o_cosets}"
         )
-    return OrbitalTerm(cls.rep, a_val, o_direct)
+    return OrbitalTerm(rep, a_val, o_direct)
 
 
 def delta_sets(model: FiniteGroupModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -246,15 +257,15 @@ def orbital_trace(model: FiniteGroupModel) -> TraceReport:
     """Evaluate the orbital side, check it against the kernel side, and report."""
     G = model.group
     in_gamma = _mask(G.n, np.array(model.gamma))
-    in_k = _mask(G.n, np.array(model.k))
+    k = np.array(model.k)
+    in_k = _mask(G.n, k)
+    in_pik = _mask(G.n, G.table[model.pi, k])
     row_min = _k_labels(model)
-    # The kernel side first: its (|Gamma| x n) gather is then freed before the
-    # classes' hit rows are built.
     kernel = _kernel_trace(_double_cosets(model, row_min))
     labels = (row_min == G.indices).nonzero()[0]
     classes = _gamma_classes(model)
     # A class without hits has O_gamma = 0 and no term (see the module notes).
-    terms = tuple(_orbital_term(model, in_gamma, in_k, row_min, labels[cls.hits[labels]], cls)
+    terms = tuple(_orbital_term(model, in_gamma, in_k, in_pik, row_min, labels, cls)
                   for cls in classes if cls.count)
     total = sum((t.a_value * t.orbital_integral for t in terms), Fraction(0))
     if total != kernel:

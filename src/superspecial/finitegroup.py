@@ -11,9 +11,14 @@ Every group is materialized as an element list in a canonical (sorted) order
 plus a full Cayley table, so conjugacy classes, centralizers, and coset
 partitions are exact enumerations (no character theory, no randomization):
 table gathers marked into boolean masks, never sorted.  A subgroup is closed
-by squaring, S -> S*S = table[S, S], until it stops growing; a class is the
-orbit table[table[inv[h], i], h], taken once per class by `conjugacy_partition`;
-a centralizer compares a table row with a column.
+by squaring, S -> S*S = table[S, S], until it stops growing; a centralizer
+compares a table row with a column.  Conjugacy classes are labels, not lists:
+a class is an orbit under conjugation by a generating set (Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, 2005, 4.1), and
+`conjugacy_partition` labels every element with the least element of its
+orbit at once, by min-label relaxation over the generators' conjugations with
+pointer jumping (the connectivity scheme of Shiloach and Vishkin, J.
+Algorithms 3, 1982).  Each group keeps the generators it was built from.
 
 Every sym, gl2 and gsp2 group comes from one closure, `_close`: a
 breadth-first search over right multiplication from the identity by a few
@@ -33,7 +38,7 @@ trace harness draws from.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,15 +57,17 @@ class GroupConstructionError(ValueError):
 
 
 class Group:
-    """A finite group on elements 0..n-1 with a dense Cayley table."""
+    """A finite group on elements 0..n-1 with a dense Cayley table, generated
+    by `gens` (by default, all of its elements)."""
 
-    def __init__(self, kind: str, elements: list, table: np.ndarray):
+    def __init__(self, kind: str, elements: list, table: np.ndarray, gens=None):
         self.kind = kind
         self.elements = elements
         self.index = {el: i for i, el in enumerate(elements)}
         self.n = len(elements)
         self.table = table
         self.indices = np.arange(self.n)
+        self.gens = self.indices if gens is None else np.asarray(gens, dtype=np.int64)
         # Only a row with table[i, 0] == 0 can be the identity's row, arange(n).
         cands = np.flatnonzero(table[:, 0] == 0)
         ids = cands[np.all(table[cands] == self.indices, axis=1)]
@@ -93,13 +100,6 @@ class Group:
             mask[self.table[cur[:, None], cur]] = True
         return cur
 
-    def conj_class(self, i: int, within: np.ndarray | None = None) -> np.ndarray:
-        """Sorted orbit {h^{-1} i h : h in within} (default: the whole group)."""
-        h = self.indices if within is None else within
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.table[self.table[self.inv[h], i], h]] = True
-        return mask.nonzero()[0]
-
     def conj_vector(self, i: int) -> np.ndarray:
         """Array y with y[x] = x^{-1} i x for every x in the group."""
         return self.table[self.table[self.inv, i], self.indices]
@@ -121,18 +121,35 @@ class Group:
             keep[lo : lo + rows] = in_sub[conj].all(axis=1)
         return np.flatnonzero(keep).astype(np.int64, copy=False)
 
-    def conjugacy_partition(self, members: np.ndarray) -> list[np.ndarray]:
-        """Conjugacy classes of the subgroup `members` (acting on itself),
-        each sorted, listed by their smallest representative."""
-        seen = np.zeros(self.n, dtype=bool)
-        classes = []
-        for i in members.tolist():
-            if seen[i]:
-                continue
-            cls = self.conj_class(i, within=members)
-            seen[cls] = True
-            classes.append(cls)
-        return classes
+    def conjugacy_partition(self, members: np.ndarray, gens) -> np.ndarray:
+        """Class labels of the subgroup `members` = <gens> acting on itself by
+        conjugation: lab[x] is the least element of the class of x, and -1
+        outside `members`.
+
+        Each generator's conjugation x -> g^{-1} x g permutes `members` in
+        cycles, so the classes are the connected components of those maps, and
+        min-label relaxation (lab[x] <- min(lab[x], lab[g^{-1} x g]) over the
+        generators) with pointer jumping (lab <- lab[lab]) reaches the least
+        element of each at its fixed point.
+        """
+        members = np.asarray(members)
+        gens = np.asarray(gens, dtype=np.int64)
+        images = self.table[self.table[self.inv[gens, None], members], gens[:, None]]
+        lab = np.full(self.n, -1, dtype=np.int64)
+        lab[members] = members
+        while True:
+            old = lab[members]
+            new = np.minimum(old, lab[images].min(axis=0, initial=self.n))
+            lab[members] = new
+            new = lab[new]
+            lab[members] = new
+            if np.array_equal(new, old):
+                return lab
+
+    @cached_property
+    def class_labels(self) -> np.ndarray:
+        """Conjugacy-class labels of the whole group (see conjugacy_partition)."""
+        return self.conjugacy_partition(self.indices, self.gens)
 
     # -- element literals (JSON-facing) --------------------------------------
 
@@ -223,14 +240,15 @@ def _close(kind: str, n: int, order: int, identity, gens, compose) -> Group:
     parent_a, parent_g = np.divmod(np.concatenate(sources)[rest], len(gens))
     for c, a, g in zip(rank[rest].tolist(), rank[parent_a].tolist(), gen_rank[parent_g].tolist()):
         table[c] = table[a][table[g]]
-    return Group(kind, [tuple(row) for row in elements.reshape(order, -1).tolist()], table)
+    return Group(kind, [tuple(row) for row in elements.reshape(order, -1).tolist()], table,
+                 gen_rank)
 
 
 def _build_cyclic(n: int) -> Group:
     # In int16 throughout: the sums stay below 2 * ORDER_CAP.
     table = np.add.outer(np.arange(n, dtype=np.int16), np.arange(n, dtype=np.int16))
     table %= n
-    return Group(f"cyclic:{n}", list(range(n)), table)
+    return Group(f"cyclic:{n}", list(range(n)), table, [1 % n])
 
 
 def _sym_generators(n: int) -> list[tuple]:

@@ -250,25 +250,37 @@ def test_volume_identity_check_refuses_indices_outside_the_group():
             volume_identity_check(m, gamma, a)
 
 
-def test_gamma_class_hits_match_per_class_conj_vectors(monkeypatch):
-    # One block for all classes, and blocks of one and of three classes.
+def test_gamma_class_counts_match_per_class_conj_vectors():
+    # The labelled count of each Gamma-class against the popcount of its hit
+    # row x -> [x^{-1} rep x in pi K], and its representative against the
+    # least element of its Gamma-orbit.
     rng = random.Random(28)
     models = [random_model(rng, ("sym:4", "sym:5", "gl2:3", "gl2:5")) for _ in range(20)]
-    for rows in (None, 1, 3):
-        for m in models:
-            G = m.group
-            if rows:
-                monkeypatch.setattr(cosettrace, "_BLOCK_ENTRIES", rows * G.n)
-            in_pik = np.zeros(G.n, dtype=bool)
-            in_pik[[G.mul(m.pi, k) for k in m.k]] = True
-            classes = cosettrace._gamma_classes(m)
-            assert [c.rep for c in classes] == [int(cls[0]) for cls in
-                                                G.conjugacy_partition(np.array(m.gamma))]
-            for c in classes:
-                want = in_pik[G.conj_vector(c.rep)]
-                assert c.count == np.count_nonzero(want)
-                # Only the rows of classes with hits are kept.
-                assert np.array_equal(c.hits, want) if c.count else c.hits is None
+    models += [random_model(rng, ("cyclic:12", "cyclic:24")) for _ in range(10)]
+    for m in models:
+        G = m.group
+        in_pik = np.zeros(G.n, dtype=bool)
+        in_pik[[G.mul(m.pi, k) for k in m.k]] = True
+        classes = cosettrace._gamma_classes(m)
+        assert [c.rep for c in classes] == sorted(
+            {min(G.mul(G.mul(G.inverse(h), g), h) for h in m.gamma) for g in m.gamma})
+        pi_class = {G.mul(G.mul(G.inverse(x), m.pi), x) for x in range(G.n)}
+        for c in classes:
+            assert c.count == np.count_nonzero(in_pik[G.conj_vector(c.rep)])
+            assert c.meets_pi_class == (c.rep in pi_class)
+
+
+def test_orbital_trace_rejects_merged_class_labels():
+    # Labels that merge the identity's G-class with the transpositions' give
+    # the identity 6 // 4 * 1 = 1 hit, where its support has 6 K-cosets.
+    S3 = group_from_kind.__wrapped__("sym:3")  # a fresh group, off the memo
+    labels = S3.class_labels.copy()
+    labels[labels == labels[S3.index[(1, 0, 2)]]] = S3.identity
+    S3.class_labels = labels  # shadows the cached property on this instance
+    m = build_model(S3, [S3.index[(1, 0, 2)], S3.index[(1, 2, 0)]], [], S3.identity)
+    with pytest.raises(InvariantViolation,
+                       match="hit count mismatch at class 0: 6 K-cosets of 1 elements vs 1 hits"):
+        orbital_trace(m)
 
 
 def test_with_trivial_k():
@@ -278,6 +290,7 @@ def test_with_trivial_k():
         mt = with_trivial_k(m)
         assert mt.k == (mt.group.identity,)
         assert mt.gamma == m.gamma and mt.pi == m.pi
+        assert mt.gamma_gens == m.gamma_gens
         assert mt == build_model(m.group, m.gamma, [], m.pi)
 
 
@@ -441,12 +454,12 @@ def test_trace_outputs_golden(seeded_models_100):
 
 
 def test_orbital_trace_rejects_coset_sum_mismatch(monkeypatch):
-    real = cosettrace._orbital_by_cosets
-    monkeypatch.setattr(cosettrace, "_orbital_by_cosets",
-                        lambda *args: real(*args) + Fraction(1, 7))
+    # The walk drops its last double coset, so the coset form falls short.
+    real = cosettrace._coset_walk
+    monkeypatch.setattr(cosettrace, "_coset_walk", lambda *args: real(*args)[:-1])
     # pi = 0, so that class 0 has support (with pi = 2 it has none and is skipped).
     Z4 = group_from_kind("cyclic:4")
-    with pytest.raises(InvariantViolation, match="orbital integral mismatch at class 0"):
+    with pytest.raises(InvariantViolation, match="orbital integral mismatch at class 0: 1 vs 0"):
         orbital_trace(build_model(Z4, [2], [], 0))
 
 

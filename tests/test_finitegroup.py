@@ -47,14 +47,15 @@ def test_subgroup_closure():
     assert list(G.subgroup([])) == [G.identity]
 
 
-def test_conj_class_and_centralizer_against_brute_force():
+def test_class_labels_and_centralizer_against_brute_force():
     rng = random.Random(13)
     for kind in ("sym:4", "gl2:3", "cyclic:12"):
         G = group_from_kind(kind)
         for _ in range(8):
             i = rng.randrange(G.n)
             want_cls = sorted({G.mul(G.mul(G.inverse(g), i), g) for g in range(G.n)})
-            assert list(G.conj_class(i)) == want_cls
+            assert np.flatnonzero(G.class_labels == G.class_labels[i]).tolist() == want_cls
+            assert G.class_labels[i] == want_cls[0]
             want_cent = [g for g in range(G.n) if G.mul(g, i) == G.mul(i, g)]
             assert list(G.centralizer(i)) == want_cent
             assert len(want_cls) * len(want_cent) == G.n  # orbit-stabilizer
@@ -97,13 +98,21 @@ def test_normalizer_matches_loop_oracle():
             assert np.array_equal(got, want), kind
 
 
+def _classes_of(labels):
+    """The classes that labels name, each sorted, by least element."""
+    members = np.flatnonzero(labels >= 0)
+    return [members[labels[members] == rep].tolist() for rep in np.unique(labels[members])]
+
+
 def test_conjugacy_partition():
     G = group_from_kind("sym:4")
-    classes = G.conjugacy_partition(np.arange(G.n))
+    classes = _classes_of(G.conjugacy_partition(np.arange(G.n), G.gens))
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
-    sub = G.subgroup([G.index[(1, 0, 2, 3)], G.index[(0, 1, 3, 2)]])  # V4-ish
-    parts = G.conjugacy_partition(sub)
-    assert sum(len(c) for c in parts) == len(sub)
+    gens = [G.index[(1, 0, 2, 3)], G.index[(0, 1, 3, 2)]]  # V4-ish
+    sub = G.subgroup(gens)
+    labels = G.conjugacy_partition(sub, gens)
+    assert np.flatnonzero(labels >= 0).tolist() == sub.tolist()
+    assert sum(len(c) for c in _classes_of(labels)) == len(sub)
 
 
 def _closure_by_loop(G, gens):
@@ -141,13 +150,58 @@ def test_conjugacy_partition_matches_a_python_oracle():
         G = group_from_kind(kind)
         checked = 0
         while checked < 4:
-            sub = G.subgroup([rng.randrange(G.n) for _ in range(2)])
+            gens = [rng.randrange(G.n) for _ in range(2)]
+            sub = G.subgroup(gens)
             members = sub.tolist()
             if all(G.mul(a, b) == G.mul(b, a) for a in members for b in members):
                 continue  # abelian: every class is a point
             checked += 1
-            got = [c.tolist() for c in G.conjugacy_partition(sub)]
+            got = _classes_of(G.conjugacy_partition(sub, gens))
             assert got == _partition_by_loop(G, members), kind
+
+
+def _cycle_type(perm):
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length = 0
+        while start not in seen:
+            seen.add(start)
+            start, length = perm[start], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def test_class_labels_match_the_python_oracle_on_every_family():
+    for kind in TRIAL_FAMILIES + ("gsp2:2",):
+        G = group_from_kind(kind)
+        assert G.subgroup(G.gens).tolist() == G.indices.tolist(), kind  # the gens generate G
+        assert _classes_of(G.class_labels) == _partition_by_loop(G, range(G.n)), kind
+    # S7's classes are its cycle types (the loop oracle would take 5040^2 products).
+    G = group_from_kind("sym:7")
+    by_type = {}
+    for i, perm in enumerate(G.elements):
+        by_type.setdefault(_cycle_type(perm), []).append(i)
+    assert len(by_type) == 15
+    assert _classes_of(G.class_labels) == sorted(by_type.values())
+
+
+def test_subgroup_labels_match_the_python_oracle():
+    # Random subgroups labelled with their drawn generators, some sets of
+    # them redundant: a generator repeated, the identity added.
+    rng = random.Random(17)
+    for kind in ("cyclic:12", "sym:4", "sym:5", "gl2:3", "gl2:4", "gsp2:2"):
+        G = group_from_kind(kind)
+        for trial in range(6):
+            gens = [rng.randrange(G.n) for _ in range(rng.choice((0, 1, 2)))]
+            if trial % 3 == 1 and gens:
+                gens.append(gens[0])
+            elif trial % 3 == 2:
+                gens.append(G.identity)
+            sub = G.subgroup(gens)
+            labels = G.conjugacy_partition(sub, gens)
+            assert np.flatnonzero(labels >= 0).tolist() == sub.tolist(), (kind, gens)
+            assert _classes_of(labels) == _partition_by_loop(G, sub.tolist()), (kind, gens)
 
 
 def test_literals_round_trip():
