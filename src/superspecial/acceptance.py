@@ -161,13 +161,14 @@ def criterion_7_factorization(models, seed: int) -> CriterionResult:
     failures = []
     for i, model in enumerate(models):
         small = cosettrace.with_trivial_k(model)
-        d_k, d_f = cosettrace.delta_sets(small)
+        classes = cosettrace._gamma_classes(small)
+        d_k, d_f = cosettrace._deltas(classes)
         if set(d_k) != set(d_f):
             failures.append(f"model {i}: delta_K != delta_f with trivial K")
             continue
-        # factored_trace(small) would recompute both the deltas and the kernel.
+        # factored_trace(small) would recompute both the classes and the kernel.
         kernel = cosettrace.kernel_trace(small)
-        value, diagnostic = cosettrace._factored(small, d_k, d_f, kernel)
+        value, diagnostic = cosettrace._factored(small, classes, kernel)
         if value is None or value != kernel:
             failures.append(
                 f"model {i} ({model.group.kind}): factored form unavailable or"

@@ -19,10 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import acceptance, cosettrace, massform, sslocus
-from .cosettrace import InvariantViolation, ModelSpecError
+from .cosettrace import InvariantViolation
 from .exactnum import frac_dict
 from .ffield import MAX_PRIME, format_pair, is_prime
-from .finitegroup import GroupConstructionError
 from .massform import IntegralityError
 from .sslocus import CensusInvariantError
 
@@ -340,10 +339,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ModelSpecError, GroupConstructionError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:  # ModelSpecError and GroupConstructionError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InvariantViolation, CensusInvariantError, IntegralityError) as exc:

@@ -39,27 +39,28 @@ regime the factored value is reported as absent with a diagnostic naming the
 obstruction, so a defined factored value always equals the kernel trace.
 
 Computation: x is labelled row_min[x] = min(xK), the least element of its
-K-coset, by one (n x |K|) gather taken once per orbital_trace and shared by
-both sides.  The kernel side labels each x min(Gamma x K), the least over
-gamma of row_min[gamma x], by one (|Gamma| x n) gather.  The Gamma-classes
-are read off class labels (`Group.conjugacy_partition` over Gamma's
-generators), and every element of G carries its G-class label
-(`Group.class_labels`, computed once per group).  The hit count of a class,
-#{x in G : x^{-1} gamma x in pi K}, is (n / |gamma^G|) * #{y in pi K : y is
-G-conjugate to gamma}, read off one bincount of the labels over pi K for
-every class at once, and delta_f membership is equality of gamma's and pi's
-G-labels; so the delta sets need no per-class work.  A class without hits
-has O_gamma = 0 and lies in neither delta set, so it contributes nothing and
-is skipped.  For the others, |C_Gamma(gamma)| is a Gamma-mask counted over
-the G-centralizer.  Since pi normalizes K, the hits of gamma are a union of
-K-cosets xK, so the K-coset labels a with a^{-1} gamma a in pi K are its
-support, one gather over the n / |K| labels; |K| times their number must
-equal the count.  The coset form of O_gamma walks those labels in ascending
-order: each label not yet covered is the least element of a new G_gamma a K
-and covers that double coset's labels row_min[c a], c in G_gamma, with one
-|G_gamma| gather.  The two forms of O_gamma agree exactly when the walked
-double cosets' sizes |G_gamma| |K| / |G_gamma ∩ aKa^{-1}| sum to the count,
-which is checked in integers.
+K-coset, by one (n x |K|) gather per orbital_trace, shared by both sides.
+The kernel side labels each x min(Gamma x K), the least over gamma of
+row_min[gamma x], by one (|Gamma| x n) gather.  Every per-class count and
+size is read off class labels once per call (`_gamma_classes`).  The
+Gamma-labels (`Group.conjugacy_partition` over Gamma's generators) give each
+class's least element and size, and |C_Gamma(gamma)| = |Gamma| / |gamma^Gamma|.
+The G-labels (`Group.class_labels`, once per group) give delta_f membership,
+equality of gamma's and pi's G-labels, and the hit count #{x in G : x^{-1}
+gamma x in pi K} = (n / |gamma^G|) * #{y in pi K : y is G-conjugate to
+gamma}, one bincount over pi K for every class.  Each class in delta_f is
+G-conjugate to pi, so its count is n_pi; only |C_Gamma(pi)| is a centralizer
+taken within Gamma, as pi may lie outside Gamma.  A class without hits has
+O_gamma = 0, lies in neither delta set, and is skipped; for the others
+|G_gamma ∩ K| is counted over the G-centralizer.  Since pi normalizes K, the
+hits of gamma are a union of K-cosets xK, so the K-coset labels a with
+a^{-1} gamma a in pi K are its support, one gather over the n / |K| labels;
+|K| times their number must equal the count.  The coset form of O_gamma
+walks those labels in ascending order: each label not yet covered is the
+least element of a new G_gamma a K and covers that double coset's labels
+row_min[c a], c in G_gamma, with one |G_gamma| gather.  The two forms of
+O_gamma agree exactly when the walked double cosets' sizes
+|G_gamma| |K| / |G_gamma ∩ aKa^{-1}| sum to the count, checked in integers.
 """
 
 from __future__ import annotations
@@ -94,8 +95,13 @@ class FiniteGroupModel:
 def build_model(group: Group, gamma_gens, k_gens, pi: int) -> FiniteGroupModel:
     """Close the generating sets and verify that pi normalizes K."""
     _check_indices(group, (*gamma_gens, *k_gens, pi))
-    gamma = group.subgroup(gamma_gens)
-    k = group.subgroup(k_gens)
+    return _model(group, group.subgroup(gamma_gens), group.subgroup(k_gens), pi, gamma_gens)
+
+
+def _model(group: Group, gamma: np.ndarray, k: np.ndarray, pi: int,
+           gamma_gens) -> FiniteGroupModel:
+    """The model on the closed subgroups gamma = <gamma_gens> and k, once pi
+    is checked to normalize K."""
     # Conjugation is injective, so pi K pi^{-1} = K once it lies in K.
     conj = group.table[group.table[pi, k], group.inv[pi]]
     escapes = ~_mask(group.n, k)[conj]
@@ -179,32 +185,24 @@ class TraceReport:
     factored_diagnostic: str = ""
 
 
-@dataclass(frozen=True)
-class _GammaClass:
-    rep: int  # smallest element of the Gamma-conjugacy class
-    count: int  # hits: #{x in G : x^{-1} rep x lies in pi K}
-    meets_pi_class: bool  # rep is G-conjugate to pi
-
-
-def _gamma_classes(model: FiniteGroupModel) -> list[_GammaClass]:
-    """The Gamma-classes in ascending order of their least elements, counted
-    from G-class labels (see the module notes)."""
+def _gamma_classes(model: FiniteGroupModel) -> tuple[np.ndarray, ...]:
+    """Columns over the Gamma-classes, in ascending order of their least
+    elements: (rep, count, meets the G-class of pi, |C_Gamma(rep)|), all read
+    off class labels (see the module notes)."""
     G = model.group
     gamma = np.array(model.gamma)
-    reps = np.unique(G.conjugacy_partition(gamma, model.gamma_gens)[gamma])
+    reps, sizes = np.unique(G.conjugacy_partition(gamma, model.gamma_gens)[gamma],
+                            return_counts=True)
     glab = G.class_labels
     rep_lab = glab[reps]
     class_size = np.bincount(glab, minlength=G.n)[rep_lab]
     pik_hits = np.bincount(glab[G.table[model.pi, np.array(model.k)]], minlength=G.n)[rep_lab]
-    counts = G.n // class_size * pik_hits
-    meets = rep_lab == glab[model.pi]
-    return [_GammaClass(rep, count, meet)
-            for rep, count, meet in zip(reps.tolist(), counts.tolist(), meets.tolist())]
+    return reps, G.n // class_size * pik_hits, rep_lab == glab[model.pi], len(gamma) // sizes
 
 
-def _deltas(classes: list[_GammaClass]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (tuple(sorted(c.rep for c in classes if c.count)),
-            tuple(sorted(c.rep for c in classes if c.meets_pi_class)))
+def _deltas(classes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    reps, counts, meets, _ = classes
+    return tuple(reps[counts > 0].tolist()), tuple(reps[meets].tolist())
 
 
 def _coset_walk(G: Group, cent: np.ndarray, in_k: np.ndarray, row_min: np.ndarray,
@@ -220,27 +218,28 @@ def _coset_walk(G: Group, cent: np.ndarray, in_k: np.ndarray, row_min: np.ndarra
     return walk
 
 
-def _orbital_term(model: FiniteGroupModel, in_gamma: np.ndarray, in_k: np.ndarray,
-                  in_pik: np.ndarray, row_min: np.ndarray, labels: np.ndarray,
-                  cls: _GammaClass) -> OrbitalTerm:
-    """a(G_gamma) and O_gamma for one Gamma-class with support."""
+def _orbital_term(model: FiniteGroupModel, in_k: np.ndarray, in_pik: np.ndarray,
+                  row_min: np.ndarray, labels: np.ndarray, rep: int, count: int,
+                  c_gamma: int) -> OrbitalTerm:
+    """a(G_gamma) and O_gamma for the Gamma-class of rep, with count hits and
+    rational centralizer of order c_gamma."""
     G = model.group
-    rep, k_order = cls.rep, len(model.k)
+    k_order = len(model.k)
     # The support is a union of K-cosets (pi normalizes K): its labels suffice.
     starts = labels[in_pik[G.table[G.table[G.inv[labels], rep], labels]]]
-    if k_order * len(starts) != cls.count:
+    if k_order * len(starts) != count:
         raise InvariantViolation(
             f"hit count mismatch at class {rep}: {len(starts)} K-cosets of {k_order} "
-            f"elements vs {cls.count} hits")
+            f"elements vs {count} hits")
     cent = G.centralizer(rep)
     cent_k = int(np.count_nonzero(in_k[cent]))
-    a_val = Fraction(len(cent), int(np.count_nonzero(in_gamma[cent])) * cent_k)
-    o_direct = Fraction(cent_k * cls.count, len(cent) * k_order)
+    a_val = Fraction(len(cent), c_gamma * cent_k)
+    o_direct = Fraction(cent_k * count, len(cent) * k_order)
     # O_gamma by cosets sums |G_gamma ∩ K| / |G_gamma ∩ aKa^{-1}| over the walk; it
     # equals o_direct exactly when the double cosets' sizes sum to the count.
     walk = _coset_walk(G, cent, in_k, row_min, starts)
     sizes = [divmod(len(cent) * k_order, meet) for _, meet in walk]
-    if any(rem for _, rem in sizes) or sum(size for size, _ in sizes) != cls.count:
+    if any(rem for _, rem in sizes) or sum(size for size, _ in sizes) != count:
         o_cosets = sum((Fraction(cent_k, meet) for _, meet in walk), Fraction(0))
         raise InvariantViolation(
             f"orbital integral mismatch at class {rep}: {o_direct} vs {o_cosets}"
@@ -256,7 +255,6 @@ def delta_sets(model: FiniteGroupModel) -> tuple[tuple[int, ...], tuple[int, ...
 def orbital_trace(model: FiniteGroupModel) -> TraceReport:
     """Evaluate the orbital side, check it against the kernel side, and report."""
     G = model.group
-    in_gamma = _mask(G.n, np.array(model.gamma))
     k = np.array(model.k)
     in_k = _mask(G.n, k)
     in_pik = _mask(G.n, G.table[model.pi, k])
@@ -265,15 +263,16 @@ def orbital_trace(model: FiniteGroupModel) -> TraceReport:
     labels = (row_min == G.indices).nonzero()[0]
     classes = _gamma_classes(model)
     # A class without hits has O_gamma = 0 and no term (see the module notes).
-    terms = tuple(_orbital_term(model, in_gamma, in_k, in_pik, row_min, labels, cls)
-                  for cls in classes if cls.count)
+    terms = tuple(_orbital_term(model, in_k, in_pik, row_min, labels, rep, count, c_gamma)
+                  for rep, count, _, c_gamma in zip(*(col.tolist() for col in classes))
+                  if count)
     total = sum((t.a_value * t.orbital_integral for t in terms), Fraction(0))
     if total != kernel:
         raise InvariantViolation(
             f"trace formula failed: orbital {total} != kernel {kernel}"
         )
     d_k, d_f = _deltas(classes)
-    value, diagnostic = _factored(model, d_k, d_f, kernel)
+    value, diagnostic = _factored(model, classes, kernel)
     return TraceReport(kernel_trace=kernel,
                        orbital_terms=terms,
                        orbital_trace=total,
@@ -283,19 +282,19 @@ def orbital_trace(model: FiniteGroupModel) -> TraceReport:
                        factored_diagnostic=diagnostic)
 
 
-def _factored(model, d_k, d_f, kernel) -> tuple[Fraction | None, str]:
+def _factored(model: FiniteGroupModel, classes, kernel: int) -> tuple[Fraction | None, str]:
+    d_k, d_f = _deltas(classes)
     if d_k != d_f:
         extra = [rep for rep in d_k if rep not in d_f]
         return None, (f"level subgroup not small enough: delta_K has classes {extra} "
                       "outside delta_f")
-    G = model.group
-    gam = np.array(model.gamma)
-    in_pik = _mask(G.n, G.table[model.pi, np.array(model.k)])
-    n_pi = int(np.count_nonzero(in_pik[G.conj_vector(model.pi)]))
-    c_pi = len(G.centralizer(model.pi, within=gam))
-    value = Fraction(len(d_f) * n_pi, c_pi * len(model.k))
+    _, counts, meets, c_gamma = classes
+    # Every class in delta_f is G-conjugate to pi, so each has the count n_pi and
+    # their counts sum to |delta_f| * n_pi (0 for an empty delta_f).
+    c_pi = len(model.group.centralizer(model.pi, within=np.array(model.gamma)))
+    value = Fraction(int(counts[meets].sum()), c_pi * len(model.k))
     if value != kernel:
-        sizes = {rep: len(G.centralizer(rep, within=gam)) for rep in d_f}
+        sizes = dict(zip(d_f, c_gamma[meets].tolist()))
         return None, (
             "term collapse invalid for this model: rational-centralizer sizes "
             f"{sizes} across delta_f are not all equal to |C_Gamma(pi)| = "
@@ -310,9 +309,7 @@ def factored_trace(model: FiniteGroupModel) -> tuple[Fraction | None, str]:
     Defined exactly when delta_K = delta_f and the per-class terms collapse
     to the pi-term; a returned value always equals the kernel trace.
     """
-    kernel = kernel_trace(model)
-    d_k, d_f = delta_sets(model)
-    return _factored(model, d_k, d_f, kernel)
+    return _factored(model, _gamma_classes(model), kernel_trace(model))
 
 
 def volume_identity_check(model: FiniteGroupModel, gamma: int, a: int) -> bool:
@@ -465,7 +462,7 @@ def random_model(rng, families=TRIAL_FAMILIES) -> FiniteGroupModel:
     else:
         pool = normalizer
     pi = int(pool[rng.randrange(len(pool))])
-    return build_model(group, gamma_gens, k_gens, pi)
+    return _model(group, gamma, k, pi, gamma_gens)
 
 
 def with_trivial_k(model: FiniteGroupModel) -> FiniteGroupModel:

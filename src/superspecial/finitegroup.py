@@ -101,7 +101,8 @@ class Group:
         return cur
 
     def conj_vector(self, i: int) -> np.ndarray:
-        """Array y with y[x] = x^{-1} i x for every x in the group."""
+        """Array y with y[x] = x^{-1} i x for every x: a brute-force oracle, kept
+        for the tests and perfbench/tracer.py until ROADMAP.md item 1."""
         return self.table[self.table[self.inv, i], self.indices]
 
     def centralizer(self, i: int, within: np.ndarray | None = None) -> np.ndarray:
@@ -167,14 +168,18 @@ class Group:
         family, _, n_str = self.kind.partition(":")
         n = int(n_str)
         if family == "cyclic":
-            if not isinstance(lit, int):
-                raise GroupConstructionError(f"{self.kind}: element literal must be an int")
-            el = lit % n
+            entries = [lit]
         elif family == "sym":
-            el = tuple(lit)
+            entries = list(lit)
         else:
-            el = tuple(v % n for row in lit for v in row)
-        idx = self.index.get(el)
+            entries = [v for row in lit for v in row]
+        # JSON integers only: a bool is an int to Python, a float like 1.0 equals one.
+        if not all(type(v) is int for v in entries):
+            raise GroupConstructionError(
+                f"{self.kind}: element entries must be integers, not {lit!r}")
+        if family != "sym":  # residues mod n
+            entries = [v % n for v in entries]
+        idx = self.index.get(entries[0] if family == "cyclic" else tuple(entries))
         if idx is None:
             raise GroupConstructionError(f"{self.kind}: {lit!r} is not a group element")
         return idx

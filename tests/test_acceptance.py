@@ -70,7 +70,7 @@ def test_criterion_7_factorization(seeded_models_100):
 def test_criterion_7_computes_deltas_and_kernel_once_per_model(seeded_models_100, monkeypatch):
     from superspecial import cosettrace
 
-    calls = {"delta_sets": 0, "kernel_trace": 0}
+    calls = {"_gamma_classes": 0, "kernel_trace": 0}
     for name in calls:
         real = getattr(cosettrace, name)
 
@@ -80,8 +80,9 @@ def test_criterion_7_computes_deltas_and_kernel_once_per_model(seeded_models_100
 
         monkeypatch.setattr(cosettrace, name, counted)
     acceptance.criterion_7_factorization(seeded_models_100[:10], seed=42)
-    # One of each per model, plus one delta_sets per level of the chains (3 + 5 + 4).
-    assert calls == {"delta_sets": 10 + 12, "kernel_trace": 10}
+    # One of each per model, plus one class computation per level of the chains
+    # (3 + 5 + 4), through delta_sets.
+    assert calls == {"_gamma_classes": 10 + 12, "kernel_trace": 10}
 
 
 def test_criterion_8_volume_identities():

@@ -312,6 +312,13 @@ def test_trace_demo_spec_error(capsys, tmp_path):
         rc, out, err = run_cli(capsys, "trace-demo", "--model", str(path))
         assert time.perf_counter() - start < 1.0, group
         assert rc == EXIT_USAGE and out == "" and err.startswith(f"error: {message}"), group
+    # Element entries that are not JSON integers, in every family.
+    for group, pi in [("sym:3", [1.0, 0.0, 2.0]), ("gl2:3", [[1, 0], [0, True]]),
+                      ("cyclic:4", True)]:
+        path.write_text(json.dumps({"group": group, "gamma": [], "k": [], "pi": pi}))
+        rc, out, err = run_cli(capsys, "trace-demo", "--model", str(path))
+        assert rc == EXIT_USAGE and out == "", group
+        assert err == f"error: {group}: element entries must be integers, not {pi!r}\n", group
 
 
 def test_trace_demo_trials(capsys):

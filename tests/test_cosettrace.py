@@ -211,6 +211,12 @@ def test_model_spec_parsing():
     with pytest.raises(ModelSpecError):
         parse_model_spec(json.dumps(
             {"group": "sym:3", "gamma": [[0, 0, 1]], "k": [], "pi": [0, 1, 2]}))
+    # Element entries are JSON integers in every family: no floats, no booleans.
+    for kind, pi in [("sym:3", [1.0, 0.0, 2.0]), ("sym:3", [1, False, 2]),
+                     ("gl2:3", [[1, 0], [0, True]]), ("gl2:3", [[1, 0], [0, 1.0]]),
+                     ("cyclic:4", 1.0), ("cyclic:4", True), ("cyclic:4", "1")]:
+        with pytest.raises(ModelSpecError, match="element entries must be integers"):
+            parse_model_spec(json.dumps({"group": kind, "gamma": [], "k": [], "pi": pi}))
 
 
 def test_report_round_trip():
@@ -252,22 +258,42 @@ def test_volume_identity_check_refuses_indices_outside_the_group():
 
 def test_gamma_class_counts_match_per_class_conj_vectors():
     # The labelled count of each Gamma-class against the popcount of its hit
-    # row x -> [x^{-1} rep x in pi K], and its representative against the
-    # least element of its Gamma-orbit.
+    # row x -> [x^{-1} rep x in pi K], its representative against the least
+    # element of its Gamma-orbit, and its |C_Gamma(rep)| against the
+    # centralizer; every class G-conjugate to pi has the count n_pi.
     rng = random.Random(28)
     models = [random_model(rng, ("sym:4", "sym:5", "gl2:3", "gl2:5")) for _ in range(20)]
     models += [random_model(rng, ("cyclic:12", "cyclic:24")) for _ in range(10)]
+    met = 0
     for m in models:
         G = m.group
+        gamma = np.array(m.gamma)
         in_pik = np.zeros(G.n, dtype=bool)
         in_pik[[G.mul(m.pi, k) for k in m.k]] = True
-        classes = cosettrace._gamma_classes(m)
-        assert [c.rep for c in classes] == sorted(
+        n_pi = np.count_nonzero(in_pik[G.conj_vector(m.pi)])
+        reps, counts, meets, c_gamma = (col.tolist() for col in cosettrace._gamma_classes(m))
+        assert reps == sorted(
             {min(G.mul(G.mul(G.inverse(h), g), h) for h in m.gamma) for g in m.gamma})
         pi_class = {G.mul(G.mul(G.inverse(x), m.pi), x) for x in range(G.n)}
-        for c in classes:
-            assert c.count == np.count_nonzero(in_pik[G.conj_vector(c.rep)])
-            assert c.meets_pi_class == (c.rep in pi_class)
+        for rep, count, meet, c_gam in zip(reps, counts, meets, c_gamma):
+            assert count == np.count_nonzero(in_pik[G.conj_vector(rep)])
+            assert meet == (rep in pi_class)
+            assert c_gam == len(G.centralizer(rep, within=gamma))
+            if meet:
+                assert count == n_pi
+                met += 1
+    assert met > 20  # the draw is not vacuous
+
+
+def test_random_model_matches_build_model():
+    # random_model hands its closed subgroups to the constructor; closing its
+    # generators again must give the same model.
+    rng = random.Random(30)
+    for family in cosettrace.TRIAL_FAMILIES:
+        for _ in range(2):
+            m = random_model(rng, (family,))
+            rebuilt = build_model(m.group, m.gamma_gens, m.k, m.pi)
+            assert m == rebuilt and m.gamma_gens == rebuilt.gamma_gens
 
 
 def test_orbital_trace_rejects_merged_class_labels():
@@ -324,10 +350,8 @@ def test_coset_walk_against_brute_force():
         in_k[list(k)] = True
         row_min = cosettrace._k_labels(m)
         assert row_min.tolist() == [min(G.mul(x, h) for h in k) for x in range(G.n)]
-        for cls in cosettrace._gamma_classes(m):
-            if not cls.count:
-                continue
-            gamma = cls.rep
+        reps, counts, _, _ = cosettrace._gamma_classes(m)
+        for gamma in reps[counts > 0].tolist():
             cent = [c for c in range(G.n) if G.mul(c, gamma) == G.mul(gamma, c)]
             support = [x for x in range(G.n)
                        if G.mul(G.mul(G.inverse(x), gamma), x) in pik]
