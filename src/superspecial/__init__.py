@@ -14,21 +14,17 @@ from .exactnum import BernoulliTable, bernoulli, zeta_negative
 from .ffield import Fp2Field, canonical_nonresidue, frobenius, lambda_to_j
 from .finitegroup import Group, group_from_kind
 from .fppoly import hasse_poly, roots_in_fp2
-from .massform import (GenusKind, class_number_level, component_genus, gsp_order,
-                       nonprincipal_class_number_level, nonprincipal_mass,
-                       principal_mass, recover_type_number)
-from .sslocus import (Census, CensusCache, census, class_number_crosscheck,
-                      eichler_mass, trace_R_pi0, type_number)
+from .massform import (class_number_level, gsp_order, nonprincipal_class_number_level,
+                       nonprincipal_mass, principal_mass, recover_type_number)
+from .sslocus import Census, CensusCache, census, class_number_formula, eichler_mass
 
 __all__ = [
     "BernoulliTable", "bernoulli", "zeta_negative",
     "Fp2Field", "canonical_nonresidue", "frobenius", "lambda_to_j",
     "hasse_poly", "roots_in_fp2",
-    "Census", "CensusCache", "census", "class_number_crosscheck", "eichler_mass",
-    "trace_R_pi0", "type_number",
-    "GenusKind", "class_number_level", "component_genus", "gsp_order",
-    "nonprincipal_class_number_level", "nonprincipal_mass", "principal_mass",
-    "recover_type_number",
+    "Census", "CensusCache", "census", "class_number_formula", "eichler_mass",
+    "class_number_level", "gsp_order", "nonprincipal_class_number_level",
+    "nonprincipal_mass", "principal_mass", "recover_type_number",
     "Group", "group_from_kind",
     "FiniteGroupModel", "TraceReport", "build_model", "delta_sets",
     "double_cosets", "factored_trace", "involution_census", "kernel_trace",

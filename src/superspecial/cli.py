@@ -31,8 +31,6 @@ EXIT_INVARIANT = 2
 EXIT_IO = 3
 
 CSV_HEADER = "p,H,F,T,mass_num,mass_den,checks"
-# verify's census criteria run on the primes 5..pmax, so a smaller pmax checks none.
-VERIFY_PMIN = 5
 
 
 class UsageError(Exception):
@@ -90,33 +88,32 @@ def _open_cache(path_arg: str | None) -> sslocus.CensusCache | None:
     return None
 
 
-def _census_checks(c: sslocus.Census, mass: Fraction) -> bool:
-    """Geometric mass = arithmetic mass.  The census identities and the
-    class-number crosscheck ran in Census.validate when c was produced
-    (census() or decode_census()), so they are not repeated here."""
-    return c.p <= 3 or sslocus.eichler_mass(c) == mass
+def _census_checks(c: sslocus.Census) -> tuple[Fraction, bool]:
+    """The arithmetic mass at c.p and whether the geometric mass equals it; the
+    identities and the class-number formula ran in Census.validate already."""
+    mass = massform.principal_mass(1, c.p)
+    return mass, sslocus.eichler_mass(c) == mass
 
 
 def _census_payload(c: sslocus.Census) -> dict:
-    mass = massform.principal_mass(1, c.p)
+    mass, ok = _census_checks(c)
     return {
         "p": c.p,
         "H": c.H,
         "F": c.F,
         "T": c.T,
-        "trace_R_pi0": sslocus.trace_R_pi0(c),
-        "type_number": sslocus.type_number(c),
+        "trace_R_pi0": c.F,
+        "type_number": c.T,
         "j_points": [format_pair(a, b) for a, b in c.j_points],
         "involution": list(c.involution),
         "aut_orders": list(c.aut_orders),
         "mass": frac_dict(mass),
-        "checks": _census_checks(c, mass),
+        "checks": ok,
     }
 
 
 def _census_csv_row(c: sslocus.Census) -> str:
-    mass = massform.principal_mass(1, c.p)
-    ok = _census_checks(c, mass)
+    mass, ok = _census_checks(c)
     return f"{c.p},{c.H},{c.F},{c.T},{mass.numerator},{mass.denominator},{str(ok).lower()}"
 
 
@@ -186,11 +183,11 @@ def cmd_mass(args) -> int:
     # The formulas refuse a bad genus or level with a ValueError, which main
     # maps to exit 1.
     if args.nonprincipal:
-        kind, note = massform.GenusKind.NON_PRINCIPAL, massform.NONPRINCIPAL_CAVEAT
+        genus, note = "non-principal", massform.NONPRINCIPAL_CAVEAT
         mass = massform.nonprincipal_mass(g, p)
         class_number_of = massform.nonprincipal_class_number_level
     else:
-        kind, note = massform.GenusKind.PRINCIPAL, ""
+        genus, note = "principal", ""
         mass = massform.principal_mass(g, p)
         class_number_of = massform.class_number_level
     if N >= 3:
@@ -204,7 +201,7 @@ def cmd_mass(args) -> int:
         "g": g,
         "p": p,
         "N": N,
-        "genus": kind.value,
+        "genus": genus,
         "mass": frac_dict(mass),
         "gsp_order": order,
         "class_number": class_number,
@@ -215,7 +212,7 @@ def cmd_mass(args) -> int:
     else:
         _emit(
             "g,p,N,genus,mass_num,mass_den,gsp_order,class_number\n"
-            f"{g},{p},{N},{kind.value},{mass.numerator},"
+            f"{g},{p},{N},{genus},{mass.numerator},"
             f"{mass.denominator},{order},{class_number}\n",
             args.output,
         )
@@ -270,8 +267,9 @@ def cmd_trace_demo(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.pmax < VERIFY_PMIN:
-        raise UsageError(f"argument --pmax: must be at least {VERIFY_PMIN}, got {args.pmax}")
+    if args.pmax < acceptance.VERIFY_PMIN:
+        raise UsageError(
+            f"argument --pmax: must be at least {acceptance.VERIFY_PMIN}, got {args.pmax}")
     results = acceptance.run_all(pmax=args.pmax, seed=args.seed, trials=args.trials,
                                  log=lambda s: print(s, file=sys.stderr))
     for r in results:

@@ -23,16 +23,10 @@ inverse of trace = 2T - H.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from math import gcd, prod
 
 from .exactnum import zeta_negative
-
-
-class GenusKind(Enum):
-    PRINCIPAL = "principal"
-    NON_PRINCIPAL = "non-principal"
 
 
 class IntegralityError(Exception):
@@ -151,15 +145,3 @@ def recover_type_number(H: int, trace: int) -> int:
     if (H + trace) % 2 != 0:
         raise ValueError(f"H={H} and trace={trace} have mixed parity")
     return (H + trace) // 2
-
-
-def component_genus(g: int) -> GenusKind:
-    """Which genus counts the irreducible components of the supersingular locus.
-
-    Metadata only: odd g is counted by the principal class number, even g by
-    the non-principal one.  The N = 1 class numbers themselves are not
-    computed here for g > 1.
-    """
-    if g < 1:
-        raise ValueError("g must be positive")
-    return GenusKind.PRINCIPAL if g % 2 == 1 else GenusKind.NON_PRINCIPAL

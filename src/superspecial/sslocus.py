@@ -109,7 +109,7 @@ class Census:
         if p <= 3:
             if js != ((0, 0),):
                 raise CensusInvariantError(f"p={p}: j-set differs from the hard-coded {{0}}")
-        elif not class_number_crosscheck(self):
+        elif self.H != class_number_formula(p):
             raise CensusInvariantError(f"p={p}: H fails the class-number formula")
 
 
@@ -144,16 +144,6 @@ def census(p: int) -> Census:
     return result
 
 
-def trace_R_pi0(c: Census) -> int:
-    """Trace of the Atkin-Lehner translation = number of F_p-rational points."""
-    return c.F
-
-
-def type_number(c: Census) -> int:
-    """Number of Galois orbits on the locus (= closed points = type number)."""
-    return c.T
-
-
 def class_number_formula(p: int) -> int:
     """floor(p/12) + eps(p mod 12), the classical count of supersingular
     j-invariants at a prime p > 3, with eps = 0, 1, 1, 2 at residues 1, 5, 7, 11."""
@@ -162,23 +152,16 @@ def class_number_formula(p: int) -> int:
     return p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]
 
 
-def class_number_crosscheck(c: Census) -> bool:
-    """Independent oracle: H must equal class_number_formula(p)."""
-    return c.H == class_number_formula(c.p)
-
-
 def eichler_mass(c: Census) -> Fraction:
-    """Automorphism-weighted count sum_j 1/|Aut(E_j)|; equals (p-1)/24."""
-    if c.p <= 3:
-        raise ValueError("mass via the 6/4/2 rule is only valid for p > 3")
+    """Automorphism-weighted count sum_j 1/|Aut(E_j)|; equals (p-1)/24 at every prime."""
     return sum((Fraction(n, a) for a, n in Counter(c.aut_orders).items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
 # Census cache: one line per prime, "p;j1,j2,...;F;T", append-only writes.
-# A line is read back only in the exact form encode_census writes; the Census
-# built from its p and j-set derives F and T, which must match the cached ones,
-# and Census.validate checks the j-set.
+# A line is read back only in the exact bytes encode_census writes, "\n" included
+# ("\r", spaces and non-UTF-8 bytes are malformed); its Census derives F and T,
+# which must match the cached ones, and Census.validate checks the j-set.
 # ---------------------------------------------------------------------------
 
 ENV_CACHE_DIR = "SUPERSPECIAL_CACHE_DIR"
@@ -207,7 +190,7 @@ def _canonical_count(text: str) -> int:
 def decode_census(line: str) -> Census:
     """Parse and revalidate one cache line; any fault raises CensusInvariantError."""
     try:
-        p_str, j_str, f_str, t_str = line.strip().split(";")
+        p_str, j_str, f_str, t_str = line.removesuffix("\n").split(";")
         p, f, t = (_canonical_count(s) for s in (p_str, f_str, t_str))
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -230,14 +213,17 @@ class CensusCache:
         self._entries: dict[int, Census] = {}
         if self.path.exists():
             try:
-                text = self.path.read_text()
+                text = self.path.read_bytes().decode(errors="surrogateescape")  # as written
             except OSError as exc:
                 raise OSError(f"cannot read census cache {self.path}: {exc}") from exc
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
-                c = decode_census(line)
-                self._entries[c.p] = c
+            lines = text.split("\n")
+            if lines[-1]:  # a writer died inside its line; the next put would extend it
+                raise CensusInvariantError(
+                    f"census cache {self.path}: final line is unterminated: {lines[-1]!r}")
+            for line in lines:
+                if line:
+                    c = decode_census(line)
+                    self._entries[c.p] = c
 
     def __contains__(self, p: int) -> bool:
         return p in self._entries

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -137,6 +138,32 @@ def test_sweep_parallel_matches_serial(capsys):
     rc, parallel, _ = run_cli(capsys, "sweep", "--pmin", "5", "--pmax", "130", "--jobs", "2")
     assert rc == EXIT_OK
     assert serial == parallel
+
+
+def test_sweep_pool_writes_the_serial_cache_bytes(capsys, tmp_path):
+    # 29 primes in 5..130 (the pool takes 16 or more), so --jobs 2 runs the
+    # process pool and the parent appends each worker's census.
+    serial, pooled = tmp_path / "serial.cache", tmp_path / "pooled.cache"
+    for jobs, cache in (("1", serial), ("2", pooled)):
+        rc, _, _ = run_cli(capsys, "sweep", "--pmin", "5", "--pmax", "130",
+                           "--jobs", jobs, "--cache", str(cache))
+        assert rc == EXIT_OK
+    assert len(serial.read_text().splitlines()) == 29
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_small_primes_check_the_mass(capsys, monkeypatch):
+    # p = 2, 3 compare the geometric mass with the arithmetic one like every
+    # other prime; their checks column used to print true unchecked.
+    rc, out, _ = run_cli(capsys, "sweep", "--pmin", "2", "--pmax", "3", "--jobs", "1")
+    assert rc == EXIT_OK
+    assert out.split("\n")[1:3] == ["2,1,1,1,1,24,true", "3,1,1,1,1,12,true"]
+    monkeypatch.setattr(sslocus, "eichler_mass", lambda c: Fraction(1, 2))
+    rc, out, _ = run_cli(capsys, "sweep", "--pmin", "2", "--pmax", "3", "--jobs", "1")
+    assert rc == EXIT_OK
+    assert out.split("\n")[1:3] == ["2,1,1,1,1,24,false", "3,1,1,1,1,12,false"]
+    rc, out, _ = run_cli(capsys, "census", "-p", "2")
+    assert rc == EXIT_OK and json.loads(out)["checks"] is False
 
 
 def test_sweep_single_prime(capsys):
@@ -351,17 +378,32 @@ def test_corrupted_cache_is_invariant_violation(capsys, tmp_path):
     "11;0,1;x;2", "12;0;1;1", "1;0;1;1", "2147483659;0;1;1",
     "37;3+10*t,3+27*t,-8;1;2", "37;3+10*t,3+27*t,45;1;2", "37;3+10*t,3+27*t,1_0;1;2",
     "37;3+10*t,3+27*t,8+0*t;1;2", "037;3+10*t,3+27*t,8;1;2", "37;3+10*t,3+27*t,8;+1;2",
+    "11;0,1;2;2   ", " 13;5;1;1\t", "   ", "11;0,1;2;2\r",
 ])
 def test_malformed_cache_line_is_invariant_violation(capsys, tmp_path, line):
     # A non-numeric F, a non-prime p and a prime beyond the word size used to
     # escape decode as ValueError (exit 1); the rest are lines encode_census
     # would not write (an unreduced, signed, '_' or "+0*t" j, a zero-padded p,
-    # a signed F) that a lenient int() used to read as the census at 37.
+    # a signed F, surrounding whitespace, a whitespace-only line, a CRLF line
+    # end) that a lenient int() or strip() used to read as a census.
     cache = tmp_path / "c.cache"
     cache.write_text(line + "\n")
     rc, out, err = run_cli(capsys, "census", "-p", "11", "--cache", str(cache))
     assert rc == EXIT_INVARIANT and out == ""
     assert f"invariant violation: malformed cache line: {line!r}" in err
+
+
+def test_unterminated_final_cache_line_is_invariant_violation(capsys, tmp_path):
+    # A final line without its newline is a torn write, even when its text
+    # parses; the next put would extend it into garbage, so nothing is appended.
+    cache = tmp_path / "c.cache"
+    for torn in ("13;5;1", "13;5;1;1"):
+        cache.write_text("11;0,1;2;2\n" + torn)
+        rc, out, err = run_cli(capsys, "census", "-p", "37", "--cache", str(cache))
+        assert rc == EXIT_INVARIANT and out == ""
+        assert (f"invariant violation: census cache {cache}: final line is unterminated: "
+                f"{torn!r}") in err
+        assert cache.read_text() == "11;0,1;2;2\n" + torn
 
 
 def test_verify_small_run(capsys):

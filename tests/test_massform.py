@@ -5,8 +5,7 @@ from math import gcd
 
 import pytest
 
-from superspecial.massform import (GENUS_MAX, LEVEL_MAX, GenusKind, class_number_level,
-                                   component_genus, gsp_order,
+from superspecial.massform import (GENUS_MAX, LEVEL_MAX, class_number_level, gsp_order,
                                    nonprincipal_class_number_level, nonprincipal_mass,
                                    principal_mass, recover_type_number)
 
@@ -124,13 +123,6 @@ def test_recover_type_number():
         recover_type_number(2, 3)  # trace > H
     with pytest.raises(ValueError):
         recover_type_number(2, -1)
-
-
-def test_component_genus():
-    assert component_genus(1) is GenusKind.PRINCIPAL
-    assert component_genus(2) is GenusKind.NON_PRINCIPAL
-    assert component_genus(3) is GenusKind.PRINCIPAL
-    assert component_genus(4) is GenusKind.NON_PRINCIPAL
 
 
 def test_nonprincipal_pieces():

@@ -11,10 +11,10 @@ import pytest
 from superspecial import sslocus
 from superspecial.ffield import Fp2Field, frobenius, is_prime, lambda_to_j
 from superspecial.fppoly import hasse_poly, roots_in_fp2
+from superspecial.massform import principal_mass
 from superspecial.sslocus import (CENSUS_MAX_PRIME, Census, CensusCache, CensusInvariantError,
-                                  census, class_number_crosscheck, decode_census,
-                                  eichler_mass, encode_census, trace_R_pi0,
-                                  type_number)
+                                  census, class_number_formula, decode_census,
+                                  eichler_mass, encode_census)
 
 SWEEP_PRIMES = [p for p in range(5, 300) if is_prime(p)]
 
@@ -103,37 +103,37 @@ def test_census_refuses_primes_above_the_cost_ceiling():
 
 
 def test_trace_and_type_ops():
+    # F is the trace of the Atkin-Lehner translation, T the type number.
     c11, c13, c5 = census(11), census(13), census(5)
-    assert trace_R_pi0(c11) == 2
-    assert trace_R_pi0(c13) == 1
-    assert type_number(c11) == 2
-    assert type_number(c5) == 1
-    # identity involution => F = H
+    assert c11.F == 2
+    assert c13.F == 1
+    assert c11.T == 2
+    assert c5.T == 1
     c37 = census(37)
-    assert trace_R_pi0(c37) == sum(1 for i, k in enumerate(c37.involution) if i == k)
+    assert c37.F == sum(1 for i, k in enumerate(c37.involution) if i == k)
 
 
 def test_crosscheck_examples():
-    assert class_number_crosscheck(census(11))
-    assert class_number_crosscheck(census(13))
-    assert class_number_crosscheck(census(37))
+    for p in (11, 13, 37):
+        assert census(p).H == class_number_formula(p)
     with pytest.raises(ValueError):
-        class_number_crosscheck(census(3))
+        class_number_formula(3)
 
 
 def test_eichler_mass_examples():
     assert eichler_mass(census(11)) == Fraction(1, 6) + Fraction(1, 4) == Fraction(5, 12)
     assert eichler_mass(census(13)) == Fraction(1, 2)
     assert eichler_mass(census(7)) == Fraction(1, 4)
-    with pytest.raises(ValueError):
-        eichler_mass(census(2))
+    # At p = 2, 3 the single point j = 0 has 24 and 12 automorphisms.
+    assert eichler_mass(census(2)) == principal_mass(1, 2) == Fraction(1, 24)
+    assert eichler_mass(census(3)) == principal_mass(1, 3) == Fraction(1, 12)
 
 
 def test_sweep_identities(sweep):
     for p, c in sweep.items():
         assert c.F == 2 * c.T - c.H
         assert (c.H + c.F) % 2 == 0
-        assert class_number_crosscheck(c)
+        assert c.H == class_number_formula(p)
         assert eichler_mass(c) == Fraction(p - 1, 24)
         inv = c.involution
         assert all(inv[inv[i]] == i for i in range(c.H))
@@ -178,7 +178,7 @@ def test_type_number_recovery_round_trip(sweep):
     from superspecial.massform import recover_type_number
 
     for c in sweep.values():
-        assert recover_type_number(c.H, trace_R_pi0(c)) == type_number(c)
+        assert recover_type_number(c.H, c.F) == c.T
 
 
 def test_exhaustive_enumeration_oracle():
@@ -266,8 +266,9 @@ def test_cache_rejects_corruption(tmp_path):
         ("2;0,1;2;2", "hard-coded"),
         ("37;3+10*t,8;1;1", "not Frobenius-stable"),  # 3 + 10t without 3 + 27t
         ("37;8,3+10*t,3+27*t;1;2", "duplicate or unsorted"),
+        ("11;0,1;2;2\udcff", "malformed cache line"),  # the byte 0xff, not UTF-8
     ]:
-        path.write_text(line + "\n")
+        path.write_bytes((line + "\n").encode(errors="surrogateescape"))
         with pytest.raises(CensusInvariantError, match=re.escape(message)):
             CensusCache(path)
 
