@@ -144,9 +144,11 @@ def cmd_sweep(args) -> int:
             censuses[p] = cache.get(p)
         else:
             todo.append(p)
-    jobs = args.jobs if args.jobs else min(8, os.cpu_count() or 1)
-    if jobs > 1 and len(todo) >= 16:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # Under fork the first map starts every worker at once, so start no more
+    # than the CPUs or the map's chunks of 4 primes (--jobs 0: at most 8).
+    workers = min(args.jobs or 8, os.cpu_count() or 1, -(-len(todo) // 4))
+    if workers > 1 and len(todo) >= 16:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # census() validated each Census in its worker.
             for c in pool.map(sslocus.census, todo, chunksize=4):
                 censuses[c.p] = c
@@ -235,18 +237,15 @@ def cmd_trace_demo(args) -> int:
 
     rng = random.Random(args.seed)
     families = cosettrace.TRIAL_FAMILIES
-    if args.family:
-        families = tuple(k for k in families if k.startswith(args.family))
+    if args.family is not None:
+        families = cosettrace.trial_kinds(args.family)
         if not families:
             raise UsageError(f"no trial family matches {args.family!r}")
-    trace_pass = 0
     volume_pass = 0
     volume_total = 0
     for _ in range(args.trials):
         model = cosettrace.random_model(rng, families)
-        report = cosettrace.orbital_trace(model)  # raises on any mismatch
-        if report.orbital_trace == report.kernel_trace:
-            trace_pass += 1
+        cosettrace.orbital_trace(model)  # raises unless kernel = orbital
         for _ in range(args.volume_checks):
             gamma = model.gamma[rng.randrange(len(model.gamma))]
             a = rng.randrange(model.group.n)
@@ -256,13 +255,13 @@ def cmd_trace_demo(args) -> int:
     payload = {
         "seed": args.seed,
         "trials": args.trials,
-        "trace_equality_pass": trace_pass,
+        "trace_equality_pass": args.trials,  # every trial got past orbital_trace
         "volume_identity_pass": volume_pass,
         "volume_identity_total": volume_total,
     }
     _emit(_json_text(payload), args.output)
-    if trace_pass != args.trials or volume_pass != volume_total:
-        raise InvariantViolation("randomized trace/volume properties failed")
+    if volume_pass != volume_total:
+        raise InvariantViolation("randomized volume identities failed")
     return EXIT_OK
 
 
@@ -317,7 +316,7 @@ def build_parser() -> _Parser:
                          help="run seeded random models instead of a spec")
     p_trace.add_argument("--seed", type=int, default=42)
     p_trace.add_argument("--family", default=None,
-                         help="restrict random trials to one group family")
+                         help="restrict random trials to one group family: cyclic, sym or gl2")
     p_trace.add_argument("--volume-checks", type=_count, default=2,
                          help="volume identity checks per random model")
     p_trace.add_argument("-o", "--output", default=None)

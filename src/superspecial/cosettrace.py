@@ -373,8 +373,8 @@ def parse_model_spec(text: str) -> FiniteGroupModel:
     {"group": "sym:3", "gamma": [<element literals>],
      "k": [<element literals>], "pi": <element literal>}
 
-    Permutations are image lists, matrix entries row lists, cyclic elements
-    plain integers.
+    Each literal has its element's shape (`Group.literal`): permutations
+    are image lists, matrices lists of rows, cyclic elements plain integers.
     """
     try:
         data = json.loads(text)
@@ -391,6 +391,10 @@ def parse_model_spec(text: str) -> FiniteGroupModel:
         raise ModelSpecError(
             f'model spec "group" must be a string like "sym:3", not {data["group"]!r}'
         )
+    for key in ("gamma", "k"):
+        if not isinstance(data[key], list):
+            raise ModelSpecError(
+                f'model spec "{key}" must be an array of element literals, not {data[key]!r}')
     try:
         group = group_from_kind(data["group"])
     except GroupConstructionError as exc:
@@ -399,7 +403,7 @@ def parse_model_spec(text: str) -> FiniteGroupModel:
         gamma_gens = [group.index_of_literal(lit) for lit in data["gamma"]]
         k_gens = [group.index_of_literal(lit) for lit in data["k"]]
         pi = group.index_of_literal(data["pi"])
-    except (GroupConstructionError, TypeError) as exc:
+    except GroupConstructionError as exc:
         raise ModelSpecError(str(exc)) from exc
     return build_model(group, gamma_gens, k_gens, pi)
 
@@ -439,6 +443,12 @@ TRIAL_FAMILIES = tuple(
     + [f"sym:{n}" for n in range(2, 7)]
     + [f"gl2:{n}" for n in range(2, 6)]
 )
+
+
+def trial_kinds(family: str) -> tuple[str, ...]:
+    """The TRIAL_FAMILIES kinds whose family name, the part before ":", is
+    `family`; empty when none is."""
+    return tuple(kind for kind in TRIAL_FAMILIES if kind.partition(":")[0] == family)
 
 
 def random_model(rng, families=TRIAL_FAMILIES) -> FiniteGroupModel:

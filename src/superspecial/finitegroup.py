@@ -58,10 +58,15 @@ class GroupConstructionError(ValueError):
 
 class Group:
     """A finite group on elements 0..n-1 with a dense Cayley table, generated
-    by `gens` (by default, all of its elements)."""
+    by `gens` (by default, all of its elements).  An element's literal, its
+    JSON form, is a nested list of `shape` (a plain integer for shape ()),
+    with entries read mod `modulus` (as they are when it is None)."""
 
-    def __init__(self, kind: str, elements: list, table: np.ndarray, gens=None):
+    def __init__(self, kind: str, elements: list, table: np.ndarray, gens=None,
+                 shape: tuple[int, ...] = (), modulus: int | None = None):
         self.kind = kind
+        self.shape = shape
+        self.modulus = modulus
         self.elements = elements
         self.index = {el: i for i, el in enumerate(elements)}
         self.n = len(elements)
@@ -155,43 +160,37 @@ class Group:
     # -- element literals (JSON-facing) --------------------------------------
 
     def literal(self, i: int):
-        el = self.elements[i]
-        family = self.kind.split(":")[0]
-        if family == "cyclic":
-            return el
-        if family == "sym":
-            return list(el)
-        size = 2 if family == "gl2" else 4
-        return [list(el[r * size : (r + 1) * size]) for r in range(size)]
+        return np.reshape(self.elements[i], self.shape).tolist()
 
     def index_of_literal(self, lit) -> int:
-        family, _, n_str = self.kind.partition(":")
-        n = int(n_str)
-        if family == "cyclic":
-            entries = [lit]
-        elif family == "sym":
-            entries = list(lit)
-        else:
-            entries = [v for row in lit for v in row]
+        # An object array keeps each entry's Python type and nests only as deep
+        # as lit is rectangular, so a ragged literal has another shape.
+        entries = np.array(lit, dtype=object)
+        if entries.shape != self.shape:
+            raise GroupConstructionError(
+                f"{self.kind}: an element literal has shape {list(self.shape)}, not {lit!r}")
+        entries = entries.ravel().tolist()
         # JSON integers only: a bool is an int to Python, a float like 1.0 equals one.
         if not all(type(v) is int for v in entries):
             raise GroupConstructionError(
                 f"{self.kind}: element entries must be integers, not {lit!r}")
-        if family != "sym":  # residues mod n
-            entries = [v % n for v in entries]
-        idx = self.index.get(entries[0] if family == "cyclic" else tuple(entries))
+        if self.modulus is not None:
+            entries = [v % self.modulus for v in entries]
+        idx = self.index.get(tuple(entries) if self.shape else entries[0])
         if idx is None:
             raise GroupConstructionError(f"{self.kind}: {lit!r} is not a group element")
         return idx
 
 
-def _close(kind: str, n: int, order: int, identity, gens, compose) -> Group:
+def _close(kind: str, n: int, order: int, identity, gens, compose,
+           modulus: int | None = None) -> Group:
     """The group generated by gens, listed and tabled by one breadth-first
     search over right multiplication from the identity (see the module notes).
 
     Elements are integer arrays with entries in [0, n), keyed by radix, and
-    compose(A, B) multiplies broadcast stacks of them.  Row(a*g) = row(a)[row(g)],
-    since (a*g)*x = a*(g*x), is filled in discovery order, after row(a).
+    compose(A, B) multiplies broadcast stacks of them; literals take the
+    identity's shape and `modulus`.  Row(a*g) = row(a)[row(g)], since
+    (a*g)*x = a*(g*x), is filled in discovery order, after row(a).
     """
     identity = np.asarray(identity, dtype=np.int64)
     gens = np.asarray(gens, dtype=np.int64).reshape((-1,) + identity.shape)
@@ -246,14 +245,14 @@ def _close(kind: str, n: int, order: int, identity, gens, compose) -> Group:
     for c, a, g in zip(rank[rest].tolist(), rank[parent_a].tolist(), gen_rank[parent_g].tolist()):
         table[c] = table[a][table[g]]
     return Group(kind, [tuple(row) for row in elements.reshape(order, -1).tolist()], table,
-                 gen_rank)
+                 gen_rank, identity.shape, modulus)
 
 
 def _build_cyclic(n: int) -> Group:
     # In int16 throughout: the sums stay below 2 * ORDER_CAP.
     table = np.add.outer(np.arange(n, dtype=np.int16), np.arange(n, dtype=np.int16))
     table %= n
-    return Group(f"cyclic:{n}", list(range(n)), table, [1 % n])
+    return Group(f"cyclic:{n}", list(range(n)), table, [1 % n], (), n)
 
 
 def _sym_generators(n: int) -> list[tuple]:
@@ -327,4 +326,4 @@ def group_from_kind(kind: str) -> Group:
     if family == "sym":
         return _close(kind, n, order, np.arange(n), _sym_generators(n), _compose_perms)
     size, gens = (2, _gl2_generators(n)) if family == "gl2" else (4, _gsp4_generators(n))
-    return _close(kind, n, order, np.eye(size), gens, lambda a, b: (a @ b) % n)
+    return _close(kind, n, order, np.eye(size), gens, lambda a, b: (a @ b) % n, n)

@@ -85,6 +85,19 @@ def test_criterion_7_computes_deltas_and_kernel_once_per_model(seeded_models_100
     assert calls == {"_gamma_classes": 10 + 12, "kernel_trace": 10}
 
 
+def test_criterion_7_words_a_missing_factored_form(seeded_models_100, monkeypatch):
+    from superspecial import cosettrace
+
+    monkeypatch.setattr(cosettrace, "factored_trace", lambda model: (None, "why"))
+    result = acceptance.criterion_7_factorization(seeded_models_100[:2], seed=42)
+    assert not result.passed
+    kernels = [cosettrace.kernel_trace(cosettrace.with_trivial_k(m))
+               for m in seeded_models_100[:2]]
+    assert result.detail == "; ".join(
+        f"model {i} ({m.group.kind}): factored form unavailable or unequal to kernel {kernel}"
+        f" (why)" for i, (m, kernel) in enumerate(zip(seeded_models_100, kernels)))
+
+
 def test_criterion_8_volume_identities():
     _run(acceptance.criterion_8_volume_identities(seed=42))
 

@@ -132,7 +132,8 @@ def test_sweep_env_cache_dir(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "census.cache").read_text() == "11;0,1;2;2\n"
 
 
-def test_sweep_parallel_matches_serial(capsys):
+def test_sweep_parallel_matches_serial(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool path on any host
     rc, serial, _ = run_cli(capsys, "sweep", "--pmin", "5", "--pmax", "130", "--jobs", "1")
     assert rc == EXIT_OK
     rc, parallel, _ = run_cli(capsys, "sweep", "--pmin", "5", "--pmax", "130", "--jobs", "2")
@@ -140,9 +141,11 @@ def test_sweep_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
-def test_sweep_pool_writes_the_serial_cache_bytes(capsys, tmp_path):
+def test_sweep_pool_writes_the_serial_cache_bytes(capsys, tmp_path, monkeypatch):
     # 29 primes in 5..130 (the pool takes 16 or more), so --jobs 2 runs the
-    # process pool and the parent appends each worker's census.
+    # process pool, on any host with 2 CPUs reported, and the parent appends
+    # each worker's census.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial, pooled = tmp_path / "serial.cache", tmp_path / "pooled.cache"
     for jobs, cache in (("1", serial), ("2", pooled)):
         rc, _, _ = run_cli(capsys, "sweep", "--pmin", "5", "--pmax", "130",
@@ -150,6 +153,44 @@ def test_sweep_pool_writes_the_serial_cache_bytes(capsys, tmp_path):
         assert rc == EXIT_OK
     assert len(serial.read_text().splitlines()) == 29
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that records max_workers and maps
+    in this process, so that no worker is started."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, cpus, started", [
+    ("100000", 2, [2]),  # no more workers than CPUs
+    ("100000", 64, [8]),  # nor than the 8 chunks of 4 among 29 primes
+    ("0", 64, [8]),  # auto
+    ("3", 64, [3]),
+    ("0", None, []),  # an unknown CPU count counts one: serial
+    ("100000", 1, []),
+])
+def test_sweep_pool_is_bounded_by_cpus_and_chunks(capsys, monkeypatch, jobs, cpus, started):
+    from superspecial import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "started", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    rc, out, _ = run_cli(capsys, "sweep", "--pmin", "5", "--pmax", "130", "--jobs", jobs)
+    assert rc == EXIT_OK and len(out.splitlines()) == 1 + 29
+    assert _InlinePool.started == started
 
 
 def test_small_primes_check_the_mass(capsys, monkeypatch):
@@ -346,6 +387,23 @@ def test_trace_demo_spec_error(capsys, tmp_path):
         rc, out, err = run_cli(capsys, "trace-demo", "--model", str(path))
         assert rc == EXIT_USAGE and out == "", group
         assert err == f"error: {group}: element entries must be integers, not {pi!r}\n", group
+    # Literals of another shape than the element's, and "gamma" or "k" that
+    # are not arrays: these used to run as the flattened element, or as {e}.
+    for spec, message in [
+        ({"group": "gl2:3", "gamma": [], "k": [], "pi": [[1], [1, 0, 1]]},
+         "gl2:3: an element literal has shape [2, 2], not [[1], [1, 0, 1]]"),
+        ({"group": "gsp2:2", "gamma": [[[1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1]]],
+          "k": [], "pi": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+         "gsp2:2: an element literal has shape [4, 4], not [[1, 0, 0, 0, 0, 1, 0, 0], "),
+        ({"group": "sym:3", "gamma": "", "k": {}, "pi": [0, 1, 2]},
+         "model spec \"gamma\" must be an array of element literals, not ''"),
+        ({"group": "sym:3", "gamma": [], "k": {}, "pi": [0, 1, 2]},
+         "model spec \"k\" must be an array of element literals, not {}"),
+    ]:
+        path.write_text(json.dumps(spec))
+        rc, out, err = run_cli(capsys, "trace-demo", "--model", str(path))
+        assert rc == EXIT_USAGE and out == "", spec
+        assert err.startswith(f"error: {message}"), spec
 
 
 def test_trace_demo_trials(capsys):
@@ -354,6 +412,32 @@ def test_trace_demo_trials(capsys):
     payload = json.loads(out)
     assert payload["trace_equality_pass"] == 15
     assert payload["volume_identity_pass"] == payload["volume_identity_total"]
+
+
+@pytest.mark.parametrize("family", ["cyclic:2", "cyc", "Sym", "gl2:", ""])
+def test_trace_demo_family_is_a_family_name(capsys, family):
+    # "cyclic:2" used to draw from cyclic:2 and cyclic:20..24, "cyc" from every
+    # cyclic kind, by prefix, and "" from every kind.
+    rc, out, err = run_cli(capsys, "trace-demo", "--trials", "2", "--family", family)
+    assert rc == EXIT_USAGE and out == ""
+    assert err == f"error: no trial family matches {family!r}\n"
+
+
+def test_trace_demo_family_draws_only_its_kinds(capsys, monkeypatch):
+    from superspecial import cosettrace
+
+    real, drawn = cosettrace.random_model, []
+
+    def recorded(rng, families):
+        model = real(rng, families)
+        drawn.append(model.group.kind)
+        return model
+
+    monkeypatch.setattr(cosettrace, "random_model", recorded)
+    rc, out, _ = run_cli(capsys, "trace-demo", "--trials", "40", "--family", "cyclic")
+    assert rc == EXIT_OK and json.loads(out)["trace_equality_pass"] == 40
+    assert len(drawn) == 40 and all(kind.startswith("cyclic:") for kind in drawn)
+    assert len(set(drawn)) > 5  # the draw spans the family
 
 
 def test_trace_demo_requires_input(capsys):

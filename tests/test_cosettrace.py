@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +218,20 @@ def test_model_spec_parsing():
                      ("cyclic:4", 1.0), ("cyclic:4", True), ("cyclic:4", "1")]:
         with pytest.raises(ModelSpecError, match="element entries must be integers"):
             parse_model_spec(json.dumps({"group": kind, "gamma": [], "k": [], "pi": pi}))
+    # A literal has its element's shape: a ragged one is not flattened into a
+    # gl2:3 element, nor a 2x8 one into a gsp2:2 element.
+    for kind, pi, shape in [("gl2:3", [[1], [1, 0, 1]], "[2, 2]"),
+                            ("gsp2:2", [[1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1]],
+                             "[4, 4]")]:
+        with pytest.raises(ModelSpecError, match=rf"{kind}: an element literal has shape "
+                                                 rf"{re.escape(shape)}, not"):
+            parse_model_spec(json.dumps({"group": kind, "gamma": [], "k": [], "pi": pi}))
+    # "gamma" and "k" are arrays: an empty string or object is not Gamma = K = {e}.
+    for gamma, k, key in [("", [], "gamma"), ([], {}, "k"), ("", {}, "gamma")]:
+        with pytest.raises(ModelSpecError,
+                           match=f'model spec "{key}" must be an array of element literals'):
+            parse_model_spec(json.dumps({"group": "sym:3", "gamma": gamma, "k": k,
+                                         "pi": [0, 1, 2]}))
 
 
 def test_report_round_trip():

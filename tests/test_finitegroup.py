@@ -218,6 +218,14 @@ def test_literal_rejects_non_elements():
     S = group_from_kind("sym:3")
     with pytest.raises(GroupConstructionError):
         S.index_of_literal([0, 0, 1])
+    # A literal of another shape than the element's is refused, not flattened.
+    for kind, lit in [("gl2:3", [[1], [1, 0, 1]]), ("gl2:3", [1, 1, 0, 1]),
+                      ("gsp2:2", [[1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1]]),
+                      ("sym:3", [[0, 1, 2]]), ("sym:3", [0, 1]), ("cyclic:4", [1])]:
+        G = group_from_kind(kind)
+        message = f"{kind}: an element literal has shape {list(G.shape)}, not {lit!r}"
+        with pytest.raises(GroupConstructionError, match=re.escape(message)):
+            G.index_of_literal(lit)
 
 
 def test_order_caps():
@@ -307,7 +315,7 @@ def test_tables_from_generators_match_the_per_row_oracle(monkeypatch):
     real = fg._close
     products, gens_seen = {}, {}
 
-    def counting(kind, n, order, identity, gens, compose):
+    def counting(kind, n, order, identity, gens, compose, *modulus):
         products[kind], gens_seen[kind] = 0, gens
 
         def counted(a, b):
@@ -315,7 +323,7 @@ def test_tables_from_generators_match_the_per_row_oracle(monkeypatch):
             products[kind] += out.size // np.size(identity)
             return out
 
-        return real(kind, n, order, identity, gens, counted)
+        return real(kind, n, order, identity, gens, counted, *modulus)
 
     monkeypatch.setattr(fg, "_close", counting)
     rows_built = {}
