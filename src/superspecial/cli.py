@@ -90,7 +90,7 @@ def _open_cache(path_arg: str | None) -> sslocus.CensusCache | None:
 
 def _census_checks(c: sslocus.Census) -> tuple[Fraction, bool]:
     """The arithmetic mass at c.p and whether the geometric mass equals it; the
-    identities and the class-number formula ran in Census.validate already."""
+    identities and the class-number formula ran when the Census was made."""
     mass = massform.principal_mass(1, c.p)
     return mass, sslocus.eichler_mass(c) == mass
 
@@ -149,7 +149,7 @@ def cmd_sweep(args) -> int:
     workers = min(args.jobs or 8, os.cpu_count() or 1, -(-len(todo) // 4))
     if workers > 1 and len(todo) >= 16:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            # census() validated each Census in its worker.
+            # Each Census validated itself when its worker made it.
             for c in pool.map(sslocus.census, todo, chunksize=4):
                 censuses[c.p] = c
                 if cache is not None:

@@ -13,7 +13,8 @@ j = a + b t carried as its residue pair (a, b); from these it derives
 which satisfy F = 2T - H: each orbit has size 1 or 2, so H = F + 2(T - F).
 F doubles as the trace of the Atkin-Lehner translation operator on the class
 space, and T as the type number; the identity is the counting shadow of
-"trace = 2 * type number - class number".
+"trace = 2 * type number - class number".  Census(...) raises
+CensusInvariantError unless its j-set passes Census.validate.
 
 p = 2 and p = 3 fall outside the Legendre parametrization (and outside the
 6/4/2 automorphism-order rule); their census is the single supersingular
@@ -58,8 +59,9 @@ class Census:
 
     Built from p and the sorted residue pairs (a, b) of its j-invariants
     j = a + b t; the other fields are derived from those two, so they cannot
-    disagree with them.  Raises CensusInvariantError when j -> j^p does not
-    map the j-set to itself.
+    disagree with them.  Census(...) raises CensusInvariantError when j -> j^p
+    does not map the j-set to itself or the result fails validate, so every
+    Census that exists is valid.
     """
 
     p: int
@@ -87,6 +89,7 @@ class Census:
         derived = dict(involution=involution, H=H, F=F, T=(H + F) // 2, aut_orders=aut_orders)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        self.validate()
 
     def validate(self) -> None:
         """Raise CensusInvariantError unless j_points is the j-set of a census:
@@ -139,9 +142,7 @@ def census(p: int) -> Census:
         # its own partner).
         js = {lambda_to_j(lam, field) for lam in lambdas
               if lam <= ((1 - lam[0]) % p, -lam[1] % p)}
-    result = Census(p, tuple(sorted(js)))
-    result.validate()
-    return result
+    return Census(p, tuple(sorted(js)))
 
 
 def class_number_formula(p: int) -> int:
@@ -160,8 +161,8 @@ def eichler_mass(c: Census) -> Fraction:
 # ---------------------------------------------------------------------------
 # Census cache: one line per prime, "p;j1,j2,...;F;T", append-only writes.
 # A line is read back only in the exact bytes encode_census writes, "\n" included
-# ("\r", spaces and non-UTF-8 bytes are malformed); its Census derives F and T,
-# which must match the cached ones, and Census.validate checks the j-set.
+# ("\r", spaces and non-UTF-8 bytes are malformed); its Census checks the j-set
+# and derives F and T, which must match the cached ones.
 # ---------------------------------------------------------------------------
 
 ENV_CACHE_DIR = "SUPERSPECIAL_CACHE_DIR"
@@ -201,7 +202,6 @@ def decode_census(line: str) -> Census:
     c = Census(p, js)
     if (c.F, c.T) != (f, t):
         raise CensusInvariantError(f"p={p}: cached F/T disagree with recomputation")
-    c.validate()
     return c
 
 

@@ -31,14 +31,17 @@ def test_criterion_2_class_number_oracle(censuses_1000):
     _run(acceptance.criterion_2_class_number_oracle(censuses_1000))
 
 
-def test_criterion_2_reports_a_wrong_class_number():
-    from superspecial.sslocus import Census, census
+def test_criterion_2_reports_a_wrong_class_number(monkeypatch):
+    # Census(...) refuses an H off the formula, so the censuses are made first
+    # and the formula is then made to disagree at p = 11.
+    from superspecial import sslocus
 
-    good = census(11)
-    wrong = Census(11, ((0, 0), (1, 0), (2, 0)))  # three points where there are two
-    result = acceptance.criterion_2_class_number_oracle([good, wrong])
+    censuses = [sslocus.census(p) for p in (5, 7, 11)]
+    real = sslocus.class_number_formula
+    monkeypatch.setattr(sslocus, "class_number_formula", lambda p: real(p) + (p == 11))
+    result = acceptance.criterion_2_class_number_oracle(censuses)
     assert not result.passed
-    assert result.detail == "p=11: H=3 != 2"
+    assert result.detail == "p=11: H=2 != 3"
 
 
 def test_criterion_3_mass_consistency(censuses_1000):
@@ -57,6 +60,28 @@ def test_criterion_5_spot_values():
     # gsp_order(2,2) = 16*3*15 = 720 = |Sp4(F_2)|, cross-checked by exhaustive
     # enumeration of the symplectic similitude group over Z/2.
     _run(acceptance.criterion_5_spot_values())
+
+
+def test_criterion_5_reports_a_group_that_does_not_close(capsys, monkeypatch):
+    # A gsp_order that disagrees with the exhaustive closure makes the build
+    # raise; criterion 5 reports it, and verify prints the failure and exits 2.
+    from superspecial import cli, finitegroup
+
+    real = finitegroup.gsp_order
+    monkeypatch.setattr(finitegroup, "gsp_order",
+                        lambda g, n: 719 if (g, n) == (2, 2) else real(g, n))
+    finitegroup.group_from_kind.cache_clear()
+    try:
+        result = acceptance.criterion_5_spot_values()
+        assert not result.passed
+        assert result.detail == "gsp2:2: generators close to 720 elements, expected 719"
+        assert cli.main(["verify", "--pmax", "5", "--trials", "1"]) == cli.EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert ("FAIL criterion 5: spot values: H_3(1,5)=8, H_3(1,11)=20, H'_3(2,2)=54,"
+                " |GSp4(Z/2)|=720 -- gsp2:2: generators close to 720 elements,"
+                " expected 719\n") in out
+    finally:
+        finitegroup.group_from_kind.cache_clear()
 
 
 def test_criterion_6_trace_equality(seeded_models_100):
@@ -83,6 +108,43 @@ def test_criterion_7_computes_deltas_and_kernel_once_per_model(seeded_models_100
     # One of each per model, plus one class computation per level of the chains
     # (3 + 5 + 4), through delta_sets.
     assert calls == {"_gamma_classes": 10 + 12, "kernel_trace": 10}
+
+
+def _chain_oracle(kind):
+    """The chain of level subgroups below G, each listed by its own rule."""
+    from superspecial.finitegroup import group_from_kind
+
+    group = group_from_kind(kind)
+    if kind == "gl2:4":
+        # Gamma(2): the matrices congruent to the identity mod 2.
+        red2 = [i for i, (a, b, c, d) in enumerate(group.elements)
+                if a % 2 == 1 and b % 2 == 0 and c % 2 == 0 and d % 2 == 1]
+        return [list(range(group.n)), red2, [group.identity]]
+    if kind == "cyclic:24":
+        return [list(range(0, 24, step)) for step in (1, 2, 4, 8)] + [[0]]
+    # S4 > A4 > V4 > {e}, each closed from its literals.
+    a4 = group.subgroup([group.index_of_literal(perm) for perm in ([1, 2, 0, 3], [0, 2, 3, 1])])
+    v4 = group.subgroup([group.index_of_literal(perm) for perm in ([1, 0, 3, 2], [2, 3, 0, 1])])
+    return [list(range(group.n)), a4, v4, [group.identity]]
+
+
+def test_criterion_7_chain_literals_close_to_the_listed_levels(monkeypatch):
+    from superspecial import cosettrace
+
+    built = []
+    real = cosettrace.build_model
+
+    def recorded(group, gamma_gens, k_gens, pi):
+        model = real(group, gamma_gens, k_gens, pi)
+        built.append((group.kind, list(model.k)))
+        return model
+
+    monkeypatch.setattr(cosettrace, "build_model", recorded)
+    assert acceptance.criterion_7_factorization([], seed=42).passed
+    expected = [(kind, sorted(level)) for kind in ("gl2:4", "cyclic:24", "sym:4")
+                for level in _chain_oracle(kind)]
+    assert len(expected) == 3 + 5 + 4
+    assert built == expected
 
 
 def test_criterion_7_words_a_missing_factored_form(seeded_models_100, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -498,6 +499,17 @@ def test_verify_small_run(capsys):
     assert len(lines) == 9
     assert all(l.startswith(("PASS", "FAIL")) for l in lines)
     assert rc in (EXIT_OK, EXIT_INVARIANT)
+
+
+# sha256 of the stdout of verify --pmax 200 --trials 100 --seed 42, the digest
+# the benchmark's fixtures record for its verify workload.
+_GOLDEN_VERIFY_200_SHA256 = "1622a92629c0fd4ae7d529f8f1429ce09e64790b94ab62f6237cd1f0beded69b"
+
+
+def test_verify_output_golden(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "--pmax", "200", "--trials", "100", "--seed", "42")
+    assert rc == EXIT_INVARIANT  # the criterion-7 red
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_VERIFY_200_SHA256
 
 
 def test_verify_refuses_pmax_above_the_census_ceiling(capsys, monkeypatch):

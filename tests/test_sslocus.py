@@ -318,24 +318,29 @@ def test_constructor_derives_every_field_and_refuses_unstable_sets():
 
 
 def test_validate_catches_bad_census():
-    # One hand-built Census per check of validate, with the message it must give.
-    js = census(37).j_points  # ((3, 10), (3, 27), (8, 0))
+    # The constructor runs validate: one bad (p, j-set) per check of validate,
+    # with the message it must give.
+    c37 = census(37)
+    js = c37.j_points  # ((3, 10), (3, 27), (8, 0))
     cases = [
-        (Census(37, (js[0], js[1], js[0])), "duplicate or unsorted j-invariants"),
-        (Census(37, (js[2], js[0], js[1])), "duplicate or unsorted j-invariants"),
-        (Census(37, (js[0], js[1], (8 + 37, 0))), "not F_p2-rational"),
-        (Census(37, ((-29, 0), js[0], js[1])), "not F_p2-rational"),
-        (Census(37, (js[2],)), "class-number formula"),
-        (Census(37, ()), "empty j-set"),
-        (Census(3, ()), "empty j-set"),
-        (Census(2, ((1, 0),)), "hard-coded"),
-        (Census(3, ((0, 0), (1, 0))), "hard-coded"),
-        (Census(4, ((0, 0),)), "not a prime"),
-        (Census(1, ((0, 0),)), "not a prime"),
+        (37, (js[0], js[1], js[0]), "duplicate or unsorted j-invariants"),
+        (37, (js[2], js[0], js[1]), "duplicate or unsorted j-invariants"),
+        (37, (js[0], js[1], (8 + 37, 0)), "not F_p2-rational"),
+        (37, ((-29, 0), js[0], js[1]), "not F_p2-rational"),
+        (37, (js[2],), "class-number formula"),
+        (37, (), "empty j-set"),
+        (3, (), "empty j-set"),
+        (2, ((1, 0),), "hard-coded"),
+        (3, ((0, 0), (1, 0)), "hard-coded"),
+        (4, ((0, 0),), "not a prime"),
+        (1, ((0, 0),), "not a prime"),
     ]
-    for broken, message in cases:
+    for p, points, message in cases:
         with pytest.raises(CensusInvariantError, match=re.escape(message)):
-            broken.validate()
+            Census(p, points)
+    # A copy with another j-set is constructed, so validated, too.
+    with pytest.raises(CensusInvariantError, match="class-number formula"):
+        dataclasses.replace(c37, j_points=(js[2],))
 
 
 # sha256 of the cache lines of every census 5 <= p <= 1000, joined by newlines;
