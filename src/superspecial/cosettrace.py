@@ -335,33 +335,6 @@ def volume_identity_check(model: FiniteGroupModel, gamma: int, a: int) -> bool:
     return lhs == rhs
 
 
-def involution_census(points, inv) -> tuple[int, int, int]:
-    """Counts (H, F, T) = (points, fixed points, orbits) of an involution.
-
-    Verifies inv is genuinely an involution, and the Burnside-style identity
-    F = 2T - H before returning.
-    """
-    pts = list(points)
-    h = len(pts)
-    fixed = 0
-    seen = set()
-    orbits = 0
-    for x in pts:
-        y = inv(x)
-        if inv(y) != x:
-            raise ValueError(f"map is not an involution at {x!r}")
-        if x == y:
-            fixed += 1
-        if x in seen:
-            continue
-        seen.add(x)
-        seen.add(y)
-        orbits += 1
-    if fixed != 2 * orbits - h:
-        raise InvariantViolation("involution census failed F = 2T - H")
-    return h, fixed, orbits
-
-
 # ---------------------------------------------------------------------------
 # Model specifications (JSON) and report serialization
 # ---------------------------------------------------------------------------

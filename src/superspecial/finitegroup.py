@@ -297,7 +297,7 @@ def _gsp4_generators(n: int) -> list[tuple]:
 def group_from_kind(kind: str) -> Group:
     """Parse and build a group from a kind string like "sym:4"."""
     family, sep, n_str = kind.partition(":")
-    if not sep or not n_str.isdecimal():
+    if not sep or not n_str.isdecimal() or str(int(n_str)) != n_str:
         raise GroupConstructionError(f"malformed group kind {kind!r}; want family:n")
     if family not in ("cyclic", "sym", "gl2", "gsp2"):
         raise GroupConstructionError(f"unknown group family {family!r}")

@@ -16,9 +16,6 @@ kernel) replaces the (p^k + (-1)^k) factors by prod_{k=1..d} (p^(4k-2) - 1).
 Each genus rule has one home: principal_mass refuses g < 1, nonprincipal_mass
 refuses all but even g >= 2, and the level-N functions take their mass from
 those two, so they refuse the same genera.
-
-Type numbers are recovered from a supplied trace via T = (H + trace)/2, the
-inverse of trace = 2T - H.
 """
 
 from __future__ import annotations
@@ -137,11 +134,3 @@ def nonprincipal_class_number_level(g: int, p: int, N: int) -> int:
     """H'_N for the non-principal genus (g = 2d even); checked integral."""
     return _level_class_number(g, p, N, nonprincipal_mass(g, p), "H'_N")
 
-
-def recover_type_number(H: int, trace: int) -> int:
-    """Solve trace = 2T - H for the type number T = (H + trace)/2."""
-    if not 0 <= trace <= H:
-        raise ValueError(f"trace {trace} outside [0, H={H}]")
-    if (H + trace) % 2 != 0:
-        raise ValueError(f"H={H} and trace={trace} have mixed parity")
-    return (H + trace) // 2

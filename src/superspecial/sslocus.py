@@ -10,11 +10,13 @@ j = a + b t carried as its residue pair (a, b); from these it derives
     F = number of Frobenius-fixed points (the F_p-rational ones, b = 0),
     T = number of Frobenius orbits,
 
-which satisfy F = 2T - H: each orbit has size 1 or 2, so H = F + 2(T - F).
-F doubles as the trace of the Atkin-Lehner translation operator on the class
-space, and T as the type number; the identity is the counting shadow of
-"trace = 2 * type number - class number".  Census(...) raises
-CensusInvariantError unless its j-set passes Census.validate.
+all three counted off the Frobenius involution by involution_census (T as
+the orbits {i, inv[i]} with i <= inv[i]), which checks F = 2T - H: each orbit
+has size 1 or 2, so H = F + 2(T - F).  F doubles as the trace of the
+Atkin-Lehner translation operator on the class space, and T as the type
+number; the identity is the counting shadow of "trace = 2 * type number -
+class number".  Census(...) raises CensusInvariantError unless its j-set
+passes Census.validate.
 
 p = 2 and p = 3 fall outside the Legendre parametrization (and outside the
 6/4/2 automorphism-order rule); their census is the single supersingular
@@ -79,17 +81,16 @@ class Census:
             involution = tuple(index[frobenius(a, b, p)] for a, b in js)
         except KeyError:
             raise CensusInvariantError(f"p={p}: j-set not Frobenius-stable") from None
-        H = len(js)
-        F = sum(1 for i, k in enumerate(involution) if i == k)
+        self.validate()  # before the count, so a bad j-set is reported as such
+        H, F, T = involution_census(involution)
         if p in _SMALL_AUT:
             aut_orders = (_SMALL_AUT[p],) * H
         else:
             special = {(0, 0): _AUT_SPECIAL_ZERO, (1728 % p, 0): _AUT_SPECIAL_1728}
             aut_orders = tuple(special.get(pair, _AUT_GENERIC) for pair in js)
-        derived = dict(involution=involution, H=H, F=F, T=(H + F) // 2, aut_orders=aut_orders)
+        derived = dict(involution=involution, H=H, F=F, T=T, aut_orders=aut_orders)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-        self.validate()
 
     def validate(self) -> None:
         """Raise CensusInvariantError unless j_points is the j-set of a census:
@@ -112,8 +113,22 @@ class Census:
         if p <= 3:
             if js != ((0, 0),):
                 raise CensusInvariantError(f"p={p}: j-set differs from the hard-coded {{0}}")
-        elif self.H != class_number_formula(p):
+        elif len(js) != class_number_formula(p):
             raise CensusInvariantError(f"p={p}: H fails the class-number formula")
+
+
+def involution_census(inv) -> tuple[int, int, int]:
+    """(H, F, T) = (points, fixed points, orbits) of the involution i -> inv[i]
+    of range(len(inv)); CensusInvariantError unless inv is one and F = 2T - H."""
+    H, F, T = len(inv), 0, 0
+    for i, k in enumerate(inv):
+        if not (0 <= k < H and inv[k] == i):
+            raise CensusInvariantError(f"map is not an involution at index {i}")
+        F += i == k
+        T += i <= k  # one point of each orbit {i, inv[i]}
+    if F != 2 * T - H:
+        raise CensusInvariantError("involution census failed F = 2T - H")
+    return H, F, T
 
 
 def check_census_cost(p: int) -> None:

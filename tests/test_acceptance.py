@@ -147,6 +147,16 @@ def test_criterion_7_chain_literals_close_to_the_listed_levels(monkeypatch):
     assert built == expected
 
 
+def test_criterion_7_reports_a_chain_that_does_not_nest(monkeypatch):
+    # <6> is not inside <4>, so cyclic:24's levels no longer form a chain.
+    specs = [(kind, ([2], [4], [6]) if kind == "cyclic:24" else middle)
+             for kind, middle in acceptance._CHAIN_SPECS]
+    monkeypatch.setattr(acceptance, "_CHAIN_SPECS", specs)
+    result = acceptance.criterion_7_factorization([], seed=42)
+    assert not result.passed
+    assert "chain cyclic:24: level 3 is not inside level 2" in result.detail
+
+
 def test_criterion_7_words_a_missing_factored_form(seeded_models_100, monkeypatch):
     from superspecial import cosettrace
 

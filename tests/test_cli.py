@@ -375,6 +375,7 @@ def test_trace_demo_spec_error(capsys, tmp_path):
         ("gsp2:1000000000000000003", "gsp2:1000000000000000003 has order at least"),
         ("gsp2:1", "gsp2:1: Z/1 is the zero ring"),
         ("sym:0", "sym:0: n must be at least 1"),
+        ("sym:03", "malformed group kind 'sym:03'; want family:n"),
     ]:
         path.write_text(json.dumps({"group": group, "gamma": [], "k": [], "pi": 0}))
         start = time.perf_counter()

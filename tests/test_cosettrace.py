@@ -10,13 +10,12 @@ import pytest
 from superspecial import cosettrace
 from superspecial.cosettrace import (InvariantViolation, ModelSpecError,
                                      build_model, delta_sets, double_cosets,
-                                     factored_trace, involution_census,
-                                     kernel_trace, orbital_trace,
+                                     factored_trace, kernel_trace, orbital_trace,
                                      parse_model_spec, random_model,
                                      report_to_dict, volume_identity_check,
                                      with_trivial_k)
 from superspecial.finitegroup import group_from_kind
-from superspecial.sslocus import census
+from superspecial.sslocus import CensusInvariantError, census, involution_census
 
 
 def _s3():
@@ -184,16 +183,17 @@ def test_volume_identities():
 
 
 def test_involution_census_examples():
-    assert involution_census(["a", "b", "c"],
-                             lambda x: {"a": "b", "b": "a", "c": "c"}[x]) == (3, 1, 2)
-    assert involution_census(range(7), lambda x: x) == (7, 7, 7)
-    c = census(11)
-    assert involution_census(range(c.H), lambda i: c.involution[i]) == (2, 2, 2)
+    assert involution_census([1, 0, 2]) == (3, 1, 2)
+    assert involution_census(list(range(7))) == (7, 7, 7)
+    assert involution_census([]) == (0, 0, 0)
+    assert involution_census(census(11).involution) == (2, 2, 2)
+    assert involution_census(census(37).involution) == (3, 1, 2)
 
 
 def test_involution_census_rejects_non_involution():
-    with pytest.raises(ValueError):
-        involution_census([0, 1, 2], lambda x: (x + 1) % 3)
+    for inv in ([1, 2, 0], [0, 3], [0, -1], [1, 0, 0]):
+        with pytest.raises(CensusInvariantError, match="not an involution"):
+            involution_census(inv)
 
 
 def test_model_spec_parsing():
@@ -428,10 +428,7 @@ def test_kernel_trace_against_brute_force():
 def test_involutive_translation_recovers_type_number():
     # When pi^2 lies in K the translation [x] -> [x pi] is an involution on
     # the double cosets; its fixed-point count (the kernel trace) then ties
-    # the coset count and orbit count together as trace = 2T - H, and the
-    # type-number recovery inverts it.
-    from superspecial.massform import recover_type_number
-
+    # the coset count and orbit count together as trace = 2T - H.
     rng = random.Random(27)
     checked = 0
     while checked < 30:
@@ -443,11 +440,11 @@ def test_involutive_translation_recovers_type_number():
         space = double_cosets(m)
         act = space.hecke_action
         assert all(act[act[r]] == r for r in space.representatives)
-        h, fixed, orbits = involution_census(space.representatives, act.__getitem__)
-        trace = kernel_trace(m)
-        assert fixed == trace
+        position = {r: i for i, r in enumerate(space.representatives)}
+        h, fixed, orbits = involution_census(
+            [position[act[r]] for r in space.representatives])
+        assert fixed == kernel_trace(m)
         assert fixed == 2 * orbits - h
-        assert recover_type_number(h, trace) == orbits
 
 
 def test_gsp2_model_surface():

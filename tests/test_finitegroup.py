@@ -237,7 +237,9 @@ def test_order_caps():
         group_from_kind("gl2:11")  # order 13200 exceeds the cap
     with pytest.raises(GroupConstructionError):
         group_from_kind("nosuch:5")
-    for kind in ("sym", "sym:²"):  # '²'.isdigit(), but int('²') fails
+    # '²'.isdigit(), but int('²') fails; the rest are sym:3 and cyclic:24
+    # written otherwise, which would build and cache a second copy.
+    for kind in ("sym", "sym:²", "sym:03", "sym:٣", "sym:３", "cyclic:0024"):
         with pytest.raises(GroupConstructionError, match="malformed group kind"):
             group_from_kind(kind)
     # Huge and degenerate kinds are refused by name, huge ones before any

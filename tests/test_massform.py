@@ -7,7 +7,7 @@ import pytest
 
 from superspecial.massform import (GENUS_MAX, LEVEL_MAX, class_number_level, gsp_order,
                                    nonprincipal_class_number_level, nonprincipal_mass,
-                                   principal_mass, recover_type_number)
+                                   principal_mass)
 
 
 def test_gsp_order_examples():
@@ -111,18 +111,6 @@ def test_level_ratio_property():
                                class_number_level(g, p, N))
                 rhs = Fraction(gsp_order(g, N * m), gsp_order(g, N))
                 assert lhs == rhs
-
-
-def test_recover_type_number():
-    assert recover_type_number(2, 2) == 2
-    assert recover_type_number(3, 1) == 2
-    assert recover_type_number(1, 1) == 1
-    with pytest.raises(ValueError):
-        recover_type_number(2, 1)  # parity violation
-    with pytest.raises(ValueError):
-        recover_type_number(2, 3)  # trace > H
-    with pytest.raises(ValueError):
-        recover_type_number(2, -1)
 
 
 def test_nonprincipal_pieces():
