@@ -44,23 +44,31 @@ The kernel side labels each x min(Gamma x K), the least over gamma of
 row_min[gamma x], by one (|Gamma| x n) gather.  Every per-class count and
 size is read off class labels once per call (`_gamma_classes`).  The
 Gamma-labels (`Group.conjugacy_partition` over Gamma's generators) give each
-class's least element and size, and |C_Gamma(gamma)| = |Gamma| / |gamma^Gamma|.
+class's least element (the members labelled by themselves) and size (one
+bincount), and |C_Gamma(gamma)| = |Gamma| / |gamma^Gamma|.
 The G-labels (`Group.class_labels`, once per group) give delta_f membership,
 equality of gamma's and pi's G-labels, and the hit count #{x in G : x^{-1}
 gamma x in pi K} = (n / |gamma^G|) * #{y in pi K : y is G-conjugate to
 gamma}, one bincount over pi K for every class.  Each class in delta_f is
 G-conjugate to pi, so its count is n_pi; only |C_Gamma(pi)| is a centralizer
 taken within Gamma, as pi may lie outside Gamma.  A class without hits has
-O_gamma = 0, lies in neither delta set, and is skipped; for the others
-|G_gamma ∩ K| is counted over the G-centralizer.  Since pi normalizes K, the
-hits of gamma are a union of K-cosets xK, so the K-coset labels a with
-a^{-1} gamma a in pi K are its support, one gather over the n / |K| labels;
-|K| times their number must equal the count.  The coset form of O_gamma
-walks those labels in ascending order: each label not yet covered is the
-least element of a new G_gamma a K and covers that double coset's labels
-row_min[c a], c in G_gamma, with one |G_gamma| gather.  The two forms of
-O_gamma agree exactly when the walked double cosets' sizes
-|G_gamma| |K| / |G_gamma ∩ aKa^{-1}| sum to the count, checked in integers.
+O_gamma = 0, lies in neither delta set, and is skipped.  The others are
+taken in one pass, in blocks of max(1, 2^20 // n) classes, so that no
+temporary exceeds the 2^20 entries of finitegroup's row blocks.  Per block:
+since pi normalizes K, the hits of gamma are a union of K-cosets xK, so the
+K-coset labels a with a^{-1} gamma a in pi K are its support, one (block x
+n / |K|) gather; |K| times each class's number of labels must equal its
+count.  The centralizers are the rows of table[reps] == table[:, reps]^T,
+one (block x n) comparison; |G_gamma| and |G_gamma ∩ K| are row sums.  Only
+the coset form of O_gamma is per class: it walks the class's labels in
+ascending order, and each label not yet covered is the least element of a
+new G_gamma a K and covers that double coset's labels row_min[c a], c in
+G_gamma, with one |G_gamma| gather.  The two forms of O_gamma agree exactly
+when the walked double cosets' sizes |G_gamma| |K| / |G_gamma ∩ aKa^{-1}|
+sum to the count, checked in integers.  The orbital total needs no
+centralizer: a(G_gamma) O_gamma = count / (|C_Gamma(gamma)| |K|), so it is
+the one Fraction (sum of count * |gamma^Gamma|) / (|Gamma| |K|), summed in
+integers.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactnum import frac_dict
-from .finitegroup import Group, GroupConstructionError, group_from_kind
+from .finitegroup import _BLOCK_ENTRIES, Group, GroupConstructionError, group_from_kind
 
 
 class InvariantViolation(Exception):
@@ -191,8 +199,9 @@ def _gamma_classes(model: FiniteGroupModel) -> tuple[np.ndarray, ...]:
     off class labels (see the module notes)."""
     G = model.group
     gamma = np.array(model.gamma)
-    reps, sizes = np.unique(G.conjugacy_partition(gamma, model.gamma_gens)[gamma],
-                            return_counts=True)
+    lab = G.conjugacy_partition(gamma, model.gamma_gens)[gamma]
+    reps = gamma[lab == gamma]  # each class's least element labels it
+    sizes = np.bincount(lab)[reps]
     glab = G.class_labels
     rep_lab = glab[reps]
     class_size = np.bincount(glab, minlength=G.n)[rep_lab]
@@ -218,33 +227,49 @@ def _coset_walk(G: Group, cent: np.ndarray, in_k: np.ndarray, row_min: np.ndarra
     return walk
 
 
-def _orbital_term(model: FiniteGroupModel, in_k: np.ndarray, in_pik: np.ndarray,
-                  row_min: np.ndarray, labels: np.ndarray, rep: int, count: int,
-                  c_gamma: int) -> OrbitalTerm:
-    """a(G_gamma) and O_gamma for the Gamma-class of rep, with count hits and
-    rational centralizer of order c_gamma."""
+def _orbital_terms(model: FiniteGroupModel, row_min: np.ndarray,
+                   classes) -> tuple[OrbitalTerm, ...]:
+    """a(G_gamma) and O_gamma for every supported Gamma-class, in one pass
+    over blocks of classes (see the module notes)."""
     G = model.group
-    k_order = len(model.k)
-    # The support is a union of K-cosets (pi normalizes K): its labels suffice.
-    starts = labels[in_pik[G.table[G.table[G.inv[labels], rep], labels]]]
-    if k_order * len(starts) != count:
-        raise InvariantViolation(
-            f"hit count mismatch at class {rep}: {len(starts)} K-cosets of {k_order} "
-            f"elements vs {count} hits")
-    cent = G.centralizer(rep)
-    cent_k = int(np.count_nonzero(in_k[cent]))
-    a_val = Fraction(len(cent), c_gamma * cent_k)
-    o_direct = Fraction(cent_k * count, len(cent) * k_order)
-    # O_gamma by cosets sums |G_gamma ∩ K| / |G_gamma ∩ aKa^{-1}| over the walk; it
-    # equals o_direct exactly when the double cosets' sizes sum to the count.
-    walk = _coset_walk(G, cent, in_k, row_min, starts)
-    sizes = [divmod(len(cent) * k_order, meet) for _, meet in walk]
-    if any(rem for _, rem in sizes) or sum(size for size, _ in sizes) != count:
-        o_cosets = sum((Fraction(cent_k, meet) for _, meet in walk), Fraction(0))
-        raise InvariantViolation(
-            f"orbital integral mismatch at class {rep}: {o_direct} vs {o_cosets}"
-        )
-    return OrbitalTerm(rep, a_val, o_direct)
+    k = np.array(model.k)
+    in_k = _mask(G.n, k)
+    in_pik = _mask(G.n, G.table[model.pi, k])
+    labels = (row_min == G.indices).nonzero()[0]
+    reps, counts, _, c_gamma = classes
+    # A class without hits has O_gamma = 0 and no term (see the module notes).
+    supported = counts > 0
+    reps, counts, c_gamma = reps[supported], counts[supported], c_gamma[supported]
+    terms = []
+    step = max(1, _BLOCK_ENTRIES // G.n)
+    for lo in range(0, len(reps), step):
+        block, block_counts = reps[lo : lo + step], counts[lo : lo + step]
+        # The support is a union of K-cosets (pi normalizes K): its labels suffice.
+        hits = in_pik[G.table[G.table[G.inv[labels], block[:, None]], labels]]
+        found = hits.sum(axis=1)
+        wrong = len(k) * found != block_counts
+        if wrong.any():
+            i = wrong.argmax()
+            raise InvariantViolation(
+                f"hit count mismatch at class {block[i]}: {found[i]} K-cosets of {len(k)} "
+                f"elements vs {block_counts[i]} hits")
+        cents = G.table[block] == G.table[:, block].T  # row i: the centralizer of block[i]
+        rows = zip(block.tolist(), block_counts.tolist(), c_gamma[lo : lo + step].tolist(),
+                   cents.sum(axis=1).tolist(), np.count_nonzero(cents[:, k], axis=1).tolist(),
+                   cents, hits)
+        for rep, count, c, cent_order, cent_k, cent_row, hit_row in rows:
+            # O_gamma by cosets sums |G_gamma ∩ K| / |G_gamma ∩ aKa^{-1}| over the walk; it
+            # equals the direct form exactly when the double cosets' sizes sum to the count.
+            walk = _coset_walk(G, cent_row.nonzero()[0], in_k, row_min, labels[hit_row])
+            o_direct = Fraction(cent_k * count, cent_order * len(k))
+            sizes = [divmod(cent_order * len(k), meet) for _, meet in walk]
+            if any(rem for _, rem in sizes) or sum(size for size, _ in sizes) != count:
+                o_cosets = sum((Fraction(cent_k, meet) for _, meet in walk), Fraction(0))
+                raise InvariantViolation(
+                    f"orbital integral mismatch at class {rep}: {o_direct} vs {o_cosets}"
+                )
+            terms.append(OrbitalTerm(rep, Fraction(cent_order, c * cent_k), o_direct))
+    return tuple(terms)
 
 
 def delta_sets(model: FiniteGroupModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -254,19 +279,14 @@ def delta_sets(model: FiniteGroupModel) -> tuple[tuple[int, ...], tuple[int, ...
 
 def orbital_trace(model: FiniteGroupModel) -> TraceReport:
     """Evaluate the orbital side, check it against the kernel side, and report."""
-    G = model.group
-    k = np.array(model.k)
-    in_k = _mask(G.n, k)
-    in_pik = _mask(G.n, G.table[model.pi, k])
     row_min = _k_labels(model)
     kernel = _kernel_trace(_double_cosets(model, row_min))
-    labels = (row_min == G.indices).nonzero()[0]
     classes = _gamma_classes(model)
-    # A class without hits has O_gamma = 0 and no term (see the module notes).
-    terms = tuple(_orbital_term(model, in_k, in_pik, row_min, labels, rep, count, c_gamma)
-                  for rep, count, _, c_gamma in zip(*(col.tolist() for col in classes))
-                  if count)
-    total = sum((t.a_value * t.orbital_integral for t in terms), Fraction(0))
+    terms = _orbital_terms(model, row_min, classes)
+    # a(G_gamma) O_gamma = count / (|C_Gamma(gamma)| |K|) = count |gamma^Gamma| / (|Gamma| |K|).
+    _, counts, _, c_gamma = classes
+    order = len(model.gamma)
+    total = Fraction(int((counts * (order // c_gamma)).sum()), order * len(model.k))
     if total != kernel:
         raise InvariantViolation(
             f"trace formula failed: orbital {total} != kernel {kernel}"
@@ -317,22 +337,20 @@ def volume_identity_check(model: FiniteGroupModel, gamma: int, a: int) -> bool:
 
     Left side from the quotient-measure definition: count the G_gamma-cosets
     inside the set G_gamma a K and weight each by vol(G_gamma ∩ K)/vol(K).
-    Right side from the subgroup volumes directly.  Both sides are exact
-    rationals under the model's normalizations.
+    Right side from the subgroup volumes directly.  Under the model's
+    normalizations the two sides are the rationals
+    (count // |G_gamma|) |G_gamma ∩ K| / |K| and |G_gamma ∩ K| / |G_gamma ∩ aKa^{-1}|,
+    with count = |G_gamma a K|; as |G_gamma ∩ K| >= 1 (it holds the identity),
+    they are equal exactly when
+    (count // |G_gamma|) |G_gamma ∩ aKa^{-1}| = |K|, which is compared in integers.
     """
     G = model.group
     _check_indices(G, (gamma, a))
     k = np.array(model.k)
-    in_k = _mask(G.n, k)
     cent = G.centralizer(gamma)
-    cent_k = int(np.count_nonzero(in_k[cent]))
-
     orbit = _mask(G.n, G.table[cent[:, None], G.table[a, k]])
     n_cosets = int(np.count_nonzero(orbit)) // len(cent)
-    lhs = Fraction(n_cosets) * Fraction(cent_k, len(k))
-
-    rhs = Fraction(cent_k, _meet_conjugate(G, cent, in_k, a))
-    return lhs == rhs
+    return n_cosets * _meet_conjugate(G, cent, _mask(G.n, k), a) == len(k)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from superspecial.cosettrace import (InvariantViolation, ModelSpecError,
                                      parse_model_spec, random_model,
                                      report_to_dict, volume_identity_check,
                                      with_trivial_k)
-from superspecial.finitegroup import group_from_kind
+from superspecial.finitegroup import Group, group_from_kind
 from superspecial.sslocus import CensusInvariantError, census, involution_census
 
 
@@ -180,6 +180,16 @@ def test_volume_identities():
         gamma = m.gamma[rng.randrange(len(m.gamma))]
         a = rng.randrange(S4.n)
         assert volume_identity_check(m, gamma, a)
+
+
+def test_volume_identity_check_can_fail(monkeypatch):
+    # A doubled |G_gamma ∩ aKa^{-1}| breaks vol(K) / vol(G_gamma ∩ aKa^{-1}).
+    S4 = group_from_kind("sym:4")
+    m = build_model(S4, [S4.index[(1, 0, 2, 3)]], [S4.index[(0, 1, 3, 2)]],
+                    S4.identity)
+    real = cosettrace._meet_conjugate
+    monkeypatch.setattr(cosettrace, "_meet_conjugate", lambda *args: 2 * real(*args))
+    assert not all(volume_identity_check(m, gamma, a) for gamma in m.gamma for a in range(S4.n))
 
 
 def test_involution_census_examples():
@@ -507,3 +517,41 @@ def test_orbital_trace_rejects_kernel_mismatch(monkeypatch):
     Z4 = group_from_kind("cyclic:4")
     with pytest.raises(InvariantViolation, match="trace formula failed: orbital 2 != kernel 3"):
         orbital_trace(build_model(Z4, [2], [], 2))
+
+
+def _whole_group_model(kind):
+    """Gamma = K = G and pi = e: one double coset, every Gamma-class supported."""
+    G = group_from_kind(kind)
+    return build_model(G, G.indices.tolist(), G.indices.tolist(), G.identity)
+
+
+def test_orbital_trace_in_blocks_of_one_class(monkeypatch, seeded_models_100):
+    # With a bound of one entry every block holds one class.
+    whole = [_whole_group_model(kind) for kind in ("cyclic:720", "sym:5")]
+    reports = [orbital_trace(m) for m in whole]
+    monkeypatch.setattr(cosettrace, "_BLOCK_ENTRIES", 1)
+    text = json.dumps(_golden_records(seeded_models_100), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SEED42_SHA256
+    assert [orbital_trace(m) for m in whole] == reports
+
+
+def test_orbital_trace_takes_no_centralizer_per_class(monkeypatch):
+    # All 5 classes of S4 are supported, and delta_K != delta_f = {e}, so the
+    # factored form stops before its one centralizer call (|C_Gamma(pi)|,
+    # taken within Gamma); with K trivial only the identity's class is
+    # supported, and that call is the only one.
+    m = _whole_group_model("sym:4")
+    calls = []
+    real = Group.centralizer
+
+    def counted(self, i, within=None):
+        calls.append((i, within))
+        return real(self, i, within)
+
+    monkeypatch.setattr(Group, "centralizer", counted)
+    report = orbital_trace(m)
+    assert len(report.orbital_terms) == 5 and report.factored_value is None
+    assert calls == []
+    report = orbital_trace(with_trivial_k(m))
+    assert len(report.orbital_terms) == 1 and report.factored_value == 1
+    assert [(i, within is not None) for i, within in calls] == [(m.pi, True)]
