@@ -456,7 +456,7 @@ def random_model(rng, families=TRIAL_FAMILIES) -> FiniteGroupModel:
     else:
         k_gens = [rng.randrange(group.n) for _ in range(rng.choice((1, 2)))]
     k = group.subgroup(k_gens)
-    normalizer = group.normalizer_of(k)
+    normalizer = group.normalizer_of(k, k_gens)
     gamma = group.subgroup(gamma_gens)
     if rng.random() < 0.5:
         pool = np.intersect1d(normalizer, gamma, assume_unique=True)

@@ -10,15 +10,17 @@ Supported families (the "kind" strings used by model specs and the CLI):
 Every group is materialized as an element list in a canonical (sorted) order
 plus a full Cayley table, so conjugacy classes, centralizers, and coset
 partitions are exact enumerations (no character theory, no randomization):
-table gathers marked into boolean masks, never sorted.  A subgroup is closed
-by squaring, S -> S*S = table[S, S], until it stops growing; a centralizer
-compares a table row with a column.  Conjugacy classes are labels, not lists:
-a class is an orbit under conjugation by a generating set (Holt, Eick and
-O'Brien, Handbook of Computational Group Theory, 2005, 4.1), and
-`conjugacy_partition` labels every element with the least element of its
-orbit at once, by min-label relaxation over the generators' conjugations with
-pointer jumping (the connectivity scheme of Shiloach and Vishkin, J.
-Algorithms 3, 1982).  Each group keeps the generators it was built from.
+table gathers marked into boolean masks, never sorted.  Subgroups are worked
+from their generators (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005, 4.1): a subgroup is closed by squaring, S -> S*S = table[S, S],
+until S*gens lies in S, one |S| x |gens| gather per round, so no last |S|^2
+round is spent confirming closure; a normalizer conjugates only the
+subgroup's generators.  A centralizer compares a table row with a column.
+Conjugacy classes are labels, not lists: a class is an orbit under
+conjugation by a generating set, and `conjugacy_partition` labels every
+element with the least element of its orbit at once, by min-label relaxation
+over the generators' conjugations with pointer jumping (the connectivity
+scheme of Shiloach and Vishkin, J. Algorithms 3, 1982).  Each group keeps the generators it was built from.
 
 Every sym, gl2 and gsp2 group comes from one closure, `_close`: a
 breadth-first search over right multiplication from the identity by a few
@@ -47,8 +49,8 @@ from .massform import gsp_order
 ORDER_CAP = 5040
 # Tables and their indices are int16; so are the cyclic sums, below 2 * ORDER_CAP.
 assert 2 * ORDER_CAP <= np.iinfo(np.int16).max
-# Entries per temporary array in the row blocks of Group.__init__ and normalizer_of
-# (2^20 int16 = 2 MB).
+# Entries per temporary array in the row blocks of Group.__init__ (rows x n) and
+# normalizer_of (rows x generators), 2^20 int16 = 2 MB.
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -96,14 +98,23 @@ class Group:
     # -- bulk ops -----------------------------------------------------------
 
     def subgroup(self, gens) -> np.ndarray:
-        """Sorted element indices of the subgroup generated by gens."""
+        """Sorted element indices of the subgroup generated by gens.
+
+        S starts as {e} and gens and is squared, S -> S*S, until S*gens lies
+        in S.  Then S = <gens>: S holds only products of generators, so
+        S <= <gens>; and S holds e and is closed under right multiplication by
+        each generator, so it holds every product of generators, which in a
+        finite group is all of <gens> (an inverse is a positive power).
+        """
+        gens = np.asarray(gens, dtype=np.int64)
         mask = np.zeros(self.n, dtype=bool)
-        mask[[*gens, self.identity]] = True
-        cur = self.indices[:0]
-        while len(cur) < np.count_nonzero(mask):  # square the set until it stops growing
+        mask[gens] = True
+        mask[self.identity] = True
+        while True:
             cur = mask.nonzero()[0]
+            if mask[self.table[cur[:, None], gens]].all():
+                return cur
             mask[self.table[cur[:, None], cur]] = True
-        return cur
 
     def conj_vector(self, i: int) -> np.ndarray:
         """Array y with y[x] = x^{-1} i x for every x: a brute-force oracle, kept
@@ -114,16 +125,24 @@ class Group:
         h = self.indices if within is None else within
         return h[self.table[h, i] == self.table[i, h]]
 
-    def normalizer_of(self, sub: np.ndarray) -> np.ndarray:
-        """All x with x sub x^{-1} = sub (as a set)."""
+    def normalizer_of(self, sub: np.ndarray, gens) -> np.ndarray:
+        """All x with x sub x^{-1} = sub (as a set), where sub = <gens>.
+
+        Only the generators are conjugated: conjugation by x is an
+        automorphism, so x sub x^{-1} = <x gens x^{-1}>, which lies in sub once
+        every x g x^{-1} does, and then equals it, having the same order.  A
+        generator outside sub raises ValueError.
+        """
         in_sub = np.zeros(self.n, dtype=bool)
         in_sub[sub] = True
-        # Conjugation is injective, so x sub x^{-1} equals sub once it lies in
-        # sub.  Rows of x go in blocks that bound the (rows, |sub|) temporaries.
-        rows = max(1, _BLOCK_ENTRIES // max(len(sub), 1))
+        gens = np.asarray(gens, dtype=np.int64)
+        if not in_sub[gens].all():
+            raise ValueError(f"{self.kind}: generator {gens[~in_sub[gens]][0]} lies outside sub")
+        # Rows of x go in blocks that bound the (rows, |gens|) temporaries.
+        rows = max(1, _BLOCK_ENTRIES // max(len(gens), 1))
         keep = np.empty(self.n, dtype=bool)
         for lo in range(0, self.n, rows):
-            conj = self.table[self.table[lo : lo + rows][:, sub], self.inv[lo : lo + rows, None]]
+            conj = self.table[self.table[lo : lo + rows][:, gens], self.inv[lo : lo + rows, None]]
             keep[lo : lo + rows] = in_sub[conj].all(axis=1)
         return np.flatnonzero(keep).astype(np.int64, copy=False)
 

@@ -21,6 +21,7 @@ those two, so they refuse the same genera.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 
 from .exactnum import zeta_negative
@@ -88,26 +89,28 @@ def gsp_order(g: int, N: int) -> int:
     return order
 
 
-def _mass(g: int, local: int) -> Fraction:
-    """(-1)^(g(g+1)/2) / 2^g * prod_{k=1..g} zeta(1-2k), times the local factor."""
+@lru_cache(maxsize=None)
+def _zeta_factor(g: int) -> Fraction:
+    """(-1)^(g(g+1)/2) / 2^g * prod_{k=1..g} zeta(1-2k): the part of a genus's
+    mass that does not depend on p, formed once per g."""
     value = Fraction((-1) ** (g * (g + 1) // 2), 2**g)
     for k in range(1, g + 1):
         value *= zeta_negative(k)
-    return value * local
+    return value
 
 
 def principal_mass(g: int, p: int) -> Fraction:
     """The exact mass M(g, p) of the principal genus; positive for all inputs."""
     if g < 1:
         raise ValueError("g must be positive")
-    return _mass(g, prod(p**k + (-1) ** k for k in range(1, g + 1)))
+    return _zeta_factor(g) * prod(p**k + (-1) ** k for k in range(1, g + 1))
 
 
 def nonprincipal_mass(g: int, p: int) -> Fraction:
     """The exact mass of the non-principal genus; g = 2d must be even and positive."""
     if g < 2 or g % 2 != 0:
         raise ValueError(f"non-principal genus requires even g >= 2, got g={g}")
-    return _mass(g, prod(p ** (4 * k - 2) - 1 for k in range(1, g // 2 + 1)))
+    return _zeta_factor(g) * prod(p ** (4 * k - 2) - 1 for k in range(1, g // 2 + 1))
 
 
 def _level_class_number(g: int, p: int, N: int, mass: Fraction, what: str) -> int:

@@ -4,7 +4,9 @@ perfbench/tracer.py wraps package functions and methods by name to take its
 per-layer metrics, and perfbench/workloads.py calls the trace sandbox by name;
 a renamed or deleted target would only show up in a benchmark run.  These
 tests load the tracer by path and resolve every target, and read the
-workloads' source to resolve every cosettrace attribute they use.
+workloads' source to resolve every cosettrace attribute they use.  They also
+load perfbench/harness.py, whose cache clearing keeps a pass from reusing
+memos that a fresh process would not have.
 """
 
 import ast
@@ -14,13 +16,18 @@ from pathlib import Path
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 _WORKLOADS = _TRACER.with_name("workloads.py")
+_HARNESS = _TRACER.with_name("harness.py")
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load(_TRACER, "perfbench_tracer")
 
 
 def test_every_traced_name_resolves_in_the_package():
@@ -54,3 +61,14 @@ def test_every_acceptance_criterion_is_traced():
     traced = {int(m.group(1)) for name in vars(acceptance)
               if (m := tracer._CRITERION.match(name)) and callable(getattr(acceptance, name))}
     assert traced == set(range(1, 10))
+
+
+def test_clearing_the_program_caches_drops_the_genus_factors():
+    # verify's passes each clear the caches first; a memo that survived would
+    # make every pass after the first cheaper than a fresh process.
+    harness = _load(_HARNESS, "perfbench_harness")
+    massform = importlib.import_module("superspecial.massform")
+    massform.principal_mass(3, 5)
+    assert massform._zeta_factor.cache_info().currsize > 0
+    harness.clear_program_caches()
+    assert massform._zeta_factor.cache_info().currsize == 0

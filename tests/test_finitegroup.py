@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,11 +72,20 @@ def test_conj_vector():
 
 def test_normalizer():
     G = group_from_kind("sym:4")
-    v4 = G.subgroup([G.index[(1, 0, 3, 2)], G.index[(2, 3, 0, 1)]])
+    v4_gens = [G.index[(1, 0, 3, 2)], G.index[(2, 3, 0, 1)]]
+    v4 = G.subgroup(v4_gens)
     assert len(v4) == 4
-    assert len(G.normalizer_of(v4)) == 24  # V4 is normal in S4
-    s2 = G.subgroup([G.index[(1, 0, 2, 3)]])
-    assert len(G.normalizer_of(s2)) == 4
+    assert len(G.normalizer_of(v4, v4_gens)) == 24  # V4 is normal in S4
+    s2_gens = [G.index[(1, 0, 2, 3)]]
+    s2 = G.subgroup(s2_gens)
+    assert len(G.normalizer_of(s2, s2_gens)) == 4
+
+
+def test_normalizer_refuses_a_generator_outside_the_subgroup():
+    G = group_from_kind("sym:4")
+    tr, cyc = G.index[(1, 0, 2, 3)], G.index[(1, 2, 3, 0)]
+    with pytest.raises(ValueError, match=f"sym:4: generator {cyc} lies outside sub"):
+        G.normalizer_of(G.subgroup([tr]), [tr, cyc])
 
 
 def _normalizer_by_loop(G, sub):
@@ -87,12 +97,14 @@ def _normalizer_by_loop(G, sub):
 
 
 def test_normalizer_matches_loop_oracle():
+    # The normalizer conjugates only the drawn generators (none, one or two).
     rng = random.Random(14)
     for kind in ("cyclic:24", "sym:4", "sym:5", "gl2:3", "gl2:4", "gsp2:2"):
         G = group_from_kind(kind)
         for _ in range(6):
-            sub = G.subgroup([rng.randrange(G.n) for _ in range(rng.choice((0, 1, 2)))])
-            got = G.normalizer_of(sub)
+            gens = [rng.randrange(G.n) for _ in range(rng.choice((0, 1, 2)))]
+            sub = G.subgroup(gens)
+            got = G.normalizer_of(sub, gens)
             want = _normalizer_by_loop(G, sub)
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want), kind
@@ -128,13 +140,44 @@ def _closure_by_loop(G, gens):
 
 
 def test_subgroup_matches_a_python_closure():
+    # Some generating sets are redundant: a generator repeated, the identity
+    # added, or g given together with its inverse.
     rng = random.Random(15)
-    for kind in ("sym:4", "gl2:3", "cyclic:12"):
+    for kind in ("sym:4", "sym:5", "gl2:3", "gl2:5", "gsp2:2", "cyclic:12", "cyclic:24"):
         G = group_from_kind(kind)
         assert G.subgroup([]).tolist() == [G.identity]
-        for _ in range(12):
-            gens = [rng.randrange(G.n) for _ in range(rng.choice((0, 1, 2, 3)))]
+        for trial in range(12):
+            gens = [rng.randrange(G.n) for _ in range(rng.choice((1, 2, 3)))]
+            if trial % 4 == 1:
+                gens.append(gens[0])
+            elif trial % 4 == 2:
+                gens.append(G.identity)
+            elif trial % 4 == 3:
+                gens.append(G.inverse(gens[0]))
             assert G.subgroup(gens).tolist() == _closure_by_loop(G, gens), (kind, gens)
+
+
+def _traced_peak(fn, *args):
+    """Bytes allocated at the peak of fn(*args), as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sym7_closure_and_normalizer_stay_small():
+    # S7 from its two generators.  Squaring until S*S stops growing ended in
+    # a 5040^2 int16 gather (a 48.6 MB peak), and conjugating every element
+    # of S7 by every x took 6.1 MB; the closure stops once S*gens lies in S,
+    # and the normalizer conjugates the two generators only.
+    G = group_from_kind("sym:7")
+    assert _traced_peak(G.subgroup, G.gens) < 24 * 2**20
+    s7 = G.subgroup(G.gens)
+    assert len(s7) == G.n
+    assert _traced_peak(G.normalizer_of, s7, G.gens) < 2**20
+    assert G.normalizer_of(s7, G.gens).tolist() == G.indices.tolist()
 
 
 def _partition_by_loop(G, members):

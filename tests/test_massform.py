@@ -1,10 +1,11 @@
 import itertools
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
+from superspecial.exactnum import zeta_negative
 from superspecial.massform import (GENUS_MAX, LEVEL_MAX, class_number_level, gsp_order,
                                    nonprincipal_class_number_level, nonprincipal_mass,
                                    principal_mass)
@@ -52,6 +53,20 @@ def test_principal_mass_closed_form_g1():
 def test_principal_mass_g2_example():
     # (-1/4) * (-1/12) * (1/120) * (2-1) * (2^2+1) = 5/5760 = 1/1152
     assert principal_mass(2, 2) == Fraction(1, 1152)
+
+
+def test_masses_match_the_explicit_zeta_product():
+    # The memoized genus factor against the formula written out in full, with
+    # every p-independent factor formed afresh for each (g, p).
+    for g in range(1, 7):
+        for p in (2, 3, 5, 11, 101, 2**31 - 1):
+            zeta = prod((zeta_negative(k) for k in range(1, g + 1)), start=Fraction(1))
+            factor = Fraction((-1) ** (g * (g + 1) // 2), 2**g) * zeta
+            assert principal_mass(g, p) == factor * prod(
+                p**k + (-1) ** k for k in range(1, g + 1)), (g, p)
+            if g % 2 == 0:
+                assert nonprincipal_mass(g, p) == factor * prod(
+                    p ** (4 * k - 2) - 1 for k in range(1, g // 2 + 1)), (g, p)
 
 
 def test_principal_mass_positive():
