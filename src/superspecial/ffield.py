@@ -4,10 +4,18 @@ Prime-field elements are carried as canonical int residues in [0, p); the
 quadratic extension is modelled as F_p[t]/(t^2 - d) where d is the *smallest*
 quadratic non-residue mod p, so that element encodings and cache files are
 stable across runs.  An element a + b t of F_{p^2} is carried as its residue
-pair (a, b), written "a" or "a+b*t" (format_pair / parse_pair); Fp2Field is
-the checked descriptor (p, d).  Primes are restricted to p < 2^31:
-double-word products then stay exact in machine arithmetic, which the
-polynomial layer exploits.
+pair (a, b), written "a" or "a+b*t" (format_pair; parse_pairs reads a
+comma-separated list of them, parse_pair one); Fp2Field is the checked
+descriptor (p, d).  Primes are restricted to p < 2^31: double-word products
+then stay exact in machine arithmetic, which the polynomial layer exploits.
+
+is_prime is exact on n < psi_13 = 3317044064679887385961981 and refuses
+larger n.  It runs Miller-Rabin only on bases proven to decide primality in
+n's range: psi_k, the least strong pseudoprime to the first k primes, is
+psi_2 = 1373653 and psi_4 = 3215031751 (Pomerance, Selfridge and Wagstaff,
+as tabulated by Jaeschke, Math. Comp. 61, 1993) and psi_13 as above
+(Sorenson and Webster, Math. Comp. 86, 2017), so below psi_k the first k
+primes suffice.
 
 The Frobenius x -> x^p on F_{p^2} is (a + b t) -> (a - b t), since
 t^p = t * (t^2)^((p-1)/2) = t * d^((p-1)/2) = -t.
@@ -15,25 +23,47 @@ t^p = t * (t^2)^((p-1)/2) = t * d^((p-1)/2) = -t.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 MAX_PRIME = 1 << 31
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# An n with no prime factor <= 37 is prime when n < 41^2.
+_TRIAL_LIMIT = 41 * 41
+
+# (bound, bases): below bound, n is prime iff it is a strong probable prime to
+# every base; the bounds are psi_2, psi_4 and psi_13.
+_MR_BASES = (
+    (1_373_653, (2, 3)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES + (41,)),
+)
+PRIMALITY_LIMIT = _MR_BASES[-1][0]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid for all n < 3.3e24)."""
+    """Whether n is prime, exactly, for n < PRIMALITY_LIMIT = psi_13; raises
+    ValueError for larger n.  Trial division by the primes <= 37 settles
+    every n < 41^2; beyond, Miller-Rabin on the smallest base set proven for
+    n's range: {2, 3} below psi_2 = 1373653, {2, 3, 5, 7} below
+    psi_4 = 3215031751 (Jaeschke, Math. Comp. 61, 1993), the primes 2..41
+    below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"primality is proven only below psi_13 = {PRIMALITY_LIMIT}, got {n}")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
+    if n < _TRIAL_LIMIT:
+        return True
+    bases = next(bases for bound, bases in _MR_BASES if n < bound)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -144,15 +174,29 @@ def format_pair(a: int, b: int) -> str:
     return str(a) if b == 0 else f"{a}+{b}*t"
 
 
+# The grammar of format_pair's literals, in ASCII digits without leading
+# zeros or "+0*t", and of a comma-separated list of them.
+_LITERAL = r"(?:0|[1-9][0-9]*)(?:\+[1-9][0-9]*\*t)?"
+_LITERALS = re.compile(f"{_LITERAL}(?:,{_LITERAL})*")
+
+
+def parse_pairs(text: str, p: int) -> tuple[tuple[int, int], ...]:
+    """Inverse of ",".join(format_pair(a, b) ...) on residues mod p: accepts
+    exactly what that writes for 0 <= a, b < p (no sign, space, '_', empty
+    literal, non-ASCII digit, leading zero or "+0*t"), else raises ValueError."""
+    if _LITERALS.fullmatch(text):
+        pairs = [(int(a), int(b[:-2]) if b else 0)
+                 for a, _, b in [literal.partition("+") for literal in text.split(",")]]
+        if all(a < p and b < p for a, b in pairs):
+            return tuple(pairs)
+    raise ValueError(f"malformed F_p2 literal mod {p}: {text!r}")
+
+
 def parse_pair(text: str, p: int) -> tuple[int, int]:
-    """Inverse of format_pair on residues mod p: accepts exactly what it writes
-    for 0 <= a, b < p (no sign, space, '_', leading zero or "+0*t"), else
-    raises ValueError."""
-    head, sep, tail = text.partition("+")
-    a, b = int(head), (int(tail.removesuffix("*t")) if sep else 0)
-    if not (0 <= a < p and 0 <= b < p) or format_pair(a, b) != text:
+    """Inverse of format_pair on residues mod p: parse_pairs on one literal."""
+    if "," in text:
         raise ValueError(f"malformed F_p2 literal mod {p}: {text!r}")
-    return a, b
+    return parse_pairs(text, p)[0]
 
 
 def frobenius(a: int, b: int, p: int) -> tuple[int, int]:

@@ -26,12 +26,12 @@ point j = 0, with H = F = T = 1.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
-from .ffield import Fp2Field, format_pair, frobenius, is_prime, lambda_to_j, parse_pair
+from .ffield import Fp2Field, format_pair, frobenius, is_prime, lambda_to_j, parse_pairs
 from .fppoly import hasse_poly, roots_in_fp2
 
 # Automorphism group orders of supersingular curves for p > 3: the two special
@@ -169,8 +169,11 @@ def class_number_formula(p: int) -> int:
 
 
 def eichler_mass(c: Census) -> Fraction:
-    """Automorphism-weighted count sum_j 1/|Aut(E_j)|; equals (p-1)/24 at every prime."""
-    return sum((Fraction(n, a) for a, n in Counter(c.aut_orders).items()), Fraction(0))
+    """Automorphism-weighted count sum_j 1/|Aut(E_j)|; equals (p-1)/24 at every prime.
+
+    One Fraction over the lcm L of the orders present: sum_j (L / |Aut(E_j)|) / L."""
+    L = lcm(*set(c.aut_orders))
+    return Fraction(sum(L // a for a in c.aut_orders), L)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,7 @@ def decode_census(line: str) -> Census:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         check_census_cost(p)
-        js = tuple(parse_pair(tok, p) for tok in j_str.split(","))
+        js = parse_pairs(j_str, p)
     except ValueError as exc:
         raise CensusInvariantError(f"malformed cache line: {line!r}") from exc
     c = Census(p, js)

@@ -13,6 +13,10 @@ from superspecial import massform, sslocus
 from superspecial.cli import (EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE,
                               main)
 
+# The least strong pseudoprimes to the prime bases up to 37 and up to 41.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
 
 def test_export_list_resolves_without_duplicates():
     names = superspecial.__all__
@@ -42,6 +46,16 @@ def test_census_rejects_composite(capsys):
     rc, _, err = run_cli(capsys, "census", "-p", "12")
     assert rc == EXIT_USAGE
     assert "prime" in err
+
+
+@pytest.mark.parametrize("argv", [("census", "-p", str(PSI_12)),
+                                  ("mass", "-g", "1", "-p", str(PSI_12), "-N", "1")])
+def test_strong_pseudoprime_to_the_bases_2_to_37_is_not_prime(capsys, argv):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on every prime
+    # base up to 37; it is refused as composite, not by a size ceiling.
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == EXIT_USAGE and out == ""
+    assert err == f"error: p must be prime, got {PSI_12}\n"
 
 
 def test_census_and_sweep_refuse_primes_above_the_cost_ceiling(capsys, tmp_path):
@@ -124,6 +138,23 @@ def test_warm_sweep_validates_each_census_once(capsys, tmp_path, monkeypatch):
     primes = [int(line.split(",")[0]) for line in warm.strip().split("\n")[1:]]
     assert validated == primes  # once each, by decode_census on cache load
     assert masses == primes  # once per CSV row
+
+
+def test_warm_sweep_makes_no_modular_exponentiation(capsys, tmp_path, monkeypatch,
+                                                    censuses_1000):
+    # Counts operations, not time: a warm sweep to 1000 tests primality by
+    # trial division alone (every p < 41^2) and derives nothing by powering.
+    from superspecial import ffield
+
+    cache = tmp_path / "c.cache"
+    cache.write_text("".join(sslocus.encode_census(c) + "\n" for c in censuses_1000))
+    calls = []
+    monkeypatch.setattr(ffield, "pow", lambda *args: calls.append(args) or pow(*args),
+                        raising=False)
+    rc, out, _ = run_cli(capsys, "sweep", "--pmin", "5", "--pmax", "1000",
+                         "--jobs", "1", "--cache", str(cache))
+    assert rc == EXIT_OK and len(out.strip().split("\n")) == 1 + len(censuses_1000) == 1 + 166
+    assert calls == []
 
 
 def test_sweep_env_cache_dir(capsys, tmp_path, monkeypatch):
@@ -465,13 +496,16 @@ def test_corrupted_cache_is_invariant_violation(capsys, tmp_path):
     "37;3+10*t,3+27*t,-8;1;2", "37;3+10*t,3+27*t,45;1;2", "37;3+10*t,3+27*t,1_0;1;2",
     "37;3+10*t,3+27*t,8+0*t;1;2", "037;3+10*t,3+27*t,8;1;2", "37;3+10*t,3+27*t,8;+1;2",
     "11;0,1;2;2   ", " 13;5;1;1\t", "   ", "11;0,1;2;2\r",
+    "37;3+10*t,,3+27*t;1;2", f"{PSI_12};0;1;1", f"{PSI_13};0;1;1", f"{10**30 + 57};0;1;1",
 ])
 def test_malformed_cache_line_is_invariant_violation(capsys, tmp_path, line):
     # A non-numeric F, a non-prime p and a prime beyond the word size used to
     # escape decode as ValueError (exit 1); the rest are lines encode_census
     # would not write (an unreduced, signed, '_' or "+0*t" j, a zero-padded p,
     # a signed F, surrounding whitespace, a whitespace-only line, a CRLF line
-    # end) that a lenient int() or strip() used to read as a census.
+    # end, an empty j) that a lenient int() or strip() used to read as a
+    # census, and p at psi_12 (composite), psi_13 and past it, where
+    # primality is no longer decided.
     cache = tmp_path / "c.cache"
     cache.write_text(line + "\n")
     rc, out, err = run_cli(capsys, "census", "-p", "11", "--cache", str(cache))

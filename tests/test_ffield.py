@@ -1,9 +1,18 @@
 import random
+from collections import Counter
+from math import gcd, isqrt, prod
 
 import pytest
 
-from superspecial.ffield import (Fp2Field, _tonelli_shanks, canonical_nonresidue, format_pair,
-                                 frobenius, is_prime, lambda_to_j, legendre, parse_pair, sqrt_mod)
+from superspecial import ffield
+from superspecial.ffield import (PRIMALITY_LIMIT, Fp2Field, _tonelli_shanks, canonical_nonresidue,
+                                 format_pair, frobenius, is_prime, lambda_to_j, legendre,
+                                 parse_pair, parse_pairs, sqrt_mod)
+
+# psi_k, the least strong pseudoprime to the first k primes (OEIS A014233).
+PSI_2, PSI_3, PSI_4 = 1_373_653, 25_326_001, 3_215_031_751
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 # A reference F_{p^2} on residue pairs (a, b) = a + b t, t^2 = d, written
@@ -72,6 +81,97 @@ def test_is_prime():
         assert is_prime(n)
     for n in (1, 0, 4, 9, 91, 561, 1105, 2**31 - 2):
         assert not is_prime(n)
+
+
+def _sieve(limit):
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for q in range(2, isqrt(limit - 1) + 1):
+        if flags[q]:
+            flags[q * q::q] = bytes(len(range(q * q, limit, q)))
+    return flags
+
+
+def test_is_prime_agrees_with_a_sieve_below_two_million():
+    # The range crosses psi_2, where the base set grows from {2, 3} to {2, 3, 5, 7}.
+    limit = 2 * 10**6
+    flags = _sieve(limit)
+    wrong = [n for n in range(limit) if is_prime(n) != flags[n]]
+    assert not wrong, wrong[:10]
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+def _pocklington_prime(n, q, a):
+    """n is prime if the prime q divides n - 1, q > sqrt(n) - 1,
+    a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1 (Pocklington's criterion)."""
+    return ((n - 1) % q == 0 and (q + 1) ** 2 > n and pow(a, n - 1, n) == 1
+            and gcd(pow(a, (n - 1) // q, n) - 1, n) == 1)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
+
+
+def test_is_prime_on_strong_pseudoprimes_and_near_the_bounds():
+    # The least strong pseudoprimes to the prime bases up to 3, 5, 7 and 37
+    # (psi_2, psi_3, psi_4, psi_12), checked here by their factors and bases.
+    pseudoprimes = {PSI_2: ((829, 1657), 3), PSI_3: ((2251, 11251), 5),
+                    PSI_4: ((151, 751, 28351), 7),
+                    PSI_12: ((399165290221, 798330580441), 37)}
+    for n, (factors, top_base) in pseudoprimes.items():
+        assert prod(factors) == n
+        assert all(_strong_probable_prime(n, a) for a in range(2, top_base + 1)
+                   if _trial_division(a))
+        assert not is_prime(n), n
+    # The primes next to psi_2 and psi_4, and odd composites between them.
+    for n in (1373639, 1373677, 3215031749, 3215031767):
+        assert _trial_division(n)
+        assert is_prime(n), n
+    for n in (1373651, 1373655, 3215031753, 3215031757):
+        assert not _trial_division(n)
+        assert not is_prime(n), n
+    # The largest prime below psi_13: n - 1 = 12 * 103 * 132408623 * q, with
+    # q = 20268261599279 a prime above sqrt(n), and 2 witnesses n by Pocklington.
+    n, q = PSI_13 - 168, 20268261599279
+    assert _trial_division(q) and _pocklington_prime(n, q, 2)
+    assert is_prime(n)
+    assert not is_prime(n - 2) and not is_prime(PSI_13 - 1)
+
+
+def test_is_prime_refuses_numbers_past_the_proven_bound():
+    assert PRIMALITY_LIMIT == PSI_13
+    for n in (PSI_13, PSI_13 + 1, PSI_13 + 2, 2**128):
+        with pytest.raises(ValueError, match=f"below psi_13 = {PSI_13}"):
+            is_prime(n)
+
+
+def test_is_prime_costs_at_most_the_proven_bases(monkeypatch):
+    # Counts modular exponentiations, not time: the module global ``pow``
+    # shadows the builtin inside ffield.
+    moduli, builtin_pow = [], pow
+
+    def counting_pow(base, exp, mod):
+        moduli.append(mod)
+        return builtin_pow(base, exp, mod)
+
+    monkeypatch.setattr(ffield, "pow", counting_pow, raising=False)
+    for n in range(41 * 41):
+        is_prime(n)
+    assert moduli == []  # trial division settles every n < 41^2
+    for n in range(41 * 41, PSI_2):
+        is_prime(n)
+    assert max(Counter(moduli).values()) == 2
+    moduli.clear()
+    assert is_prime(3215031749) and len(moduli) == 4
+    moduli.clear()
+    assert is_prime(PSI_13 - 168) and len(moduli) == 13
 
 
 def test_sqrt_mod():
@@ -143,6 +243,24 @@ def test_encoding_round_trip():
             parse_pair(bad, 13)
         with pytest.raises(ValueError):
             field.parse(bad)
+
+
+def test_literal_lists_round_trip_and_share_the_literal_grammar():
+    pairs = tuple((a, b) for a in range(13) for b in range(13))
+    text = ",".join(format_pair(a, b) for a, b in pairs)
+    assert parse_pairs(text, 13) == pairs
+    for a, b in pairs:
+        assert parse_pairs(format_pair(a, b), 13) == ((a, b),)
+    # Non-ASCII digits that int() reads; a bad literal anywhere in a list; an
+    # empty list or literal; a list where parse_pair takes one literal.
+    for bad in ("\u0663", "\uff13+1*t", "1+\u0663*t", "3+4*t,\u0663", "-8", "3,13", "3,8+0*t",
+                "3,04", "3+4*t,1_0", "", ",", "3,", ",3", "3,,4", "3, 4", "3;4", "3,4\n"):
+        with pytest.raises(ValueError, match="malformed F_p2 literal mod 13"):
+            parse_pairs(bad, 13)
+        with pytest.raises(ValueError, match="malformed F_p2 literal mod 13"):
+            parse_pair(bad, 13)
+    with pytest.raises(ValueError, match="malformed F_p2 literal mod 13"):
+        parse_pair("3,4", 13)
 
 
 def test_lambda_to_j_examples():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,13 @@ def test_eichler_mass_examples():
     # At p = 2, 3 the single point j = 0 has 24 and 12 automorphisms.
     assert eichler_mass(census(2)) == principal_mass(1, 2) == Fraction(1, 24)
     assert eichler_mass(census(3)) == principal_mass(1, 3) == Fraction(1, 12)
+
+
+@pytest.mark.parametrize("orders", [(24,), (12,), (6, 4, 2, 2), (5, 2), (2, 6, 2, 5, 4)])
+def test_eichler_mass_is_the_explicit_sum(orders):
+    # eichler_mass reads only aut_orders; (5, 2) holds an order that does not divide 24.
+    stand_in = types.SimpleNamespace(aut_orders=orders)
+    assert eichler_mass(stand_in) == sum(Fraction(1, a) for a in orders)
 
 
 def test_sweep_identities(sweep):
