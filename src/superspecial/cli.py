@@ -224,6 +224,9 @@ def cmd_mass(args) -> int:
 def cmd_trace_demo(args) -> int:
     if args.model is None and args.trials is None:
         raise UsageError("trace-demo needs --model FILE or --trials N")
+    if args.model is not None and (args.trials is not None or args.family is not None):
+        raise UsageError("trace-demo --model FILE takes neither --trials nor --family, "
+                         "which only shape the random trials")
     if args.model is not None:
         try:
             text = Path(args.model).read_text()

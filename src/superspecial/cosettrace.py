@@ -41,8 +41,10 @@ obstruction, so a defined factored value always equals the kernel trace.
 Computation: x is labelled row_min[x] = min(xK), the least element of its
 K-coset, by one (n x |K|) gather per orbital_trace, shared by both sides.
 The kernel side labels each x min(Gamma x K), the least over gamma of
-row_min[gamma x], by one (|Gamma| x n) gather.  Every per-class count and
-size is read off class labels once per call (`_gamma_classes`).  The
+row_min[gamma x], by one (|Gamma| x n) gather, and counts the labels r
+with label(r pi) = r in one comparison; only `double_cosets` builds the
+Hecke map as a dict.  Every per-class count and size is read off class
+labels once per call (`_gamma_classes`).  The
 Gamma-labels (`Group.conjugacy_partition` over Gamma's generators) give each
 class's least element (the members labelled by themselves) and size (one
 bincount), and |C_Gamma(gamma)| = |Gamma| / |gamma^Gamma|.
@@ -59,13 +61,21 @@ since pi normalizes K, the hits of gamma are a union of K-cosets xK, so the
 K-coset labels a with a^{-1} gamma a in pi K are its support, one (block x
 n / |K|) gather; |K| times each class's number of labels must equal its
 count.  The centralizers are the rows of table[reps] == table[:, reps]^T,
-one (block x n) comparison; |G_gamma| and |G_gamma ∩ K| are row sums.  Only
-the coset form of O_gamma is per class: it walks the class's labels in
-ascending order, and each label not yet covered is the least element of a
-new G_gamma a K and covers that double coset's labels row_min[c a], c in
-G_gamma, with one |G_gamma| gather.  The two forms of O_gamma agree exactly
-when the walked double cosets' sizes |G_gamma| |K| / |G_gamma ∩ aKa^{-1}|
-sum to the count, checked in integers.  The orbital total needs no
+one (block x n) comparison; |G_gamma| and |G_gamma ∩ K| are row sums.  The
+coset form of O_gamma depends on gamma only through G_gamma and the support,
+so it is evaluated once per distinct (centralizer row, support row) pair of
+the call, keyed by the packed bits of the two rows and remembered across
+blocks.  The count, |K| times the number of support labels, is a function
+of the key too, and the first class of each key, its least, is the one a
+mismatch names.  The walk takes the support's labels in ascending order, and each
+label not yet covered is the least element of a new G_gamma a K and covers
+that double coset's labels row_min[c a], c in G_gamma, with one |G_gamma|
+gather.  The two forms of O_gamma agree exactly when the walked double
+cosets' sizes |G_gamma| |K| / |G_gamma ∩ aKa^{-1}| sum to the count,
+checked in integers.  When G is abelian every supported class has
+G_gamma = G and support G, so all of them share one walk.  Each distinct
+pair (a(G_gamma), O_gamma) is built as Fractions once per call, from its
+integer numerators and denominators.  The orbital total needs no
 centralizer: a(G_gamma) O_gamma = count / (|C_Gamma(gamma)| |K|), so it is
 the one Fraction (sum of count * |gamma^Gamma|) / (|Gamma| |K|), summed in
 integers.
@@ -150,29 +160,34 @@ def _k_labels(model: FiniteGroupModel) -> np.ndarray:
     return model.group.table.take(np.array(model.k), axis=1).min(axis=1)
 
 
-def _double_cosets(model: FiniteGroupModel, row_min: np.ndarray) -> DoubleCosetSpace:
+def _coset_images(model: FiniteGroupModel,
+                  row_min: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rep_of, reps, images): each x's label min(Gamma x K), the ascending
+    labels, and the label of each rep times pi."""
     G = model.group
     rep_of = row_min[G.table[np.array(model.gamma)]].min(axis=0).astype(np.int64)
     reps = (rep_of == G.indices).nonzero()[0]
     images = rep_of[G.table[reps, model.pi]]
     if not _mask(G.n, images)[reps].all():
         raise InvariantViolation("Hecke translation is not a bijection on cosets")
-    return DoubleCosetSpace(tuple(reps.tolist()), rep_of,
-                            dict(zip(reps.tolist(), images.tolist())))
+    return rep_of, reps, images
+
+
+def _count_fixed(reps: np.ndarray, images: np.ndarray) -> int:
+    return int(np.count_nonzero(images == reps))
 
 
 def double_cosets(model: FiniteGroupModel) -> DoubleCosetSpace:
     """Gamma \\ G / K, each x labelled min(Gamma x K) (see the module notes)."""
-    return _double_cosets(model, _k_labels(model))
-
-
-def _kernel_trace(space: DoubleCosetSpace) -> int:
-    return sum(1 for r, s in space.hecke_action.items() if r == s)
+    rep_of, reps, images = _coset_images(model, _k_labels(model))
+    return DoubleCosetSpace(tuple(reps.tolist()), rep_of,
+                            dict(zip(reps.tolist(), images.tolist())))
 
 
 def kernel_trace(model: FiniteGroupModel) -> int:
     """Fixed points of [x] -> [x pi] on Gamma \\ G / K (the kernel side)."""
-    return _kernel_trace(double_cosets(model))
+    _, reps, images = _coset_images(model, _k_labels(model))
+    return _count_fixed(reps, images)
 
 
 @dataclass(frozen=True)
@@ -241,6 +256,8 @@ def _orbital_terms(model: FiniteGroupModel, row_min: np.ndarray,
     supported = counts > 0
     reps, counts, c_gamma = reps[supported], counts[supported], c_gamma[supported]
     terms = []
+    walked = set()  # the (centralizer, support) keys already walked and checked
+    values = {}  # (a, O) per integer tuple of their numerators and denominators
     step = max(1, _BLOCK_ENTRIES // G.n)
     for lo in range(0, len(reps), step):
         block, block_counts = reps[lo : lo + step], counts[lo : lo + step]
@@ -254,22 +271,33 @@ def _orbital_terms(model: FiniteGroupModel, row_min: np.ndarray,
                 f"hit count mismatch at class {block[i]}: {found[i]} K-cosets of {len(k)} "
                 f"elements vs {block_counts[i]} hits")
         cents = G.table[block] == G.table[:, block].T  # row i: the centralizer of block[i]
+        keys = np.packbits(np.concatenate((cents, hits), axis=1), axis=1)
         rows = zip(block.tolist(), block_counts.tolist(), c_gamma[lo : lo + step].tolist(),
-                   cents.sum(axis=1).tolist(), np.count_nonzero(cents[:, k], axis=1).tolist(),
-                   cents, hits)
-        for rep, count, c, cent_order, cent_k, cent_row, hit_row in rows:
-            # O_gamma by cosets sums |G_gamma ∩ K| / |G_gamma ∩ aKa^{-1}| over the walk; it
-            # equals the direct form exactly when the double cosets' sizes sum to the count.
-            walk = _coset_walk(G, cent_row.nonzero()[0], in_k, row_min, labels[hit_row])
-            o_direct = Fraction(cent_k * count, cent_order * len(k))
-            sizes = [divmod(cent_order * len(k), meet) for _, meet in walk]
-            if any(rem for _, rem in sizes) or sum(size for size, _ in sizes) != count:
-                o_cosets = sum((Fraction(cent_k, meet) for _, meet in walk), Fraction(0))
-                raise InvariantViolation(
-                    f"orbital integral mismatch at class {rep}: {o_direct} vs {o_cosets}"
-                )
-            terms.append(OrbitalTerm(rep, Fraction(cent_order, c * cent_k), o_direct))
+                   cents.sum(axis=1).tolist(), np.count_nonzero(cents[:, k], axis=1).tolist())
+        for i, (rep, count, c, cent_order, cent_k) in enumerate(rows):
+            key = keys[i].tobytes()
+            if key not in walked:
+                walked.add(key)
+                walk = _coset_walk(G, cents[i].nonzero()[0], in_k, row_min, labels[hits[i]])
+                _check_cosets(rep, count, cent_order, cent_k, len(k), walk)
+            term = (cent_order, c * cent_k, cent_k * count, cent_order * len(k))
+            if term not in values:
+                values[term] = Fraction(*term[:2]), Fraction(*term[2:])
+            terms.append(OrbitalTerm(rep, *values[term]))
     return tuple(terms)
+
+
+def _check_cosets(rep: int, count: int, cent_order: int, cent_k: int, k_order: int,
+                  walk: list[tuple[int, int]]) -> None:
+    """O_gamma by cosets sums |G_gamma ∩ K| / |G_gamma ∩ aKa^{-1}| over the walk; it
+    equals the direct form exactly when the double cosets' sizes sum to the count."""
+    sizes = [divmod(cent_order * k_order, meet) for _, meet in walk]
+    if any(rem for _, rem in sizes) or sum(size for size, _ in sizes) != count:
+        o_direct = Fraction(cent_k * count, cent_order * k_order)
+        o_cosets = sum((Fraction(cent_k, meet) for _, meet in walk), Fraction(0))
+        raise InvariantViolation(
+            f"orbital integral mismatch at class {rep}: {o_direct} vs {o_cosets}"
+        )
 
 
 def delta_sets(model: FiniteGroupModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -280,7 +308,8 @@ def delta_sets(model: FiniteGroupModel) -> tuple[tuple[int, ...], tuple[int, ...
 def orbital_trace(model: FiniteGroupModel) -> TraceReport:
     """Evaluate the orbital side, check it against the kernel side, and report."""
     row_min = _k_labels(model)
-    kernel = _kernel_trace(_double_cosets(model, row_min))
+    _, reps, images = _coset_images(model, row_min)
+    kernel = _count_fixed(reps, images)
     classes = _gamma_classes(model)
     terms = _orbital_terms(model, row_min, classes)
     # a(G_gamma) O_gamma = count / (|C_Gamma(gamma)| |K|) = count |gamma^Gamma| / (|Gamma| |K|).
@@ -292,7 +321,7 @@ def orbital_trace(model: FiniteGroupModel) -> TraceReport:
             f"trace formula failed: orbital {total} != kernel {kernel}"
         )
     d_k, d_f = _deltas(classes)
-    value, diagnostic = _factored(model, classes, kernel)
+    value, diagnostic = _factored(model, classes, (d_k, d_f), kernel)
     return TraceReport(kernel_trace=kernel,
                        orbital_terms=terms,
                        orbital_trace=total,
@@ -302,8 +331,9 @@ def orbital_trace(model: FiniteGroupModel) -> TraceReport:
                        factored_diagnostic=diagnostic)
 
 
-def _factored(model: FiniteGroupModel, classes, kernel: int) -> tuple[Fraction | None, str]:
-    d_k, d_f = _deltas(classes)
+def _factored(model: FiniteGroupModel, classes, deltas,
+              kernel: int) -> tuple[Fraction | None, str]:
+    d_k, d_f = deltas
     if d_k != d_f:
         extra = [rep for rep in d_k if rep not in d_f]
         return None, (f"level subgroup not small enough: delta_K has classes {extra} "
@@ -329,7 +359,8 @@ def factored_trace(model: FiniteGroupModel) -> tuple[Fraction | None, str]:
     Defined exactly when delta_K = delta_f and the per-class terms collapse
     to the pi-term; a returned value always equals the kernel trace.
     """
-    return _factored(model, _gamma_classes(model), kernel_trace(model))
+    classes = _gamma_classes(model)
+    return _factored(model, classes, _deltas(classes), kernel_trace(model))
 
 
 def volume_identity_check(model: FiniteGroupModel, gamma: int, a: int) -> bool:

@@ -390,6 +390,18 @@ def test_trace_demo_model(capsys, tmp_path):
     assert json.loads(json.dumps(payload)) == payload
 
 
+@pytest.mark.parametrize("extra", [("--trials", "5", "--family", "sym"), ("--trials", "5"),
+                                   ("--family", "sym")])
+def test_trace_demo_model_refuses_trial_flags(capsys, tmp_path, extra):
+    # These flags used to be ignored silently: the model report was printed.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"group": "cyclic:4", "gamma": [2], "k": [], "pi": 2}))
+    rc, out, err = run_cli(capsys, "trace-demo", "--model", str(path), *extra)
+    assert rc == EXIT_USAGE and out == ""
+    assert err == ("error: trace-demo --model FILE takes neither --trials nor --family, "
+                   "which only shape the random trials\n")
+
+
 def test_trace_demo_spec_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{broken")

@@ -365,9 +365,10 @@ def test_coset_walk_against_brute_force():
     # support E_gamma built element by element.
     rng = random.Random(29)
     small = ("cyclic:6", "cyclic:12", "sym:3", "sym:4", "gl2:2", "gl2:3")
-    walked = 0
+    walked = shared = 0
     for _ in range(25):
         m = random_model(rng, small)
+        walk_of = {}  # (G_gamma, E_gamma) -> its brute-force walk
         G = m.group
         k = set(m.k)
         pik = {G.mul(m.pi, h) for h in k}
@@ -392,7 +393,12 @@ def test_coset_walk_against_brute_force():
             got = cosettrace._coset_walk(G, np.array(cent), in_k, row_min, starts)
             assert got == want
             walked += len(want)
-    assert walked > 50  # the draw is not vacuous
+            # orbital_trace walks each (centralizer, support) pair once: classes
+            # with equal pairs must have equal walks.
+            pair = (frozenset(cent), frozenset(support))
+            shared += pair in walk_of
+            assert walk_of.setdefault(pair, want) == want
+    assert walked > 50 and shared > 20  # the draw is not vacuous
 
 
 def test_double_cosets_against_brute_force():
@@ -510,10 +516,10 @@ def test_orbital_trace_rejects_coset_sum_mismatch(monkeypatch):
 
 
 def test_orbital_trace_rejects_kernel_mismatch(monkeypatch):
-    # orbital_trace counts the fixed cosets with _kernel_trace, on double
-    # cosets built from its own K-coset labels.
-    real = cosettrace._kernel_trace
-    monkeypatch.setattr(cosettrace, "_kernel_trace", lambda space: real(space) + 1)
+    # orbital_trace counts the fixed cosets with _count_fixed, on double
+    # cosets labelled from its own K-coset labels.
+    real = cosettrace._count_fixed
+    monkeypatch.setattr(cosettrace, "_count_fixed", lambda reps, images: real(reps, images) + 1)
     Z4 = group_from_kind("cyclic:4")
     with pytest.raises(InvariantViolation, match="trace formula failed: orbital 2 != kernel 3"):
         orbital_trace(build_model(Z4, [2], [], 2))
@@ -525,14 +531,90 @@ def _whole_group_model(kind):
     return build_model(G, G.indices.tolist(), G.indices.tolist(), G.identity)
 
 
+def _counted_walks(monkeypatch):
+    """Record the centralizer and starts of every _coset_walk call."""
+    real, walks = cosettrace._coset_walk, []
+
+    def counted(G, cent, in_k, row_min, starts):
+        walks.append((cent, starts))
+        return real(G, cent, in_k, row_min, starts)
+
+    monkeypatch.setattr(cosettrace, "_coset_walk", counted)
+    return walks
+
+
+def _brute_pairs(m, reps):
+    """The distinct (G_gamma, E_gamma) over the classes `reps`, each from the
+    whole table: E_gamma = {x in G : x^{-1} gamma x in pi K}."""
+    G = m.group
+    in_pik = np.zeros(G.n, dtype=bool)
+    in_pik[G.table[m.pi, list(m.k)]] = True
+    pairs = set()
+    for gamma in reps:
+        cent = (G.table[gamma] == G.table[:, gamma]).nonzero()[0]
+        support = in_pik[G.table[G.table[G.inv, gamma], G.indices]].nonzero()[0]
+        assert len(support) > 0
+        pairs.add((frozenset(cent.tolist()), frozenset(support.tolist())))
+    return pairs
+
+
 def test_orbital_trace_in_blocks_of_one_class(monkeypatch, seeded_models_100):
-    # With a bound of one entry every block holds one class.
+    # With a bound of one entry every block holds one class; the classes of
+    # cyclic:720 still share one walk across their 720 blocks.
     whole = [_whole_group_model(kind) for kind in ("cyclic:720", "sym:5")]
     reports = [orbital_trace(m) for m in whole]
     monkeypatch.setattr(cosettrace, "_BLOCK_ENTRIES", 1)
     text = json.dumps(_golden_records(seeded_models_100), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SEED42_SHA256
+    walks = _counted_walks(monkeypatch)
     assert [orbital_trace(m) for m in whole] == reports
+    sym5_reps = [t.gamma_rep for t in reports[1].orbital_terms]
+    assert len(walks) == 1 + len(_brute_pairs(whole[1], sym5_reps))
+
+
+def test_orbital_trace_walks_each_pair_once(monkeypatch, seeded_models_100):
+    walks = _counted_walks(monkeypatch)
+    # Abelian: every class has G_gamma = G and full support.
+    report = orbital_trace(_whole_group_model("cyclic:720"))
+    assert len(report.orbital_terms) == 720 and len(walks) == 1
+    repeated = 0
+    for m in [_whole_group_model("sym:5"), *seeded_models_100]:
+        walks.clear()
+        reps = [t.gamma_rep for t in orbital_trace(m).orbital_terms]
+        pairs = _brute_pairs(m, reps)
+        assert len(walks) == len(pairs)
+        repeated += len(reps) > len(pairs)
+    assert repeated > 20  # the draw shares walks
+
+
+def test_orbital_trace_names_first_class_of_failing_pair(monkeypatch):
+    # The walk drops its last double coset whenever G_gamma != G.  Gamma is
+    # cyclic of order 4 in S4 and K = G, so Gamma's classes are its elements,
+    # each supported on all of G, and the 4-cycle and its inverse share a
+    # centralizer; the first failing pair is named by its least class.
+    G = group_from_kind("sym:4")
+    m = build_model(G, [G.index[(1, 2, 3, 0)]], G.indices.tolist(), G.identity)
+    real = cosettrace._coset_walk
+
+    def broken(group, cent, in_k, row_min, starts):
+        walk = real(group, cent, in_k, row_min, starts)
+        return walk if len(cent) == group.n else walk[:-1]
+
+    monkeypatch.setattr(cosettrace, "_coset_walk", broken)
+    walks = _counted_walks(monkeypatch)
+    noncentral = [g for g in m.gamma if any(G.mul(g, h) != G.mul(h, g) for h in range(G.n))]
+    assert len(noncentral) == 3
+    with pytest.raises(InvariantViolation,
+                       match=f"orbital integral mismatch at class {min(noncentral)}: 1 vs 0$"):
+        orbital_trace(m)
+    assert len(walks) == 2  # the identity's pair, then the failing one
+
+
+def test_kernel_trace_counts_hecke_fixed_points(seeded_models_100):
+    for m in seeded_models_100:
+        for model in (m, with_trivial_k(m)):
+            action = double_cosets(model).hecke_action
+            assert kernel_trace(model) == sum(r == s for r, s in action.items())
 
 
 def test_orbital_trace_takes_no_centralizer_per_class(monkeypatch):
