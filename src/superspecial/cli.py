@@ -75,17 +75,9 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _get_census(p: int, cache: sslocus.CensusCache | None) -> sslocus.Census:
-    return cache.get(p) if cache is not None else sslocus.census(p)
-
-
-def _open_cache(path_arg: str | None) -> sslocus.CensusCache | None:
-    if path_arg:
-        return sslocus.CensusCache(path_arg)
-    default = sslocus.default_cache_path()
-    if default is not None:
-        return sslocus.CensusCache(default)
-    return None
+def _open_cache(path_arg: str | None) -> sslocus.CensusCache:
+    """The --cache file, else the SUPERSPECIAL_CACHE_DIR one, else a cache in memory."""
+    return sslocus.CensusCache(path_arg or sslocus.default_cache_path())
 
 
 def _census_checks(c: sslocus.Census) -> tuple[Fraction, bool]:
@@ -121,8 +113,7 @@ def cmd_census(args) -> int:
     if not is_prime(args.p):
         raise UsageError(f"p must be prime, got {args.p}")
     sslocus.check_census_cost(args.p)
-    cache = _open_cache(args.cache)
-    c = _get_census(args.p, cache)
+    c = _open_cache(args.cache).get(args.p)
     if args.format == "json":
         _emit(_json_text(_census_payload(c)), args.output)
     else:
@@ -137,13 +128,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     primes = [p for p in range(max(args.pmin, 2), args.pmax + 1) if is_prime(p)]
     cache = _open_cache(args.cache)
-    censuses: dict[int, sslocus.Census] = {}
-    todo = []
-    for p in primes:
-        if cache is not None and p in cache:
-            censuses[p] = cache.get(p)
-        else:
-            todo.append(p)
+    todo = [p for p in primes if p not in cache]
     # Under fork the first map starts every worker at once, so start no more
     # than the CPUs or the map's chunks of 4 primes (--jobs 0: at most 8).
     workers = min(args.jobs or 8, os.cpu_count() or 1, -(-len(todo) // 4))
@@ -151,15 +136,9 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # Each Census validated itself when its worker made it.
             for c in pool.map(sslocus.census, todo, chunksize=4):
-                censuses[c.p] = c
-                if cache is not None:
-                    cache.put(c)
-    else:
-        for p in todo:
-            censuses[p] = _get_census(p, cache)
-    lines = [CSV_HEADER]
-    for p in primes:
-        lines.append(_census_csv_row(censuses[p]))
+                cache.put(c)
+    # Any prime still missing is computed and stored here, in ascending order.
+    lines = [CSV_HEADER] + [_census_csv_row(cache.get(p)) for p in primes]
     _emit("\n".join(lines) + "\n", args.output)
     if args.timing:
         print(f"sweep: {len(primes)} primes, {len(todo)} computed, "
@@ -224,10 +203,13 @@ def cmd_mass(args) -> int:
 def cmd_trace_demo(args) -> int:
     if args.model is None and args.trials is None:
         raise UsageError("trace-demo needs --model FILE or --trials N")
-    if args.model is not None and (args.trials is not None or args.family is not None):
-        raise UsageError("trace-demo --model FILE takes neither --trials nor --family, "
-                         "which only shape the random trials")
     if args.model is not None:
+        if args.trials is not None or args.family is not None:
+            raise UsageError("trace-demo --model FILE takes neither --trials nor --family, "
+                             "which only shape the random trials")
+        if args.seed is not None or args.volume_checks is not None:
+            raise UsageError("trace-demo --model FILE takes neither --seed nor --volume-checks, "
+                             "which only apply to the random trials")
         try:
             text = Path(args.model).read_text()
         except OSError as exc:
@@ -238,7 +220,9 @@ def cmd_trace_demo(args) -> int:
         _emit(_json_text(payload), args.output)
         return EXIT_OK
 
-    rng = random.Random(args.seed)
+    seed = 42 if args.seed is None else args.seed
+    volume_checks = 2 if args.volume_checks is None else args.volume_checks
+    rng = random.Random(seed)
     families = cosettrace.TRIAL_FAMILIES
     if args.family is not None:
         families = cosettrace.trial_kinds(args.family)
@@ -249,14 +233,14 @@ def cmd_trace_demo(args) -> int:
     for _ in range(args.trials):
         model = cosettrace.random_model(rng, families)
         cosettrace.orbital_trace(model)  # raises unless kernel = orbital
-        for _ in range(args.volume_checks):
+        for _ in range(volume_checks):
             gamma = model.gamma[rng.randrange(len(model.gamma))]
             a = rng.randrange(model.group.n)
             volume_total += 1
             if cosettrace.volume_identity_check(model, gamma, a):
                 volume_pass += 1
     payload = {
-        "seed": args.seed,
+        "seed": seed,
         "trials": args.trials,
         "trace_equality_pass": args.trials,  # every trial got past orbital_trace
         "volume_identity_pass": volume_pass,
@@ -317,11 +301,12 @@ def build_parser() -> _Parser:
     p_trace.add_argument("--model", default=None, help="path to a JSON model spec")
     p_trace.add_argument("--trials", type=_positive, default=None,
                          help="run seeded random models instead of a spec")
-    p_trace.add_argument("--seed", type=int, default=42)
+    p_trace.add_argument("--seed", type=int, default=None,
+                         help="seed of the random trials (default 42)")
     p_trace.add_argument("--family", default=None,
                          help="restrict random trials to one group family: cyclic, sym or gl2")
-    p_trace.add_argument("--volume-checks", type=_count, default=2,
-                         help="volume identity checks per random model")
+    p_trace.add_argument("--volume-checks", type=_count, default=None,
+                         help="volume identity checks per random model (default 2)")
     p_trace.add_argument("-o", "--output", default=None)
     p_trace.set_defaults(func=cmd_trace_demo)
 

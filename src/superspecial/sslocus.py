@@ -180,7 +180,8 @@ def eichler_mass(c: Census) -> Fraction:
 # Census cache: one line per prime, "p;j1,j2,...;F;T", append-only writes.
 # A line is read back only in the exact bytes encode_census writes, "\n" included
 # ("\r", spaces and non-UTF-8 bytes are malformed); its Census checks the j-set
-# and derives F and T, which must match the cached ones.
+# and derives F and T, which must match the cached ones.  A cache on no file
+# lives in memory, so the CLI reads every census through CensusCache.get.
 # ---------------------------------------------------------------------------
 
 ENV_CACHE_DIR = "SUPERSPECIAL_CACHE_DIR"
@@ -224,12 +225,13 @@ def decode_census(line: str) -> Census:
 
 
 class CensusCache:
-    """Read-through, append-only census store keyed by prime."""
+    """Read-through, append-only census store keyed by prime; with path None
+    it holds its censuses in memory and reads and writes no file."""
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
+    def __init__(self, path: str | Path | None = None):
+        self.path = None if path is None else Path(path)
         self._entries: dict[int, Census] = {}
-        if self.path.exists():
+        if self.path is not None and self.path.exists():
             try:
                 text = self.path.read_bytes().decode(errors="surrogateescape")  # as written
             except OSError as exc:
@@ -257,6 +259,8 @@ class CensusCache:
         if c.p in self._entries:
             return
         self._entries[c.p] = c
+        if self.path is None:
+            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # One write on an O_APPEND descriptor: concurrent writers cannot
         # interleave inside a line.

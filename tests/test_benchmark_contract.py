@@ -4,8 +4,9 @@ perfbench/tracer.py wraps package functions and methods by name to take its
 per-layer metrics, and perfbench/workloads.py calls the trace sandbox by name;
 a renamed or deleted target would only show up in a benchmark run.  These
 tests load the tracer by path and resolve every target, and read the
-workloads' source to resolve every cosettrace attribute they use.  They also
-load perfbench/harness.py, whose cache clearing keeps a pass from reusing
+workloads' source to resolve every cosettrace attribute they use, and run a
+traced sweep so that the tracer's cache hooks read a real CensusCache.  They
+also load perfbench/harness.py, whose cache clearing keeps a pass from reusing
 memos that a fresh process would not have.
 """
 
@@ -53,6 +54,30 @@ def test_every_cosettrace_name_the_workloads_use_resolves():
     cosettrace = importlib.import_module("superspecial.cosettrace")
     missing = sorted(name for name in used if not hasattr(cosettrace, name))
     assert not missing, missing
+
+
+def test_the_tracer_cache_hooks_count_a_traced_sweep(tmp_path):
+    # The hooks read `p in cache`, cache.path.exists() and cache.path.stat()
+    # on a cache opened on a file; a rename there would only break a traced
+    # benchmark run.
+    tracer = _load_tracer().Tracer()
+    cache, out = tmp_path / "census.cache", tmp_path / "sweep.csv"
+    argv = ["sweep", "--pmin", "5", "--pmax", "60", "--jobs", "1",
+            "--cache", str(cache), "-o", str(out)]
+    counts = []
+    tracer.install()
+    try:
+        cli = importlib.import_module("superspecial.cli")
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            counts.append(dict(tracer.counters))
+    finally:
+        tracer.restore()
+    primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert counts[0] == {"sslocus.CensusCache.misses": len(primes),
+                         "sslocus.cache_bytes_written": cache.stat().st_size,
+                         "fppoly.roots_found": sum((p - 1) // 2 for p in primes)}
+    assert counts[1] == {**counts[0], "sslocus.CensusCache.hits": len(primes)}
 
 
 def test_every_acceptance_criterion_is_traced():

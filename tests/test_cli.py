@@ -12,6 +12,7 @@ import superspecial
 from superspecial import massform, sslocus
 from superspecial.cli import (EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE,
                               main)
+from superspecial.ffield import is_prime
 
 # The least strong pseudoprimes to the prime bases up to 37 and up to 41.
 PSI_12 = 318665857834031151167461
@@ -162,6 +163,47 @@ def test_sweep_env_cache_dir(capsys, tmp_path, monkeypatch):
     rc, _, _ = run_cli(capsys, "census", "-p", "11")
     assert rc == EXIT_OK
     assert (tmp_path / "census.cache").read_text() == "11;0,1;2;2\n"
+
+
+def test_sweep_reads_each_prime_through_one_cache_get(capsys, tmp_path, monkeypatch):
+    # The benchmark's traced runs count hits and misses on CensusCache.get:
+    # one call per prime, a miss into an empty cache file and a hit from a
+    # full one.
+    real_get, looked_up = sslocus.CensusCache.get, []
+
+    def get(cache, p):
+        looked_up.append((p, p in cache))
+        return real_get(cache, p)
+
+    monkeypatch.setattr(sslocus.CensusCache, "get", get)
+    cache = tmp_path / "c.cache"
+    cache.write_text("")
+    primes = [p for p in range(5, 61) if is_prime(p)]
+    for hit in (False, True):
+        looked_up.clear()
+        rc, out, _ = run_cli(capsys, "sweep", "--pmin", "5", "--pmax", "60",
+                             "--jobs", "1", "--cache", str(cache))
+        assert rc == EXIT_OK and len(out.splitlines()) == 1 + len(primes)
+        assert looked_up == [(p, hit) for p in primes]
+    assert len(cache.read_text().splitlines()) == len(primes)
+
+
+def test_runs_without_a_cache_write_no_file(capsys, tmp_path, monkeypatch):
+    # No --cache and no SUPERSPECIAL_CACHE_DIR: the censuses stay in memory.
+    monkeypatch.delenv("SUPERSPECIAL_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    real_open, created = os.open, []
+
+    def spy(path, flags, *args, **kwargs):
+        if flags & os.O_CREAT:
+            created.append(path)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    for argv in (("census", "-p", "11"), ("sweep", "--pmin", "5", "--pmax", "60", "--jobs", "1")):
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == EXIT_OK and out
+    assert created == [] and list(tmp_path.iterdir()) == []
 
 
 def test_sweep_parallel_matches_serial(capsys, monkeypatch):
@@ -362,6 +404,18 @@ def test_runs_that_would_check_nothing_are_usage_errors(capsys, flag, argv, mess
     assert f"error: argument {flag}: {message}" in err
 
 
+def test_non_integer_jobs_is_a_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "sweep", "--pmin", "5", "--pmax", "7", "--jobs", "abc")
+    assert rc == EXIT_USAGE and out == ""
+    assert "error: argument --jobs: invalid int value: 'abc'" in err
+
+
+def test_mass_refuses_a_level_below_one(capsys):
+    rc, out, err = run_cli(capsys, "mass", "-g", "1", "-p", "5", "-N", "0")
+    assert rc == EXIT_USAGE and out == ""
+    assert err == "error: N must be positive, got 0\n"
+
+
 def test_mass_output_file(capsys, tmp_path):
     out_path = tmp_path / "mass.json"
     rc, out, _ = run_cli(capsys, "mass", "-g", "1", "-p", "11", "-N", "3",
@@ -374,6 +428,19 @@ def test_io_error_exit_code(capsys):
     rc, _, err = run_cli(capsys, "census", "-p", "11",
                          "-o", "/nonexistent-dir/x.json")
     assert rc == EXIT_IO
+
+
+def test_unreadable_cache_is_an_io_error(capsys, tmp_path):
+    rc, out, err = run_cli(capsys, "census", "-p", "11", "--cache", str(tmp_path))
+    assert rc == EXIT_IO and out == ""
+    assert err.startswith(f"i/o error: cannot read census cache {tmp_path}: ")
+
+
+def test_trace_demo_missing_model_is_an_io_error(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    rc, out, err = run_cli(capsys, "trace-demo", "--model", str(path))
+    assert rc == EXIT_IO and out == ""
+    assert err.startswith(f"i/o error: cannot read model spec {path}: ")
 
 
 def test_trace_demo_model(capsys, tmp_path):
@@ -400,6 +467,26 @@ def test_trace_demo_model_refuses_trial_flags(capsys, tmp_path, extra):
     assert rc == EXIT_USAGE and out == ""
     assert err == ("error: trace-demo --model FILE takes neither --trials nor --family, "
                    "which only shape the random trials\n")
+
+
+def test_trace_demo_model_refuses_seed(capsys, tmp_path):
+    # --seed only seeds the random trials; it used to be ignored silently.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"group": "cyclic:4", "gamma": [2], "k": [], "pi": 2}))
+    rc, out, err = run_cli(capsys, "trace-demo", "--model", str(path), "--seed", "42")
+    assert rc == EXIT_USAGE and out == ""
+    assert err == ("error: trace-demo --model FILE takes neither --seed nor --volume-checks, "
+                   "which only apply to the random trials\n")
+
+
+def test_trace_demo_model_refuses_volume_checks(capsys, tmp_path):
+    # --volume-checks only counts checks per random model; it used to be ignored.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"group": "cyclic:4", "gamma": [2], "k": [], "pi": 2}))
+    rc, out, err = run_cli(capsys, "trace-demo", "--model", str(path), "--volume-checks", "2")
+    assert rc == EXIT_USAGE and out == ""
+    assert err == ("error: trace-demo --model FILE takes neither --seed nor --volume-checks, "
+                   "which only apply to the random trials\n")
 
 
 def test_trace_demo_spec_error(capsys, tmp_path):
@@ -457,6 +544,16 @@ def test_trace_demo_trials(capsys):
     payload = json.loads(out)
     assert payload["trace_equality_pass"] == 15
     assert payload["volume_identity_pass"] == payload["volume_identity_total"]
+
+
+def test_trace_demo_trials_default_to_seed_42_and_two_volume_checks(capsys):
+    rc, implicit, _ = run_cli(capsys, "trace-demo", "--trials", "5")
+    assert rc == EXIT_OK
+    rc, explicit, _ = run_cli(capsys, "trace-demo", "--trials", "5", "--seed", "42",
+                              "--volume-checks", "2")
+    assert rc == EXIT_OK and implicit == explicit
+    payload = json.loads(implicit)
+    assert payload["seed"] == 42 and payload["volume_identity_total"] == 10
 
 
 @pytest.mark.parametrize("family", ["cyclic:2", "cyc", "Sym", "gl2:", ""])

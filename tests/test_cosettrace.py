@@ -215,6 +215,9 @@ def test_model_spec_parsing():
     with pytest.raises(ModelSpecError) as err:
         parse_model_spec("{not json")
     assert "line 1" in str(err.value)
+    for text in ("[]", "3", "null"):
+        with pytest.raises(ModelSpecError, match="model spec must be a JSON object"):
+            parse_model_spec(text)
     with pytest.raises(ModelSpecError):
         parse_model_spec(json.dumps({"group": "sym:3"}))
     with pytest.raises(ModelSpecError):

@@ -242,6 +242,23 @@ def test_cache_put_writes_each_line_in_one_call(tmp_path, monkeypatch):
     assert path.read_bytes() == b"".join(calls)
 
 
+def test_cache_put_of_a_held_prime_appends_nothing(tmp_path):
+    path = tmp_path / "census.cache"
+    CensusCache(path).get(11)
+    cache = CensusCache(path)  # 11 held from the file, not from a put
+    for c in (census(11), cache.get(11)):
+        cache.put(c)
+    assert path.read_bytes() == b"11;0,1;2;2\n"
+
+
+def test_cache_on_no_file_holds_censuses_in_memory():
+    cache = CensusCache()
+    assert cache.path is None and 11 not in cache
+    c = cache.get(11)
+    cache.put(census(37))
+    assert 11 in cache and 37 in cache and cache.get(11) is c
+
+
 def test_concurrent_sweeps_leave_only_whole_lines(tmp_path):
     # Two writers append to one cache at once; each line is one O_APPEND
     # write, so the lines may repeat but never interleave.
