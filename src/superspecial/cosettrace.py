@@ -55,8 +55,8 @@ gamma}, one bincount over pi K for every class.  Each class in delta_f is
 G-conjugate to pi, so its count is n_pi; only |C_Gamma(pi)| is a centralizer
 taken within Gamma, as pi may lie outside Gamma.  A class without hits has
 O_gamma = 0, lies in neither delta set, and is skipped.  The others are
-taken in one pass, in blocks of max(1, 2^20 // n) classes, so that no
-temporary exceeds the 2^20 entries of finitegroup's row blocks.  Per block:
+taken in one pass, in blocks of `Group.block_rows` classes, the rows that
+bound any (rows x n) temporary of the group.  Per block:
 since pi normalizes K, the hits of gamma are a union of K-cosets xK, so the
 K-coset labels a with a^{-1} gamma a in pi K are its support, one (block x
 n / |K|) gather; |K| times each class's number of labels must equal its
@@ -90,7 +90,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactnum import frac_dict
-from .finitegroup import _BLOCK_ENTRIES, Group, GroupConstructionError, group_from_kind
+from .finitegroup import Group, GroupConstructionError, group_from_kind
 
 
 class InvariantViolation(Exception):
@@ -121,8 +121,8 @@ def _model(group: Group, gamma: np.ndarray, k: np.ndarray, pi: int,
     """The model on the closed subgroups gamma = <gamma_gens> and k, once pi
     is checked to normalize K."""
     # Conjugation is injective, so pi K pi^{-1} = K once it lies in K.
-    conj = group.table[group.table[pi, k], group.inv[pi]]
-    escapes = ~_mask(group.n, k)[conj]
+    conj = group.conjugate(k, group.inv[pi])
+    escapes = ~group.mask(k)[conj]
     if escapes.any():
         raise ModelSpecError(
             f"pi does not normalize K: conjugate element {conj[escapes.argmax()]} escapes K")
@@ -143,16 +143,9 @@ class DoubleCosetSpace:
     hecke_action: dict[int, int]  # rep -> rep, [x] -> [x pi]
 
 
-def _mask(n: int, members) -> np.ndarray:
-    """Boolean membership mask over the element indices 0..n-1."""
-    mask = np.zeros(n, dtype=bool)
-    mask[members] = True
-    return mask
-
-
 def _meet_conjugate(G: Group, cent: np.ndarray, in_k: np.ndarray, a: int) -> int:
     """|cent ∩ a K a^{-1}|, counted as #{c in cent : a^{-1} c a in K}."""
-    return int(np.count_nonzero(in_k[G.table[G.table[G.inv[a], cent], a]]))
+    return int(np.count_nonzero(in_k[G.conjugate(cent, a)]))
 
 
 def _k_labels(model: FiniteGroupModel) -> np.ndarray:
@@ -168,7 +161,7 @@ def _coset_images(model: FiniteGroupModel,
     rep_of = row_min[G.table[np.array(model.gamma)]].min(axis=0).astype(np.int64)
     reps = (rep_of == G.indices).nonzero()[0]
     images = rep_of[G.table[reps, model.pi]]
-    if not _mask(G.n, images)[reps].all():
+    if not G.mask(images)[reps].all():
         raise InvariantViolation("Hecke translation is not a bijection on cosets")
     return rep_of, reps, images
 
@@ -248,8 +241,8 @@ def _orbital_terms(model: FiniteGroupModel, row_min: np.ndarray,
     over blocks of classes (see the module notes)."""
     G = model.group
     k = np.array(model.k)
-    in_k = _mask(G.n, k)
-    in_pik = _mask(G.n, G.table[model.pi, k])
+    in_k = G.mask(k)
+    in_pik = G.mask(G.table[model.pi, k])
     labels = (row_min == G.indices).nonzero()[0]
     reps, counts, _, c_gamma = classes
     # A class without hits has O_gamma = 0 and no term (see the module notes).
@@ -258,11 +251,11 @@ def _orbital_terms(model: FiniteGroupModel, row_min: np.ndarray,
     terms = []
     walked = set()  # the (centralizer, support) keys already walked and checked
     values = {}  # (a, O) per integer tuple of their numerators and denominators
-    step = max(1, _BLOCK_ENTRIES // G.n)
+    step = G.block_rows
     for lo in range(0, len(reps), step):
         block, block_counts = reps[lo : lo + step], counts[lo : lo + step]
         # The support is a union of K-cosets (pi normalizes K): its labels suffice.
-        hits = in_pik[G.table[G.table[G.inv[labels], block[:, None]], labels]]
+        hits = in_pik[G.conjugate(block[:, None], labels)]
         found = hits.sum(axis=1)
         wrong = len(k) * found != block_counts
         if wrong.any():
@@ -379,9 +372,9 @@ def volume_identity_check(model: FiniteGroupModel, gamma: int, a: int) -> bool:
     _check_indices(G, (gamma, a))
     k = np.array(model.k)
     cent = G.centralizer(gamma)
-    orbit = _mask(G.n, G.table[cent[:, None], G.table[a, k]])
+    orbit = G.mask(G.table[cent[:, None], G.table[a, k]])
     n_cosets = int(np.count_nonzero(orbit)) // len(cent)
-    return n_cosets * _meet_conjugate(G, cent, _mask(G.n, k), a) == len(k)
+    return n_cosets * _meet_conjugate(G, cent, G.mask(k), a) == len(k)
 
 
 # ---------------------------------------------------------------------------

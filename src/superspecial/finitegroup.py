@@ -14,8 +14,10 @@ table gathers marked into boolean masks, never sorted.  Subgroups are worked
 from their generators (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, 4.1): a subgroup is closed by squaring, S -> S*S = table[S, S],
 until S*gens lies in S, one |S| x |gens| gather per round, so no last |S|^2
-round is spent confirming closure; a normalizer conjugates only the
-subgroup's generators.  A centralizer compares a table row with a column.
+round is spent confirming closure.  Every conjugation is x -> a^{-1} x a by
+`conjugate`, one double gather over the broadcast of x and a; a normalizer
+conjugates the subgroup's generators by all of G in one (n x |gens|) gather.
+A centralizer compares a table row with a column.
 Conjugacy classes are labels, not lists: a class is an orbit under
 conjugation by a generating set, and `conjugacy_partition` labels every
 element with the least element of its orbit at once, by min-label relaxation
@@ -49,8 +51,8 @@ from .massform import gsp_order
 ORDER_CAP = 5040
 # Tables and their indices are int16; so are the cyclic sums, below 2 * ORDER_CAP.
 assert 2 * ORDER_CAP <= np.iinfo(np.int16).max
-# Entries per temporary array in the row blocks of Group.__init__ (rows x n) and
-# normalizer_of (rows x generators), 2^20 int16 = 2 MB.
+# Entries per temporary array of a (rows x n) row block, 2^20 int16 = 2 MB:
+# Group.block_rows rows, for Group.__init__ and the trace sandbox's class blocks.
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -81,8 +83,8 @@ class Group:
         if len(ids) != 1:
             raise GroupConstructionError(f"{kind}: multiplication table has no identity")
         self.identity = int(ids[0])
-        # Row blocks bound the (rows, n) comparison, as in normalizer_of.
-        rows = max(1, _BLOCK_ENTRIES // self.n)
+        # Rows per block of a (rows, n) temporary, such as this comparison.
+        self.block_rows = rows = max(1, _BLOCK_ENTRIES // self.n)
         self.inv = np.empty(self.n, dtype=table.dtype)
         for lo in range(0, self.n, rows):
             self.inv[lo : lo + rows] = np.argmax(table[lo : lo + rows] == self.identity, axis=1)
@@ -97,6 +99,16 @@ class Group:
 
     # -- bulk ops -----------------------------------------------------------
 
+    def conjugate(self, x, a) -> np.ndarray:
+        """a^{-1} x a, elementwise over the broadcast of x and a."""
+        return self.table[self.table[self.inv[a], x], a]
+
+    def mask(self, members) -> np.ndarray:
+        """Boolean membership mask of `members` over the elements 0..n-1."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[members] = True
+        return mask
+
     def subgroup(self, gens) -> np.ndarray:
         """Sorted element indices of the subgroup generated by gens.
 
@@ -107,9 +119,7 @@ class Group:
         finite group is all of <gens> (an inverse is a positive power).
         """
         gens = np.asarray(gens, dtype=np.int64)
-        mask = np.zeros(self.n, dtype=bool)
-        mask[gens] = True
-        mask[self.identity] = True
+        mask = self.mask(np.append(gens, self.identity))
         while True:
             cur = mask.nonzero()[0]
             if mask[self.table[cur[:, None], gens]].all():
@@ -119,31 +129,25 @@ class Group:
     def conj_vector(self, i: int) -> np.ndarray:
         """Array y with y[x] = x^{-1} i x for every x: a brute-force oracle, kept
         for the tests and perfbench/tracer.py until ROADMAP.md item 1."""
-        return self.table[self.table[self.inv, i], self.indices]
+        return self.conjugate(i, self.indices)
 
     def centralizer(self, i: int, within: np.ndarray | None = None) -> np.ndarray:
         h = self.indices if within is None else within
         return h[self.table[h, i] == self.table[i, h]]
 
     def normalizer_of(self, sub: np.ndarray, gens) -> np.ndarray:
-        """All x with x sub x^{-1} = sub (as a set), where sub = <gens>.
+        """All x with x^{-1} sub x = sub (as a set), where sub = <gens>.
 
         Only the generators are conjugated: conjugation by x is an
-        automorphism, so x sub x^{-1} = <x gens x^{-1}>, which lies in sub once
-        every x g x^{-1} does, and then equals it, having the same order.  A
+        automorphism, so x^{-1} sub x = <x^{-1} gens x>, which lies in sub once
+        every x^{-1} g x does, and then equals it, having the same order.  A
         generator outside sub raises ValueError.
         """
-        in_sub = np.zeros(self.n, dtype=bool)
-        in_sub[sub] = True
+        in_sub = self.mask(sub)
         gens = np.asarray(gens, dtype=np.int64)
         if not in_sub[gens].all():
             raise ValueError(f"{self.kind}: generator {gens[~in_sub[gens]][0]} lies outside sub")
-        # Rows of x go in blocks that bound the (rows, |gens|) temporaries.
-        rows = max(1, _BLOCK_ENTRIES // max(len(gens), 1))
-        keep = np.empty(self.n, dtype=bool)
-        for lo in range(0, self.n, rows):
-            conj = self.table[self.table[lo : lo + rows][:, gens], self.inv[lo : lo + rows, None]]
-            keep[lo : lo + rows] = in_sub[conj].all(axis=1)
+        keep = in_sub[self.conjugate(gens, self.indices[:, None])].all(axis=1)
         return np.flatnonzero(keep).astype(np.int64, copy=False)
 
     def conjugacy_partition(self, members: np.ndarray, gens) -> np.ndarray:
@@ -159,7 +163,7 @@ class Group:
         """
         members = np.asarray(members)
         gens = np.asarray(gens, dtype=np.int64)
-        images = self.table[self.table[self.inv[gens, None], members], gens[:, None]]
+        images = self.conjugate(members, gens[:, None])
         lab = np.full(self.n, -1, dtype=np.int64)
         lab[members] = members
         while True:
@@ -259,7 +263,9 @@ def _close(kind: str, n: int, order: int, identity, gens, compose,
     table[rank[0]] = np.arange(order)
     gen_rank = lookup(gens)
     table[gen_rank] = lookup(compose(gens[:, None], elements[None])).reshape(len(gens), order)
-    rest = np.setdiff1d(np.arange(1, order), by_key[gen_rank])  # discovery indices
+    rest = np.ones(order, dtype=bool)  # a mask, as np.setdiff1d imports numpy.ma
+    rest[0] = rest[by_key[gen_rank]] = False  # the identity's and generators' rows
+    rest = np.flatnonzero(rest)  # discovery indices
     parent_a, parent_g = np.divmod(np.concatenate(sources)[rest], len(gens))
     for c, a, g in zip(rank[rest].tolist(), rank[parent_a].tolist(), gen_rank[parent_g].tolist()):
         table[c] = table[a][table[g]]

@@ -14,6 +14,8 @@ there; the failure detail names the model and the obstruction.  The check is
 asserted as stated rather than weakened.
 """
 
+import re
+
 from superspecial import acceptance
 
 
@@ -176,3 +178,39 @@ def test_criterion_8_volume_identities():
 
 def test_criterion_9_involution_universality(censuses_1000):
     _run(acceptance.criterion_9_involution_universality(censuses_1000, seed=42))
+
+
+def test_criterion_3_reports_a_wrong_mass(monkeypatch):
+    from superspecial import sslocus
+
+    censuses = [sslocus.census(p) for p in (5, 7, 11)]
+    real = acceptance.principal_mass
+    monkeypatch.setattr(acceptance, "principal_mass", lambda g, p: real(g, p) + (p == 7))
+    result = acceptance.criterion_3_mass_consistency(censuses)
+    assert not result.passed
+    assert result.detail == "p=7: 1/4 vs 5/4 vs 1/4"
+
+
+def test_criterion_6_reports_a_failing_trace(seeded_models_100, monkeypatch):
+    from superspecial import cosettrace
+
+    def failing(model):
+        raise cosettrace.InvariantViolation("orbital 1 != kernel 2")
+
+    monkeypatch.setattr(cosettrace, "orbital_trace", failing)
+    result = acceptance.criterion_6_trace_equality(seeded_models_100[:2])
+    assert not result.passed
+    assert result.detail == "; ".join(f"model {i} ({m.group.kind}): orbital 1 != kernel 2"
+                                      for i, m in enumerate(seeded_models_100[:2]))
+
+
+def test_criterion_8_reports_failed_volume_checks_up_to_four(monkeypatch):
+    from superspecial import cosettrace
+
+    monkeypatch.setattr(cosettrace, "volume_identity_check", lambda model, gamma, a: False)
+    result = acceptance.criterion_8_volume_identities(seed=42)
+    assert not result.passed
+    shown = result.detail.split("; ")
+    assert len(shown) == 5 and shown[4] == "... (150 failures total)"
+    assert all(re.fullmatch(r"cyclic:\d+: volume identity failed at gamma=\d+, a=\d+", line)
+               for line in shown[:4]), shown

@@ -679,3 +679,21 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "7,1,1,1,1,4,true"
+
+
+def test_mass_refuses_a_composite_p(capsys):
+    rc, out, err = run_cli(capsys, "mass", "-g", "1", "-p", "4", "-N", "3")
+    assert rc == EXIT_USAGE and out == ""
+    assert err == "error: p must be prime, got 4\n"
+
+
+def test_trace_demo_prints_its_counts_then_exits_2_on_a_failed_volume_check(capsys,
+                                                                           monkeypatch):
+    from superspecial import cosettrace
+
+    monkeypatch.setattr(cosettrace, "volume_identity_check", lambda model, gamma, a: False)
+    rc, out, err = run_cli(capsys, "trace-demo", "--trials", "2")
+    assert rc == EXIT_INVARIANT
+    assert json.loads(out) == {"seed": 42, "trials": 2, "trace_equality_pass": 2,
+                               "volume_identity_pass": 0, "volume_identity_total": 4}
+    assert err == "invariant violation: randomized volume identities failed\n"

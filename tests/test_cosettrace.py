@@ -562,11 +562,12 @@ def _brute_pairs(m, reps):
 
 
 def test_orbital_trace_in_blocks_of_one_class(monkeypatch, seeded_models_100):
-    # With a bound of one entry every block holds one class; the classes of
+    # With one row per block every block holds one class; the classes of
     # cyclic:720 still share one walk across their 720 blocks.
     whole = [_whole_group_model(kind) for kind in ("cyclic:720", "sym:5")]
     reports = [orbital_trace(m) for m in whole]
-    monkeypatch.setattr(cosettrace, "_BLOCK_ENTRIES", 1)
+    for G in {m.group for m in [*whole, *seeded_models_100]}:
+        monkeypatch.setattr(G, "block_rows", 1)
     text = json.dumps(_golden_records(seeded_models_100), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SEED42_SHA256
     walks = _counted_walks(monkeypatch)
@@ -640,3 +641,15 @@ def test_orbital_trace_takes_no_centralizer_per_class(monkeypatch):
     report = orbital_trace(with_trivial_k(m))
     assert len(report.orbital_terms) == 1 and report.factored_value == 1
     assert [(i, within is not None) for i, within in calls] == [(m.pi, True)]
+
+
+def test_kernel_trace_refuses_a_hecke_map_that_is_not_a_bijection():
+    # Built directly, past build_model's check: pi = 2, the transposition
+    # (0 1), does not normalize K = <1> = <(1 2)>, so x -> x pi is not well
+    # defined on the cosets xK.
+    G = _s3()
+    assert G.elements[1] == (0, 2, 1) and G.elements[2] == (1, 0, 2)
+    model = cosettrace.FiniteGroupModel(G, (G.identity,), tuple(G.subgroup([1]).tolist()), 2, ())
+    with pytest.raises(InvariantViolation,
+                       match="^Hecke translation is not a bijection on cosets$"):
+        kernel_trace(model)

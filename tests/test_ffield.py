@@ -73,6 +73,13 @@ def test_nonresidue_rejects_bad_input():
         Fp2Field(2, 1)
     with pytest.raises(ValueError):
         canonical_nonresidue(15)
+    with pytest.raises(ValueError, match="^d = 4 is a square mod 5$"):
+        Fp2Field(5, 4)
+    # 2147483659 is the least prime above 2^31.
+    with pytest.raises(ValueError, match="^prime 2147483659 exceeds the word-size bound 2\\^31$"):
+        Fp2Field.of(2147483659)
+    with pytest.raises(ValueError, match="^2 is not a quadratic residue mod 5$"):
+        sqrt_mod(2, 5)
 
 
 def test_is_prime():

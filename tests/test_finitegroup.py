@@ -68,6 +68,55 @@ def test_conj_vector():
         y = G.conj_vector(i)
         for x in range(G.n):
             assert y[x] == G.mul(G.mul(G.inverse(x), i), x)
+    # conjugate against mul and inverse, broadcast three ways, and mask.
+    rng = random.Random(18)
+    for kind in TRIAL_FAMILIES + ("gsp2:2",):
+        G = group_from_kind(kind)
+
+        def conj(x, a):
+            return G.mul(G.mul(G.inverse(a), x), a)
+
+        xs = np.array([rng.randrange(G.n) for _ in range(5)])
+        a_s = np.array([rng.randrange(G.n) for _ in range(4)])
+        a, x = int(a_s[0]), int(xs[0])
+        # array x scalar, scalar x array, column x row
+        assert G.conjugate(xs, a).tolist() == [conj(int(v), a) for v in xs], kind
+        assert G.conjugate(x, a_s).tolist() == [conj(x, int(b)) for b in a_s], kind
+        grid = G.conjugate(xs[:, None], a_s)
+        assert grid.shape == (len(xs), len(a_s)), kind
+        assert grid.tolist() == [[conj(int(v), int(b)) for b in a_s] for v in xs], kind
+        assert G.conj_vector(x).tolist() == [conj(x, b) for b in range(G.n)], kind
+        members = np.unique(xs)
+        mask = G.mask(xs)
+        assert mask.shape == (G.n,) and mask.dtype == bool, kind
+        assert mask.nonzero()[0].tolist() == members.tolist(), kind
+        assert not G.mask([]).any(), kind
+
+
+def test_building_the_groups_leaves_numpy_ma_unimported():
+    # np.setdiff1d imports numpy.ma, 10-13 ms of a process's start; building
+    # the trial groups must not.  numpy < 2 loads numpy.ma with numpy itself.
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    code = (
+        "import sys\n"
+        "from superspecial.cosettrace import TRIAL_FAMILIES\n"
+        "from superspecial.finitegroup import group_from_kind\n"
+        "for kind in TRIAL_FAMILIES + ('gsp2:2',):\n"
+        "    group_from_kind(kind)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    outs = []
+    for script in (probe, code):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.strip())
+    if outs[0] == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert outs[1] == "False"
 
 
 def test_normalizer():

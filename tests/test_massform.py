@@ -113,6 +113,10 @@ def test_level_validation():
         nonprincipal_class_number_level(3, 2, 4)  # odd g
     with pytest.raises(ValueError):
         nonprincipal_class_number_level(2, 3, 2)
+    with pytest.raises(ValueError, match="gsp_order requires g >= 1 and N >= 1"):
+        gsp_order(0, 3)
+    with pytest.raises(ValueError, match="g must be positive"):
+        principal_mass(0, 5)
 
 
 def test_level_ratio_property():
@@ -155,3 +159,13 @@ def test_genus_ceiling_is_the_last_genus_whose_values_print():
         str(class_number_level(GENUS_MAX + 1, p, N))
     # `mass` refusing g above GENUS_MAX and p beyond the word size is
     # test_cli.test_mass_prints_every_accepted_genus_in_full.
+
+
+def test_a_class_number_that_is_not_an_integer_is_refused(monkeypatch):
+    from superspecial import massform
+
+    # |GSp_2(Z/3)| = 48 made 1 leaves the bare mass (5 - 1)/24 = 1/6.
+    monkeypatch.setattr(massform, "gsp_order", lambda g, N: 1)
+    with pytest.raises(massform.IntegralityError,
+                       match="^H_N\\(g=1, p=5, N=3\\) = 1/6 is not a positive integer$"):
+        class_number_level(1, 5, 3)

@@ -376,3 +376,25 @@ def test_golden_census_digest_to_1000(censuses_1000):
     text = "\n".join(encode_census(c) for c in censuses_1000)
     assert len(censuses_1000) == 166
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_CENSUS_1000_SHA256
+
+
+def test_census_refuses_a_missing_legendre_root(monkeypatch):
+    real = sslocus.roots_in_fp2
+    monkeypatch.setattr(sslocus, "roots_in_fp2",
+                        lambda poly, field: set(sorted(real(poly, field))[1:]))
+    with pytest.raises(CensusInvariantError,
+                       match="^p=11: found 4 Legendre parameters, expected 5$"):
+        census(11)
+
+
+def test_cache_put_refuses_a_short_write(tmp_path, monkeypatch):
+    path = tmp_path / "census.txt"
+    cache = CensusCache(path)
+    c = census(11)
+    size = len(sslocus.encode_census(c)) + 1
+    real = os.write
+    with monkeypatch.context() as m:
+        m.setattr(sslocus.os, "write", lambda fd, data: real(fd, data[:-1]))
+        with pytest.raises(OSError, match=f"^short write to census cache .*: {size - 1} of {size} "
+                                          "bytes$"):
+            cache.put(c)
