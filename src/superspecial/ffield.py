@@ -23,6 +23,7 @@ t^p = t * (t^2)^((p-1)/2) = t * d^((p-1)/2) = -t.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 
@@ -185,10 +186,12 @@ def parse_pairs(text: str, p: int) -> tuple[tuple[int, int], ...]:
     exactly what that writes for 0 <= a, b < p (no sign, space, '_', empty
     literal, non-ASCII digit, leading zero or "+0*t"), else raises ValueError."""
     if _LITERALS.fullmatch(text):
-        pairs = [(int(a), int(b[:-2]) if b else 0)
-                 for a, _, b in [literal.partition("+") for literal in text.split(",")]]
-        if all(a < p and b < p for a, b in pairs):
-            return tuple(pairs)
+        # One JSON list of every a and b: each literal gets ",0" appended, which
+        # "*t,0" takes off again after "a+b*t", and "+" separates a from b.
+        flat = json.loads(
+            "[" + (text.replace(",", ",0,") + ",0").replace("*t,0", "").replace("+", ",") + "]")
+        if max(flat) < p:
+            return tuple(zip(flat[::2], flat[1::2]))
     raise ValueError(f"malformed F_p2 literal mod {p}: {text!r}")
 
 

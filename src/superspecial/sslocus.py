@@ -18,6 +18,12 @@ number; the identity is the counting shadow of "trace = 2 * type number -
 class number".  Census(...) raises CensusInvariantError unless its j-set
 passes Census.validate.
 
+On residue pairs Frobenius is (a, b) -> (a, -b mod p) (ffield.frobenius), so
+it maps each run of equal a in the sorted j-set to itself: it fixes the run's
+b = 0 point, which comes first if present, and reverses the others, whose b's
+pair first-with-last into sums p.  Census.validate reads the involution off
+these runs in the same scan that checks the j-set.
+
 p = 2 and p = 3 fall outside the Legendre parametrization (and outside the
 6/4/2 automorphism-order rule); their census is the single supersingular
 point j = 0, with H = F = T = 1.
@@ -26,12 +32,13 @@ point j = 0, with H = F = T = 1.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
-from .ffield import Fp2Field, format_pair, frobenius, is_prime, lambda_to_j, parse_pairs
+from .ffield import Fp2Field, format_pair, is_prime, lambda_to_j, parse_pairs
 from .fppoly import hasse_poly, roots_in_fp2
 
 # Automorphism group orders of supersingular curves for p > 3: the two special
@@ -61,8 +68,9 @@ class Census:
 
     Built from p and the sorted residue pairs (a, b) of its j-invariants
     j = a + b t; the other fields are derived from those two, so they cannot
-    disagree with them.  Census(...) raises CensusInvariantError when j -> j^p
-    does not map the j-set to itself or the result fails validate, so every
+    disagree with them.  Census(...) raises CensusInvariantError unless the
+    j-set passes validate, whose scan also reads the involution j -> j^p off
+    the runs of equal a (j -> j^p must map the j-set to itself), so every
     Census that exists is valid.
     """
 
@@ -75,30 +83,36 @@ class Census:
     aut_orders: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        self.validate()  # stores the involution it reads off the runs
         p, js = self.p, self.j_points
-        index = {pair: i for i, pair in enumerate(js)}
-        try:
-            involution = tuple(index[frobenius(a, b, p)] for a, b in js)
-        except KeyError:
-            raise CensusInvariantError(f"p={p}: j-set not Frobenius-stable") from None
-        self.validate()  # before the count, so a bad j-set is reported as such
-        H, F, T = involution_census(involution)
+        H, F, T = involution_census(self.involution)
         if p in _SMALL_AUT:
-            aut_orders = (_SMALL_AUT[p],) * H
+            aut_orders = [_SMALL_AUT[p]] * H
         else:
-            special = {(0, 0): _AUT_SPECIAL_ZERO, (1728 % p, 0): _AUT_SPECIAL_1728}
-            aut_orders = tuple(special.get(pair, _AUT_GENERIC) for pair in js)
-        derived = dict(involution=involution, H=H, F=F, T=T, aut_orders=aut_orders)
+            aut_orders = [_AUT_GENERIC] * H
+            for j, order in (((0, 0), _AUT_SPECIAL_ZERO), ((1728 % p, 0), _AUT_SPECIAL_1728)):
+                i = bisect_left(js, j)
+                if i < H and js[i] == j:
+                    aut_orders[i] = order
+        derived = dict(H=H, F=F, T=T, aut_orders=tuple(aut_orders))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     def validate(self) -> None:
-        """Raise CensusInvariantError unless j_points is the j-set of a census:
+        """Raise CensusInvariantError unless j_points is the j-set of a census,
+        and store the Frobenius involution read off it as involution.  The
+        checks, in this order:
 
         - p is prime;
         - the j-set is not empty;
-        - its pairs strictly increase, so they are sorted and distinct;
-        - 0 <= a, b < p for each pair (a, b) (j is F_p2-rational, j^(p^2) = j);
+        - one scan of the j-set, which closes each run of equal a as it leaves
+          it, and reports the first fault it meets:
+          - the pairs strictly increase, so they are sorted and distinct;
+          - each run is Frobenius-stable: its b = 0 point, first if present,
+            is fixed, and its other b's pair first-with-last into sums p;
+          - 0 <= a < p and 0 <= b for the first pair (a, b) of each run, so,
+            with the sums p, 0 <= a, b < p for all its pairs (j is
+            F_p2-rational, j^(p^2) = j);
         - at p <= 3 it is {0}, at p > 3 its size H is class_number_formula(p).
         """
         p, js = self.p, self.j_points
@@ -106,14 +120,32 @@ class Census:
             raise CensusInvariantError(f"p={p}: not a prime")
         if not js:
             raise CensusInvariantError(f"p={p}: empty j-set")
-        if any(x >= y for x, y in zip(js, js[1:])):
-            raise CensusInvariantError(f"p={p}: duplicate or unsorted j-invariants")
-        if not all(0 <= a < p and 0 <= b < p for a, b in js):
-            raise CensusInvariantError(f"p={p}: point not F_p2-rational")
+        H = len(js)
+        inv = list(range(H))
+        start = 0  # first index of the current run of equal a
+        for i in range(1, H + 1):
+            if i < H:
+                if js[i] <= js[i - 1]:
+                    raise CensusInvariantError(f"p={p}: duplicate or unsorted j-invariants")
+                if js[i][0] == js[start][0]:
+                    continue
+            a, b = js[start]  # the run js[start:i] ends here
+            lo, hi = start + (b == 0), i - 1
+            while lo < hi:
+                if js[lo][1] + js[hi][1] != p:
+                    break
+                inv[lo], inv[hi] = hi, lo
+                lo, hi = lo + 1, hi - 1
+            if lo <= hi:
+                raise CensusInvariantError(f"p={p}: j-set not Frobenius-stable")
+            if not (0 <= a < p and b >= 0):
+                raise CensusInvariantError(f"p={p}: point not F_p2-rational")
+            start = i
+        object.__setattr__(self, "involution", tuple(inv))
         if p <= 3:
             if js != ((0, 0),):
                 raise CensusInvariantError(f"p={p}: j-set differs from the hard-coded {{0}}")
-        elif len(js) != class_number_formula(p):
+        elif H != class_number_formula(p):
             raise CensusInvariantError(f"p={p}: H fails the class-number formula")
 
 
@@ -171,9 +203,11 @@ def class_number_formula(p: int) -> int:
 def eichler_mass(c: Census) -> Fraction:
     """Automorphism-weighted count sum_j 1/|Aut(E_j)|; equals (p-1)/24 at every prime.
 
-    One Fraction over the lcm L of the orders present: sum_j (L / |Aut(E_j)|) / L."""
-    L = lcm(*set(c.aut_orders))
-    return Fraction(sum(L // a for a in c.aut_orders), L)
+    One Fraction over the lcm L of the orders present, counting the points of
+    each order: sum_a (L / a) * #{j : |Aut(E_j)| = a} / L."""
+    orders = set(c.aut_orders)
+    L = lcm(*orders)
+    return Fraction(sum(L // a * c.aut_orders.count(a) for a in orders), L)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,29 @@ def test_warm_sweep_makes_no_modular_exponentiation(capsys, tmp_path, monkeypatc
     assert calls == []
 
 
+def test_warm_sweep_makes_no_frobenius_call(capsys, tmp_path, monkeypatch, censuses_1000):
+    # Counts operations, not time: a warm read takes each census's involution
+    # from the runs of equal a in its sorted j-set, with no call of the rule
+    # ffield.frobenius per point, under whichever module name it is bound.
+    from superspecial import ffield
+
+    cache = tmp_path / "c.cache"
+    cache.write_text("".join(sslocus.encode_census(c) + "\n" for c in censuses_1000))
+    real, calls = ffield.frobenius, []
+
+    def frobenius(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "superspecial" and getattr(module, "frobenius", None) is real:
+            monkeypatch.setattr(module, "frobenius", frobenius)
+    rc, out, _ = run_cli(capsys, "sweep", "--pmin", "5", "--pmax", "1000",
+                         "--jobs", "1", "--cache", str(cache))
+    assert rc == EXIT_OK and len(out.strip().split("\n")) == 1 + 166
+    assert ffield.frobenius is frobenius and calls == []
+
+
 def test_sweep_env_cache_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERSPECIAL_CACHE_DIR", str(tmp_path))
     rc, _, _ = run_cli(capsys, "census", "-p", "11")

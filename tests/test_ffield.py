@@ -270,6 +270,15 @@ def test_literal_lists_round_trip_and_share_the_literal_grammar():
         parse_pair("3,4", 13)
 
 
+def test_literal_lists_read_a_zero_literal_next_to_a_t_literal():
+    # parse_pairs reads a list as one rewritten JSON text, where "a" becomes
+    # "a,0" and "a+b*t" becomes "a,b": the literal 0 after or before
+    # "a+b*t" must stay a point of its own.
+    for text, pairs in [("0+1*t,0", ((0, 1), (0, 0))), ("3+10*t,0,0+1*t", ((3, 10), (0, 0), (0, 1))),
+                        ("0,3+10*t,0", ((0, 0), (3, 10), (0, 0))), ("10+12*t,1", ((10, 12), (1, 0)))]:
+        assert parse_pairs(text, 13) == pairs
+
+
 def test_lambda_to_j_examples():
     for p in (5, 7, 11, 97):
         field = Fp2Field.of(p)

@@ -324,6 +324,100 @@ def test_counts_match_an_independent_oracle(censuses_1000):
         assert c.T == rational + (c.H - rational) // 2
 
 
+def _index_dict_rule(p, js):
+    """The involution and automorphism orders by an index dict, one frobenius
+    call and one dict lookup per point; (None, None) for a set that Frobenius
+    does not map to itself."""
+    index = {pair: i for i, pair in enumerate(js)}
+    try:
+        involution = tuple(index[frobenius(a, b, p)] for a, b in js)
+    except KeyError:
+        return None, None
+    special = {(0, 0): 6, (1728 % p, 0): 4}
+    return involution, tuple(special.get(pair, 2) for pair in js)
+
+
+def test_run_rule_matches_the_index_dict_rule(censuses_1000):
+    # 30 of these j-sets hold a run of equal a with two Frobenius pairs, and
+    # p = 677 one with b = 0 and two pairs, where the pairs nest.
+    for c in censuses_1000:
+        assert (c.involution, c.aut_orders) == _index_dict_rule(c.p, c.j_points), c.p
+
+
+def _mutants(c):
+    """Sorted, in-range j-sets near c's, in two classes: Frobenius-stable or not."""
+    p, js = c.p, c.j_points
+    q = next(q for q in range(p + 1, 2 * p) if is_prime(q))
+    yield q, js  # the same j-set under the next prime
+    for k, (a, b) in enumerate(js):
+        if b:
+            yield p, js[:k] + js[k + 1:]  # a dropped conjugate
+        if b + 1 < p and (a, b + 1) not in js:
+            yield p, tuple(sorted(js[:k] + ((a, b + 1),) + js[k + 1:]))  # b -> b + 1
+    a = min(set(range(p)) - {x for x, _ in js})  # an a with no point yet
+    for run in [(0, 1, 2, p - 2, p - 1),  # b = 0 and two nested pairs
+                (1, 2, p - 2, p - 1),  # two nested pairs
+                (0, 1, 2, p - 3, p - 1),  # two b's that do not pair (p > 5)
+                (0, 1, 2, p - 1)]:  # b = 0 and one pair, with 2 left over
+        if len(set(run)) == len(run):
+            yield p, tuple(sorted(js + tuple((a, b) for b in run)))
+
+
+def test_run_rule_and_index_dict_rule_agree_on_mutants(censuses_1000, monkeypatch):
+    # H is not what the mutants test, so the class-number check is made to
+    # pass: each j-set is refused as not Frobenius-stable or constructed.
+    size = []
+    monkeypatch.setattr(sslocus, "class_number_formula", lambda p: size[-1])
+    verdicts = {True: 0, False: 0}
+    for c in censuses_1000:
+        for p, js in _mutants(c):
+            size.append(len(js))
+            try:
+                made = Census(p, js)
+            except CensusInvariantError as exc:
+                assert str(exc) == f"p={p}: j-set not Frobenius-stable", (p, js)
+                run_rule = None, None
+            else:
+                run_rule = made.involution, made.aut_orders
+            assert run_rule == _index_dict_rule(p, js), (p, js)
+            verdicts[run_rule[0] is not None] += 1
+    assert verdicts[True] >= 2 * 166 and verdicts[False] >= 2 * 166
+
+
+def _hurwitz_class_number(n):
+    """H(n): the reduced forms a x^2 + b xy + c y^2 of discriminant b^2 - 4ac
+    = -n, imprimitive ones included, weighted 1/2 at a(x^2 + y^2) and 1/3 at
+    a(x^2 + xy + y^2).  Reduced: |b| <= a <= c, and b >= 0 when |b| = a or
+    a = c; then 3a^2 <= n."""
+    total = Fraction(0)
+    a = 1
+    while 3 * a * a <= n:
+        for b in range(1 - a, a + 1):
+            c, rest = divmod(b * b + n, 4 * a)
+            if rest or c < a or (b < 0 and a == c):
+                continue
+            total += Fraction(1, 2) if b == 0 and a == c else Fraction(1, 3) if b == a == c else 1
+        a += 1
+    return total
+
+
+def test_hurwitz_class_number_spot_values():
+    # H(3): x^2 + xy + y^2; H(4): x^2 + y^2; H(12): x^2 + 3y^2 and 2(x^2 + xy + y^2).
+    assert _hurwitz_class_number(3) == Fraction(1, 3)
+    assert _hurwitz_class_number(4) == Fraction(1, 2)
+    assert _hurwitz_class_number(12) == Fraction(4, 3)
+    assert _hurwitz_class_number(7) == 1 and _hurwitz_class_number(8) == 1
+    assert _hurwitz_class_number(1) == 0 and _hurwitz_class_number(2) == 0
+
+
+def test_f_is_half_the_hurwitz_class_number_of_4p(censuses_1000):
+    # The trace of the Atkin-Lehner involution on the class space, F, is
+    # H(4p)/2 (Delfs and Galbraith 2016), counted here from binary quadratic
+    # forms and not from the j-set.
+    for c in censuses_1000:
+        assert c.F == _hurwitz_class_number(4 * c.p) / 2, c.p
+
+
 def test_constructor_derives_every_field_and_refuses_unstable_sets():
     c37 = census(37)  # j = 3 +- 10t (a Frobenius pair) and j = 8
     assert Census(37, ((3, 10), (3, 27), (8, 0))) == c37
@@ -331,10 +425,14 @@ def test_constructor_derives_every_field_and_refuses_unstable_sets():
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(c37, **{name: getattr(c37, name)})
     for js in [((3, 10), (8, 0)),  # 3 + 10t without its conjugate 3 + 27t
-               ((3, 40), (3, 27), (8, 0)),  # unreduced b: j^p of (3, 40) is (3, 34)
+               ((3, 27), (3, 40), (8, 0)),  # unreduced b: j^p of (3, 40) is (3, 34)
                ((3, 10), (3, 27), (8, 37)),  # j^p of (8, 37) is (8, 0)
-               ((40, 10), (3, 27), (8, 0))]:  # unreduced a
+               ((3, 27), (8, 0), (40, 10))]:  # unreduced a: j^p of (40, 10) is (40, 27)
         with pytest.raises(CensusInvariantError, match="not Frobenius-stable"):
+            Census(37, js)
+    # The same two sets unsorted are refused by the sorted check, which comes first.
+    for js in [((3, 40), (3, 27), (8, 0)), ((40, 10), (3, 27), (8, 0))]:
+        with pytest.raises(CensusInvariantError, match="duplicate or unsorted"):
             Census(37, js)
     # At p = 41 the pair of 3 + 10t is 3 + 31t.
     with pytest.raises(CensusInvariantError, match="not Frobenius-stable"):
