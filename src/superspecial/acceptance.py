@@ -49,6 +49,9 @@ def sweep_censuses(pmax: int = 1000) -> list[sslocus.Census]:
 
 
 def criterion_1_geometric_identity(censuses) -> CriterionResult:
+    """F = 2T - H.  Census.validate's scan pairs every point that is not
+    fixed, so T = (H + F)/2 and no Census reaches the failure branch; it stays
+    a restatement until ROADMAP item 3's F = H(4p)/2 oracle replaces it."""
     failures = [f"p={c.p}: F={c.F} != 2T-H={2 * c.T - c.H}"
                 for c in censuses if c.F != 2 * c.T - c.H]
     return _result(1, "geometric identity F = 2T - H across the sweep", failures)
@@ -197,8 +200,9 @@ def criterion_8_volume_identities(seed: int) -> CriterionResult:
 
 def criterion_9_involution_universality(censuses, seed: int) -> CriterionResult:
     """F = 2T - H on random involutions; each census's (H, F, T) against its
-    involution's.  Census(...) takes its fields from that same count, so the
-    census half is a restatement until ROADMAP item 9 counts independently."""
+    involution's: two counts from different data of one j-set, the stored
+    involution's orbits and the b = 0 points of Census.validate's scan, so it
+    checks no count against an independent source (ROADMAP items 9, 15)."""
     failures = []
     rng = random.Random(seed + 3)
     for trial in range(1000):

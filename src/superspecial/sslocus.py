@@ -8,11 +8,9 @@ j = a + b t carried as its residue pair (a, b); from these it derives
 
     H = number of points,
     F = number of Frobenius-fixed points (the F_p-rational ones, b = 0),
-    T = number of Frobenius orbits,
+    T = number of Frobenius orbits = F + (H - F)/2,
 
-all three counted off the Frobenius involution by involution_census (T as
-the orbits {i, inv[i]} with i <= inv[i]), which checks F = 2T - H: each orbit
-has size 1 or 2, so H = F + 2(T - F).  F doubles as the trace of the
+so F = 2T - H, as each orbit has size 1 or 2.  F doubles as the trace of the
 Atkin-Lehner translation operator on the class space, and T as the type
 number; the identity is the counting shadow of "trace = 2 * type number -
 class number".  Census(...) raises CensusInvariantError unless its j-set
@@ -22,7 +20,8 @@ On residue pairs Frobenius is (a, b) -> (a, -b mod p) (ffield.frobenius), so
 it maps each run of equal a in the sorted j-set to itself: it fixes the run's
 b = 0 point, which comes first if present, and reverses the others, whose b's
 pair first-with-last into sums p.  Census.validate reads the involution off
-these runs in the same scan that checks the j-set.
+these runs in the same scan that checks the j-set, with F, T and the
+automorphism orders (only a fixed point can be j = 0 or j = 1728).
 
 p = 2 and p = 3 fall outside the Legendre parametrization (and outside the
 6/4/2 automorphism-order rule); their census is the single supersingular
@@ -32,7 +31,6 @@ point j = 0, with H = F = T = 1.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -68,10 +66,10 @@ class Census:
 
     Built from p and the sorted residue pairs (a, b) of its j-invariants
     j = a + b t; the other fields are derived from those two, so they cannot
-    disagree with them.  Census(...) raises CensusInvariantError unless the
-    j-set passes validate, whose scan also reads the involution j -> j^p off
-    the runs of equal a (j -> j^p must map the j-set to itself), so every
-    Census that exists is valid.
+    disagree with them.  Census(...) runs validate, which raises
+    CensusInvariantError unless the j-set is a census's and otherwise stores
+    every other field, all read off the runs of equal a in one scan (j -> j^p
+    must map the j-set to itself), so every Census that exists is valid.
     """
 
     p: int
@@ -83,25 +81,13 @@ class Census:
     aut_orders: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.validate()  # stores the involution it reads off the runs
-        p, js = self.p, self.j_points
-        H, F, T = involution_census(self.involution)
-        if p in _SMALL_AUT:
-            aut_orders = [_SMALL_AUT[p]] * H
-        else:
-            aut_orders = [_AUT_GENERIC] * H
-            for j, order in (((0, 0), _AUT_SPECIAL_ZERO), ((1728 % p, 0), _AUT_SPECIAL_1728)):
-                i = bisect_left(js, j)
-                if i < H and js[i] == j:
-                    aut_orders[i] = order
-        derived = dict(H=H, F=F, T=T, aut_orders=tuple(aut_orders))
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        self.validate()
 
     def validate(self) -> None:
         """Raise CensusInvariantError unless j_points is the j-set of a census,
-        and store the Frobenius involution read off it as involution.  The
-        checks, in this order:
+        else store what its scan reads off it: the Frobenius involution, H, F
+        (the runs' fixed points, whose aut_orders it sets) and T = (H + F)/2.
+        The checks, in this order:
 
         - p is prime;
         - the j-set is not empty;
@@ -121,7 +107,10 @@ class Census:
         if not js:
             raise CensusInvariantError(f"p={p}: empty j-set")
         H = len(js)
-        inv = list(range(H))
+        inv, F = list(range(H)), 0
+        aut_orders = [_AUT_GENERIC] * H
+        special = ({0: _SMALL_AUT[p]} if p in _SMALL_AUT
+                   else {0: _AUT_SPECIAL_ZERO, 1728 % p: _AUT_SPECIAL_1728})
         start = 0  # first index of the current run of equal a
         for i in range(1, H + 1):
             if i < H:
@@ -140,13 +129,18 @@ class Census:
                 raise CensusInvariantError(f"p={p}: j-set not Frobenius-stable")
             if not (0 <= a < p and b >= 0):
                 raise CensusInvariantError(f"p={p}: point not F_p2-rational")
+            if b == 0:  # the run's fixed, F_p-rational point
+                F += 1
+                aut_orders[start] = special.get(a, _AUT_GENERIC)
             start = i
-        object.__setattr__(self, "involution", tuple(inv))
         if p <= 3:
             if js != ((0, 0),):
                 raise CensusInvariantError(f"p={p}: j-set differs from the hard-coded {{0}}")
         elif H != class_number_formula(p):
             raise CensusInvariantError(f"p={p}: H fails the class-number formula")
+        for name, value in (("involution", tuple(inv)), ("H", H), ("F", F),
+                            ("T", (H + F) // 2), ("aut_orders", tuple(aut_orders))):
+            object.__setattr__(self, name, value)
 
 
 def involution_census(inv) -> tuple[int, int, int]:

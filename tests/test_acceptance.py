@@ -180,6 +180,21 @@ def test_criterion_9_involution_universality(censuses_1000):
     _run(acceptance.criterion_9_involution_universality(censuses_1000, seed=42))
 
 
+def test_criterion_9_reports_a_census_whose_counts_disagree():
+    # The scan's F and the stored involution are two derivations of one
+    # count; a census whose F, or whose involution, was changed after it was
+    # built makes them disagree.
+    from superspecial import sslocus
+
+    censuses = [sslocus.census(p) for p in (11, 13, 37)]
+    object.__setattr__(censuses[0], "F", 1)
+    object.__setattr__(censuses[2], "involution", (0, 1, 2))
+    result = acceptance.criterion_9_involution_universality(censuses, seed=42)
+    assert not result.passed
+    assert result.detail == ("census p=11: involution census (2, 2, 2) != (2, 1, 2);"
+                             " census p=37: involution census (3, 3, 3) != (3, 1, 2)")
+
+
 def test_criterion_3_reports_a_wrong_mass(monkeypatch):
     from superspecial import sslocus
 

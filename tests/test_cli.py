@@ -181,6 +181,32 @@ def test_warm_sweep_makes_no_frobenius_call(capsys, tmp_path, monkeypatch, censu
     assert ffield.frobenius is frobenius and calls == []
 
 
+def test_census_and_warm_sweep_make_no_involution_census_call(capsys, tmp_path, monkeypatch,
+                                                             censuses_1000):
+    # Counts operations, not time: a Census takes H, F and T from the scan
+    # that reads its involution, and recounts nothing with involution_census,
+    # under whichever module name it is bound.
+    cache = tmp_path / "c.cache"
+    cache.write_text("".join(sslocus.encode_census(c) + "\n" for c in censuses_1000))
+    real, calls = sslocus.involution_census, []
+
+    def involution_census(inv):
+        calls.append(inv)
+        return real(inv)
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "superspecial"
+                and getattr(module, "involution_census", None) is real):
+            monkeypatch.setattr(module, "involution_census", involution_census)
+    assert sslocus.involution_census is superspecial.involution_census is involution_census
+    c = sslocus.census(37)
+    assert sslocus.Census(c.p, c.j_points) == c
+    rc, out, _ = run_cli(capsys, "sweep", "--pmin", "5", "--pmax", "1000",
+                         "--jobs", "1", "--cache", str(cache))
+    assert rc == EXIT_OK and len(out.strip().split("\n")) == 1 + 166
+    assert calls == []
+
+
 def test_sweep_env_cache_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERSPECIAL_CACHE_DIR", str(tmp_path))
     rc, _, _ = run_cli(capsys, "census", "-p", "11")

@@ -15,7 +15,7 @@ from superspecial.fppoly import hasse_poly, roots_in_fp2
 from superspecial.massform import principal_mass
 from superspecial.sslocus import (CENSUS_MAX_PRIME, Census, CensusCache, CensusInvariantError,
                                   census, class_number_formula, decode_census,
-                                  eichler_mass, encode_census)
+                                  eichler_mass, encode_census, involution_census)
 
 SWEEP_PRIMES = [p for p in range(5, 300) if is_prime(p)]
 
@@ -339,9 +339,17 @@ def _index_dict_rule(p, js):
 
 def test_run_rule_matches_the_index_dict_rule(censuses_1000):
     # 30 of these j-sets hold a run of equal a with two Frobenius pairs, and
-    # p = 677 one with b = 0 and two pairs, where the pairs nest.
+    # p = 677 one with b = 0 and two pairs, where the pairs nest.  The scan's
+    # (H, F, T) are the counts of the dict rule's involution.
     for c in censuses_1000:
-        assert (c.involution, c.aut_orders) == _index_dict_rule(c.p, c.j_points), c.p
+        involution, aut_orders = _index_dict_rule(c.p, c.j_points)
+        assert (c.involution, c.aut_orders) == (involution, aut_orders), c.p
+        assert (c.H, c.F, c.T) == involution_census(involution), c.p
+    for p in (2, 3):  # the orders there are _SMALL_AUT's, not the 6/4/2 rule's
+        c = census(p)
+        involution, _ = _index_dict_rule(p, c.j_points)
+        assert c.involution == involution
+        assert (c.H, c.F, c.T) == involution_census(involution) == (1, 1, 1)
 
 
 def _mutants(c):
@@ -372,6 +380,7 @@ def test_run_rule_and_index_dict_rule_agree_on_mutants(censuses_1000, monkeypatc
     for c in censuses_1000:
         for p, js in _mutants(c):
             size.append(len(js))
+            dict_rule = _index_dict_rule(p, js)
             try:
                 made = Census(p, js)
             except CensusInvariantError as exc:
@@ -379,7 +388,9 @@ def test_run_rule_and_index_dict_rule_agree_on_mutants(censuses_1000, monkeypatc
                 run_rule = None, None
             else:
                 run_rule = made.involution, made.aut_orders
-            assert run_rule == _index_dict_rule(p, js), (p, js)
+                assert dict_rule[0] is not None, (p, js)
+                assert (made.H, made.F, made.T) == involution_census(dict_rule[0]), (p, js)
+            assert run_rule == dict_rule, (p, js)
             verdicts[run_rule[0] is not None] += 1
     assert verdicts[True] >= 2 * 166 and verdicts[False] >= 2 * 166
 
