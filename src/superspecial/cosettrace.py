@@ -39,12 +39,19 @@ regime the factored value is reported as absent with a diagnostic naming the
 obstruction, so a defined factored value always equals the kernel trace.
 
 Computation: x is labelled row_min[x] = min(xK), the least element of its
-K-coset, by one (n x |K|) gather per orbital_trace, shared by both sides.
-The kernel side labels each x min(Gamma x K), the least over gamma of
-row_min[gamma x], by one (|Gamma| x n) gather, and counts the labels r
-with label(r pi) = r in one comparison; only `double_cosets` builds the
-Hecke map as a dict.  Every per-class count and size is read off class
-labels once per call (`_gamma_classes`).  The
+K-coset, once per orbital_trace, shared by both sides.  The kernel side
+labels each x min(Gamma x K), the least over gamma of row_min[gamma x], and
+counts the labels r with label(r pi) = r in one comparison; only
+`double_cosets` builds the Hecke map as a dict.  Each of the two labellings
+is one gather, (n x |K|) or (|Gamma| x n), while its subgroup S has fewer
+than COSET_WALK_MIN_ORDER elements.  From there on it walks the cosets of S
+in ascending order (the orbit algorithm of Holt, Eick and O'Brien, Handbook
+of Computational Group Theory, 2005, 4.1): the least unlabelled x is the
+least element of xK and labels that coset, and it labels its right coset
+Gamma x with the least row_min on it, which is min(Gamma x K).  A walk is
+n / |S| gathers of |S| entries and holds O(n) memory, where the one gather
+holds n |S| entries (25M at Gamma = K = S7).  Every per-class count and
+size is read off class labels once per call (`_gamma_classes`).  The
 Gamma-labels (`Group.conjugacy_partition` over Gamma's generators) give each
 class's least element (the members labelled by themselves) and size (one
 bincount), and |C_Gamma(gamma)| = |Gamma| / |gamma^Gamma|.
@@ -67,13 +74,14 @@ so it is evaluated once per distinct (centralizer row, support row) pair of
 the call, keyed by the packed bits of the two rows and remembered across
 blocks.  The count, |K| times the number of support labels, is a function
 of the key too, and the first class of each key, its least, is the one a
-mismatch names.  The walk takes the support's labels in ascending order, and each
-label not yet covered is the least element of a new G_gamma a K and covers
-that double coset's labels row_min[c a], c in G_gamma, with one |G_gamma|
-gather.  The two forms of O_gamma agree exactly when the walked double
-cosets' sizes |G_gamma| |K| / |G_gamma ∩ aKa^{-1}| sum to the count,
-checked in integers.  When G is abelian every supported class has
-G_gamma = G and support G, so all of them share one walk.  Each distinct
+mismatch names.  The double-coset walk (`_coset_walk`) takes the support's
+labels in ascending order, and each label not yet covered is the least
+element of a new G_gamma a K and covers that double coset's labels
+row_min[c a], c in G_gamma, with one |G_gamma| gather.  The two forms of
+O_gamma agree exactly when the walked double cosets' sizes
+|G_gamma| |K| / |G_gamma ∩ aKa^{-1}| sum to the count, checked in
+integers.  When G is abelian every supported class has G_gamma = G and
+support G, so all of them share one walk.  Each distinct
 pair (a(G_gamma), O_gamma) is built as Fractions once per call, from its
 integer numerators and denominators.  The orbital total needs no
 centralizer: a(G_gamma) O_gamma = count / (|C_Gamma(gamma)| |K|), so it is
@@ -91,6 +99,18 @@ import numpy as np
 
 from .exactnum import frac_dict
 from .finitegroup import Group, GroupConstructionError, group_from_kind
+
+
+# Each coset labelling (the K-cosets xK, the right cosets Gamma x) walks the
+# cosets of its subgroup S once |S| >= COSET_WALK_MIN_ORDER, n / |S| steps of
+# one |S| gather each, and is one (n x |S|) gather below.  Measured crossover
+# (best of 5-7, 2-vCPU Xeon VM, Python 3.11, numpy 2.4; gather against walk,
+# in us, K-cosets then right cosets): gl2:5 |S| = 40 took 33 / 59 against
+# 40 / 68, |S| = 48 39 / 73 against 35 / 60; sym:6 |S| = 36 45 / 79 against
+# 66 / 117, |S| = 48 57 / 103 against 51 / 88; gl2:7 |S| = 48 359 / 272
+# against 144 / 282, |S| = 63 346 / 368 against 113 / 202; sym:7 |S| = 60
+# 733 / 854 against 287 / 597.
+COSET_WALK_MIN_ORDER = 48
 
 
 class InvariantViolation(Exception):
@@ -150,7 +170,45 @@ def _meet_conjugate(G: Group, cent: np.ndarray, in_k: np.ndarray, a: int) -> int
 
 def _k_labels(model: FiniteGroupModel) -> np.ndarray:
     """row_min[x] = min(xK), the label of the K-coset of x."""
-    return model.group.table.take(np.array(model.k), axis=1).min(axis=1)
+    k = np.array(model.k)
+    if len(k) >= COSET_WALK_MIN_ORDER:
+        return _k_labels_by_walk(model.group, k)
+    return _k_labels_by_gather(model.group, k)
+
+
+def _k_labels_by_gather(G: Group, k: np.ndarray) -> np.ndarray:
+    """min(xK) for every x at once, one (n x |K|) gather."""
+    return G.table.take(k, axis=1).min(axis=1)
+
+
+def _k_labels_by_walk(G: Group, k: np.ndarray) -> np.ndarray:
+    """min(xK) coset by coset: the least unlabelled x is the least element of
+    its coset xK and labels it, one |K| gather per coset."""
+    row_min = np.full(G.n, -1, dtype=G.table.dtype)
+    x = 0
+    for _ in range(G.n // len(k)):
+        row_min[G.table[x][k]] = x
+        x = (row_min < 0).argmax()
+    return row_min
+
+
+def _rep_of_by_gather(G: Group, gamma: np.ndarray, row_min: np.ndarray) -> np.ndarray:
+    """min(Gamma x K) for every x at once, the least row_min[gamma x], one
+    (|Gamma| x n) gather."""
+    return row_min[G.table[gamma]].min(axis=0).astype(np.int64)
+
+
+def _rep_of_by_walk(G: Group, gamma: np.ndarray, row_min: np.ndarray) -> np.ndarray:
+    """min(Gamma x K) right coset by right coset: the least unlabelled x labels
+    Gamma x, one |Gamma| gather, with the least row_min on it, which is the
+    least element of Gamma x K."""
+    rep_of = np.full(G.n, -1, dtype=np.int64)
+    x = 0
+    for _ in range(G.n // len(gamma)):
+        coset = G.table[:, x][gamma]
+        rep_of[coset] = row_min[coset].min()
+        x = (rep_of < 0).argmax()
+    return rep_of
 
 
 def _coset_images(model: FiniteGroupModel,
@@ -158,7 +216,11 @@ def _coset_images(model: FiniteGroupModel,
     """(rep_of, reps, images): each x's label min(Gamma x K), the ascending
     labels, and the label of each rep times pi."""
     G = model.group
-    rep_of = row_min[G.table[np.array(model.gamma)]].min(axis=0).astype(np.int64)
+    gamma = np.array(model.gamma)
+    if len(gamma) >= COSET_WALK_MIN_ORDER:
+        rep_of = _rep_of_by_walk(G, gamma, row_min)
+    else:
+        rep_of = _rep_of_by_gather(G, gamma, row_min)
     reps = (rep_of == G.indices).nonzero()[0]
     images = rep_of[G.table[reps, model.pi]]
     if not G.mask(images)[reps].all():

@@ -1,15 +1,18 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from superspecial import cosettrace
-from superspecial.cosettrace import (InvariantViolation, ModelSpecError,
-                                     build_model, delta_sets, double_cosets,
+from superspecial.cosettrace import (COSET_WALK_MIN_ORDER, InvariantViolation,
+                                     ModelSpecError, build_model, delta_sets, double_cosets,
                                      factored_trace, kernel_trace, orbital_trace,
                                      parse_model_spec, random_model,
                                      report_to_dict, volume_identity_check,
@@ -349,17 +352,41 @@ def test_with_trivial_k():
 
 
 def _brute_double_cosets(m):
-    """Oracle: the partition {Gamma x K} built element by element."""
+    """Oracle: the partition {Gamma x K}, each double coset the set of all
+    products a x k, a in Gamma and k in K, read from the table."""
     G = m.group
+    gamma, k = np.array(m.gamma), np.array(m.k)
     cosets = []
     seen = set()
     for x in range(G.n):
         if x in seen:
             continue
-        coset = frozenset(G.mul(G.mul(a, x), k) for a in m.gamma for k in m.k)
+        coset = frozenset(G.table[G.table[gamma, x][:, None], k].ravel().tolist())
         seen.update(coset)
         cosets.append(coset)
     return cosets
+
+
+def _large_models():
+    """Models whose Gamma and K lie above the coset-walk crossover, in sym:5,
+    gl2:5 and sym:6: Gamma = K = G, and a proper Gamma and K of order at least
+    COSET_WALK_MIN_ORDER with pi drawn from N_G(K); each followed by its
+    with_trivial_k, where only Gamma is walked."""
+    rng = random.Random(31)
+    models = []
+    for kind in ("sym:5", "gl2:5", "sym:6"):
+        G = group_from_kind(kind)
+        models.append(build_model(G, G.gens, G.gens, rng.randrange(G.n)))
+        gens = []
+        while len(gens) < 2:
+            draw = [rng.randrange(G.n), rng.randrange(G.n)]
+            if COSET_WALK_MIN_ORDER <= len(G.subgroup(draw)) < G.n:
+                gens.append(draw)
+        normalizer = G.normalizer_of(G.subgroup(gens[1]), gens[1])
+        models.append(build_model(G, gens[0], gens[1],
+                                  int(normalizer[rng.randrange(len(normalizer))])))
+    assert all(min(len(m.gamma), len(m.k)) >= COSET_WALK_MIN_ORDER for m in models)
+    return [model for m in models for model in (m, with_trivial_k(m))]
 
 
 def test_coset_walk_against_brute_force():
@@ -416,9 +443,9 @@ def test_double_cosets_against_brute_force():
             reps = {int(got.rep_of[x]) for x in coset}
             assert len(reps) == 1  # the partition agrees
             assert min(coset) in reps
-    # Larger groups, where each label is a minimum over many Gamma-rows.
-    for _ in range(6):
-        m = random_model(rng, ("sym:5", "gl2:5"))
+    # Larger groups, where each label is a minimum over many Gamma-rows, and
+    # models whose labels come from the coset walks.
+    for m in [*(random_model(rng, ("sym:5", "gl2:5")) for _ in range(6)), *_large_models()]:
         got = double_cosets(m)
         want = sorted(_brute_double_cosets(m), key=min)
         assert got.representatives == tuple(min(coset) for coset in want)
@@ -432,8 +459,7 @@ def test_double_cosets_against_brute_force():
 def test_kernel_trace_against_brute_force():
     rng = random.Random(26)
     small = tuple(k for k in ("cyclic:8", "sym:3", "sym:4", "gl2:2", "gl2:3"))
-    for _ in range(25):
-        m = random_model(rng, small)
+    for m in [*(random_model(rng, small) for _ in range(25)), *_large_models()]:
         cosets = _brute_double_cosets(m)
         by_element = {}
         for coset in cosets:
@@ -442,6 +468,22 @@ def test_kernel_trace_against_brute_force():
         fixed = sum(1 for coset in cosets
                     if by_element[m.group.mul(min(coset), m.pi)] is coset)
         assert kernel_trace(m) == fixed
+
+
+def test_coset_walks_match_the_gathers(seeded_models_100):
+    # Both labellings of each kind on the same input, whichever side of the
+    # crossover its subgroup lies: the same labels in the same dtype.
+    walked = 0
+    for m in [*seeded_models_100, *map(with_trivial_k, seeded_models_100), *_large_models()]:
+        G, gamma, k = m.group, np.array(m.gamma), np.array(m.k)
+        row_min = cosettrace._k_labels_by_gather(G, k)
+        walk = cosettrace._k_labels_by_walk(G, k)
+        assert walk.dtype == row_min.dtype and np.array_equal(walk, row_min)
+        rep_of = cosettrace._rep_of_by_gather(G, gamma, row_min)
+        walk = cosettrace._rep_of_by_walk(G, gamma, row_min)
+        assert walk.dtype == rep_of.dtype == np.int64 and np.array_equal(walk, rep_of)
+        walked += max(len(gamma), len(k)) >= COSET_WALK_MIN_ORDER
+    assert walked > 12  # the 12 large models, and seeded ones above the crossover too
 
 
 def test_involutive_translation_recovers_type_number():
@@ -653,3 +695,34 @@ def test_kernel_trace_refuses_a_hecke_map_that_is_not_a_bijection():
     with pytest.raises(InvariantViolation,
                        match="^Hecke translation is not a bijection on cosets$"):
         kernel_trace(model)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_sym7_traces_stay_well_below_the_table_size():
+    # A fresh interpreter, so that the peak (VmHWM) is its own, as in
+    # test_sym7_build_memory_stays_near_the_table_size.  The growth is counted
+    # from the peak after the group and the model Gamma = K = S7 are built.
+    # One (|Gamma| x n) or (n x |K|) gather over the whole table took it to
+    # about 1.9 times the table's bytes; the coset walks gather one coset at a
+    # time.
+    code = (
+        "from superspecial.finitegroup import group_from_kind\n"
+        "from superspecial.cosettrace import (build_model, factored_trace,\n"
+        "                                     orbital_trace, with_trivial_k)\n"
+        "def status(key):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith(key))\n"
+        "G = group_from_kind('sym:7')\n"
+        "m = build_model(G, G.gens, G.gens, G.identity)\n"
+        "hwm = status('VmHWM:')\n"
+        "orbital_trace(m)\n"
+        "factored_trace(with_trivial_k(m))\n"
+        "print(status('VmHWM:') - hwm, G.table.nbytes)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cosettrace.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth, table_bytes = map(int, proc.stdout.split())
+    assert growth < 0.5 * table_bytes, (growth, table_bytes)
