@@ -51,10 +51,11 @@ least element of xK and labels that coset, and it labels its right coset
 Gamma x with the least row_min on it, which is min(Gamma x K).  A walk is
 n / |S| gathers of |S| entries and holds O(n) memory, where the one gather
 holds n |S| entries (25M at Gamma = K = S7).  Every per-class count and
-size is read off class labels once per call (`_gamma_classes`).  The
-Gamma-labels (`Group.conjugacy_partition` over Gamma's generators) give each
-class's least element (the members labelled by themselves) and size (one
-bincount), and |C_Gamma(gamma)| = |Gamma| / |gamma^Gamma|.
+size is read off class labels once per model (`_gamma_classes`).  The
+Gamma-labels, built with the model (`Group.conjugacy_partition` over Gamma's
+generators) and shared with its trivial-K twin, give each class's least
+element (the members labelled by themselves) and size (one bincount), and
+|C_Gamma(gamma)| = |Gamma| / |gamma^Gamma|.
 The G-labels (`Group.class_labels`, once per group) give delta_f membership,
 equality of gamma's and pi's G-labels, and the hit count #{x in G : x^{-1}
 gamma x in pi K} = (n / |gamma^G|) * #{y in pi K : y is G-conjugate to
@@ -92,7 +93,7 @@ integers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -121,13 +122,23 @@ class ModelSpecError(ValueError):
     """A model specification could not be parsed or validated."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroupModel:
+    """The model (G, Gamma, K, pi) on the element indices of `group`.
+
+    `gamma` (the "rational" subgroup) and `k` (the level subgroup) are sorted
+    int64 index arrays, and `pi` normalizes K.  `gamma_labels[i]` is the least
+    element of the Gamma-conjugacy class of `gamma[i]`, so a class is labelled
+    by its least member.  The three arrays are read-only, and models compare
+    by identity.  Only `_model`, which closes and checks the subgroups and
+    labels Gamma's classes, and `with_trivial_k` build a model.
+    """
+
     group: Group
-    gamma: tuple[int, ...]  # sorted subgroup of "rational" elements
-    k: tuple[int, ...]  # sorted level subgroup
+    gamma: np.ndarray
+    k: np.ndarray
     pi: int
-    gamma_gens: tuple[int, ...] = field(compare=False)  # generators closed to gamma
+    gamma_labels: np.ndarray
 
 
 def build_model(group: Group, gamma_gens, k_gens, pi: int) -> FiniteGroupModel:
@@ -139,15 +150,20 @@ def build_model(group: Group, gamma_gens, k_gens, pi: int) -> FiniteGroupModel:
 def _model(group: Group, gamma: np.ndarray, k: np.ndarray, pi: int,
            gamma_gens) -> FiniteGroupModel:
     """The model on the closed subgroups gamma = <gamma_gens> and k, once pi
-    is checked to normalize K."""
+    is checked to normalize K, with Gamma's class labels."""
     # Conjugation is injective, so pi K pi^{-1} = K once it lies in K.
     conj = group.conjugate(k, group.inv[pi])
     escapes = ~group.mask(k)[conj]
     if escapes.any():
         raise ModelSpecError(
             f"pi does not normalize K: conjugate element {conj[escapes.argmax()]} escapes K")
-    return FiniteGroupModel(group, tuple(gamma.tolist()), tuple(k.tolist()), pi,
-                            tuple(map(int, gamma_gens)))
+    labels = group.conjugacy_partition(gamma, gamma_gens)[gamma]
+    return FiniteGroupModel(group, _read_only(gamma), _read_only(k), pi, _read_only(labels))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _check_indices(group: Group, indices) -> None:
@@ -170,10 +186,9 @@ def _meet_conjugate(G: Group, cent: np.ndarray, in_k: np.ndarray, a: int) -> int
 
 def _k_labels(model: FiniteGroupModel) -> np.ndarray:
     """row_min[x] = min(xK), the label of the K-coset of x."""
-    k = np.array(model.k)
-    if len(k) >= COSET_WALK_MIN_ORDER:
-        return _k_labels_by_walk(model.group, k)
-    return _k_labels_by_gather(model.group, k)
+    if len(model.k) >= COSET_WALK_MIN_ORDER:
+        return _k_labels_by_walk(model.group, model.k)
+    return _k_labels_by_gather(model.group, model.k)
 
 
 def _k_labels_by_gather(G: Group, k: np.ndarray) -> np.ndarray:
@@ -216,11 +231,10 @@ def _coset_images(model: FiniteGroupModel,
     """(rep_of, reps, images): each x's label min(Gamma x K), the ascending
     labels, and the label of each rep times pi."""
     G = model.group
-    gamma = np.array(model.gamma)
-    if len(gamma) >= COSET_WALK_MIN_ORDER:
-        rep_of = _rep_of_by_walk(G, gamma, row_min)
+    if len(model.gamma) >= COSET_WALK_MIN_ORDER:
+        rep_of = _rep_of_by_walk(G, model.gamma, row_min)
     else:
-        rep_of = _rep_of_by_gather(G, gamma, row_min)
+        rep_of = _rep_of_by_gather(G, model.gamma, row_min)
     reps = (rep_of == G.indices).nonzero()[0]
     images = rep_of[G.table[reps, model.pi]]
     if not G.mask(images)[reps].all():
@@ -268,15 +282,13 @@ def _gamma_classes(model: FiniteGroupModel) -> tuple[np.ndarray, ...]:
     elements: (rep, count, meets the G-class of pi, |C_Gamma(rep)|), all read
     off class labels (see the module notes)."""
     G = model.group
-    gamma = np.array(model.gamma)
-    lab = G.conjugacy_partition(gamma, model.gamma_gens)[gamma]
-    reps = gamma[lab == gamma]  # each class's least element labels it
-    sizes = np.bincount(lab)[reps]
+    reps = model.gamma[model.gamma_labels == model.gamma]  # each class's least element labels it
+    sizes = np.bincount(model.gamma_labels)[reps]
     glab = G.class_labels
     rep_lab = glab[reps]
     class_size = np.bincount(glab, minlength=G.n)[rep_lab]
-    pik_hits = np.bincount(glab[G.table[model.pi, np.array(model.k)]], minlength=G.n)[rep_lab]
-    return reps, G.n // class_size * pik_hits, rep_lab == glab[model.pi], len(gamma) // sizes
+    pik_hits = np.bincount(glab[G.table[model.pi, model.k]], minlength=G.n)[rep_lab]
+    return reps, G.n // class_size * pik_hits, rep_lab == glab[model.pi], len(model.gamma) // sizes
 
 
 def _deltas(classes) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -302,9 +314,9 @@ def _orbital_terms(model: FiniteGroupModel, row_min: np.ndarray,
     """a(G_gamma) and O_gamma for every supported Gamma-class, in one pass
     over blocks of classes (see the module notes)."""
     G = model.group
-    k = np.array(model.k)
-    in_k = G.mask(k)
-    in_pik = G.mask(G.table[model.pi, k])
+    k_order = len(model.k)
+    in_k = G.mask(model.k)
+    in_pik = G.mask(G.table[model.pi, model.k])
     labels = (row_min == G.indices).nonzero()[0]
     reps, counts, _, c_gamma = classes
     # A class without hits has O_gamma = 0 and no term (see the module notes).
@@ -319,23 +331,24 @@ def _orbital_terms(model: FiniteGroupModel, row_min: np.ndarray,
         # The support is a union of K-cosets (pi normalizes K): its labels suffice.
         hits = in_pik[G.conjugate(block[:, None], labels)]
         found = hits.sum(axis=1)
-        wrong = len(k) * found != block_counts
+        wrong = k_order * found != block_counts
         if wrong.any():
             i = wrong.argmax()
             raise InvariantViolation(
-                f"hit count mismatch at class {block[i]}: {found[i]} K-cosets of {len(k)} "
+                f"hit count mismatch at class {block[i]}: {found[i]} K-cosets of {k_order} "
                 f"elements vs {block_counts[i]} hits")
         cents = G.table[block] == G.table[:, block].T  # row i: the centralizer of block[i]
         keys = np.packbits(np.concatenate((cents, hits), axis=1), axis=1)
         rows = zip(block.tolist(), block_counts.tolist(), c_gamma[lo : lo + step].tolist(),
-                   cents.sum(axis=1).tolist(), np.count_nonzero(cents[:, k], axis=1).tolist())
+                   cents.sum(axis=1).tolist(),
+                   np.count_nonzero(cents[:, model.k], axis=1).tolist())
         for i, (rep, count, c, cent_order, cent_k) in enumerate(rows):
             key = keys[i].tobytes()
             if key not in walked:
                 walked.add(key)
                 walk = _coset_walk(G, cents[i].nonzero()[0], in_k, row_min, labels[hits[i]])
-                _check_cosets(rep, count, cent_order, cent_k, len(k), walk)
-            term = (cent_order, c * cent_k, cent_k * count, cent_order * len(k))
+                _check_cosets(rep, count, cent_order, cent_k, k_order, walk)
+            term = (cent_order, c * cent_k, cent_k * count, cent_order * k_order)
             if term not in values:
                 values[term] = Fraction(*term[:2]), Fraction(*term[2:])
             terms.append(OrbitalTerm(rep, *values[term]))
@@ -396,7 +409,7 @@ def _factored(model: FiniteGroupModel, classes, deltas,
     _, counts, meets, c_gamma = classes
     # Every class in delta_f is G-conjugate to pi, so each has the count n_pi and
     # their counts sum to |delta_f| * n_pi (0 for an empty delta_f).
-    c_pi = len(model.group.centralizer(model.pi, within=np.array(model.gamma)))
+    c_pi = len(model.group.centralizer(model.pi, within=model.gamma))
     value = Fraction(int(counts[meets].sum()), c_pi * len(model.k))
     if value != kernel:
         sizes = dict(zip(d_f, c_gamma[meets].tolist()))
@@ -432,11 +445,10 @@ def volume_identity_check(model: FiniteGroupModel, gamma: int, a: int) -> bool:
     """
     G = model.group
     _check_indices(G, (gamma, a))
-    k = np.array(model.k)
     cent = G.centralizer(gamma)
-    orbit = G.mask(G.table[cent[:, None], G.table[a, k]])
+    orbit = G.mask(G.table[cent[:, None], G.table[a, model.k]])
     n_cosets = int(np.count_nonzero(orbit)) // len(cent)
-    return n_cosets * _meet_conjugate(G, cent, G.mask(k), a) == len(k)
+    return n_cosets * _meet_conjugate(G, cent, G.mask(model.k), a) == len(model.k)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +568,7 @@ def with_trivial_k(model: FiniteGroupModel) -> FiniteGroupModel:
     """The same model with its level subgroup shrunk to the identity.
 
     Gamma and pi were checked when model was built, and every pi normalizes
-    K = {e}, so nothing is re-closed or re-checked.
+    K = {e}, so nothing is re-closed or re-checked; Gamma and its class
+    labels, which do not depend on K, are shared with model.
     """
-    return replace(model, k=(model.group.identity,))
+    return replace(model, k=_read_only(np.array([model.group.identity])))

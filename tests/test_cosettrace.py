@@ -32,7 +32,7 @@ def test_build_model_examples():
 
     Z4 = group_from_kind("cyclic:4")
     m = build_model(Z4, [2], [], 2)
-    assert m.gamma == (0, 2) and m.k == (0,)
+    assert np.array_equal(m.gamma, [0, 2]) and np.array_equal(m.k, [0])
 
     with pytest.raises(ModelSpecError):
         # (13)(12)(13) = (23) escapes K = <(12)>
@@ -303,8 +303,9 @@ def test_gamma_class_counts_match_per_class_conj_vectors():
         in_pik[[G.mul(m.pi, k) for k in m.k]] = True
         n_pi = np.count_nonzero(in_pik[G.conj_vector(m.pi)])
         reps, counts, meets, c_gamma = (col.tolist() for col in cosettrace._gamma_classes(m))
-        assert reps == sorted(
-            {min(G.mul(G.mul(G.inverse(h), g), h) for h in m.gamma) for g in m.gamma})
+        labels = [min(G.mul(G.mul(G.inverse(h), g), h) for h in m.gamma) for g in m.gamma]
+        assert reps == sorted(set(labels))
+        assert m.gamma_labels.tolist() == labels
         pi_class = {G.mul(G.mul(G.inverse(x), m.pi), x) for x in range(G.n)}
         for rep, count, meet, c_gam in zip(reps, counts, meets, c_gamma):
             assert count == np.count_nonzero(in_pik[G.conj_vector(rep)])
@@ -316,15 +317,20 @@ def test_gamma_class_counts_match_per_class_conj_vectors():
     assert met > 20  # the draw is not vacuous
 
 
+def _assert_same_model(m, other):
+    assert m.group is other.group and m.pi == other.pi
+    for field in ("gamma", "k", "gamma_labels"):
+        assert np.array_equal(getattr(m, field), getattr(other, field)), field
+
+
 def test_random_model_matches_build_model():
-    # random_model hands its closed subgroups to the constructor; closing its
-    # generators again must give the same model.
+    # random_model hands its closed subgroups to the constructor; closing
+    # them again must give the same model.
     rng = random.Random(30)
     for family in cosettrace.TRIAL_FAMILIES:
         for _ in range(2):
             m = random_model(rng, (family,))
-            rebuilt = build_model(m.group, m.gamma_gens, m.k, m.pi)
-            assert m == rebuilt and m.gamma_gens == rebuilt.gamma_gens
+            _assert_same_model(m, build_model(m.group, m.gamma, m.k, m.pi))
 
 
 def test_orbital_trace_rejects_merged_class_labels():
@@ -345,10 +351,46 @@ def test_with_trivial_k():
     for _ in range(12):
         m = random_model(rng)
         mt = with_trivial_k(m)
-        assert mt.k == (mt.group.identity,)
-        assert mt.gamma == m.gamma and mt.pi == m.pi
-        assert mt.gamma_gens == m.gamma_gens
-        assert mt == build_model(m.group, m.gamma, [], m.pi)
+        assert np.array_equal(mt.k, [mt.group.identity])
+        assert np.array_equal(mt.gamma, m.gamma) and mt.pi == m.pi
+        assert np.array_equal(mt.gamma_labels, m.gamma_labels)
+        _assert_same_model(mt, build_model(m.group, m.gamma, [], m.pi))
+
+
+def test_model_arrays_are_read_only():
+    S3 = _s3()
+    models = [build_model(S3, [S3.index[(1, 0, 2)]], [], S3.identity),
+              random_model(random.Random(32)),
+              parse_model_spec('{"group": "sym:4", "gamma": [[1, 0, 2, 3]], '
+                               '"k": [[1, 0, 3, 2]], "pi": [0, 1, 2, 3]}')]
+    for m in [*models, *map(with_trivial_k, models)]:
+        for field in ("gamma", "k", "gamma_labels"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(m, field)[0] = 0
+
+
+def test_traces_make_no_conjugacy_partition_call_once_the_model_is_built(monkeypatch):
+    # Gamma's class labels are built with the model and shared with its
+    # trivial-K twin; G's are cached once per group, so they are read first.
+    rng = random.Random(32)
+    models = [random_model(rng) for _ in range(20)]
+    for m in models:
+        m.group.class_labels
+    calls = []
+    real = Group.conjugacy_partition
+
+    def counted(self, members, gens):
+        calls.append(self.kind)
+        return real(self, members, gens)
+
+    monkeypatch.setattr(Group, "conjugacy_partition", counted)
+    for m in models:
+        trivial = with_trivial_k(m)
+        assert trivial.gamma_labels is m.gamma_labels
+        orbital_trace(m)
+        factored_trace(trivial)
+        delta_sets(m)
+    assert calls == []
 
 
 def _brute_double_cosets(m):
@@ -691,7 +733,8 @@ def test_kernel_trace_refuses_a_hecke_map_that_is_not_a_bijection():
     # defined on the cosets xK.
     G = _s3()
     assert G.elements[1] == (0, 2, 1) and G.elements[2] == (1, 0, 2)
-    model = cosettrace.FiniteGroupModel(G, (G.identity,), tuple(G.subgroup([1]).tolist()), 2, ())
+    trivial = np.array([G.identity])
+    model = cosettrace.FiniteGroupModel(G, trivial, G.subgroup([1]), 2, trivial)
     with pytest.raises(InvariantViolation,
                        match="^Hecke translation is not a bijection on cosets$"):
         kernel_trace(model)
