@@ -39,7 +39,8 @@ regime the factored value is reported as absent with a diagnostic naming the
 obstruction, so a defined factored value always equals the kernel trace.
 
 Computation: x is labelled row_min[x] = min(xK), the least element of its
-K-coset, once per orbital_trace, shared by both sides.  The kernel side
+K-coset, once per model, when `_model` builds it (`FiniteGroupModel.k_labels`),
+and every trace call reads those labels.  The kernel side
 labels each x min(Gamma x K), the least over gamma of row_min[gamma x], and
 counts the labels r with label(r pi) = r in one comparison; only
 `double_cosets` builds the Hecke map as a dict.  Each of the two labellings
@@ -50,21 +51,23 @@ of Computational Group Theory, 2005, 4.1): the least unlabelled x is the
 least element of xK and labels that coset, and it labels its right coset
 Gamma x with the least row_min on it, which is min(Gamma x K).  A walk is
 n / |S| gathers of |S| entries and holds O(n) memory, where the one gather
-holds n |S| entries (25M at Gamma = K = S7).  Every per-class count and
-size is read off class labels once per model (`_gamma_classes`).  The
-Gamma-labels, built with the model (`Group.conjugacy_partition` over Gamma's
-generators) and shared with its trivial-K twin, give each class's least
-element (the members labelled by themselves) and size (one bincount), and
-|C_Gamma(gamma)| = |Gamma| / |gamma^Gamma|.
-The G-labels (`Group.class_labels`, once per group) give delta_f membership,
-equality of gamma's and pi's G-labels, and the hit count #{x in G : x^{-1}
-gamma x in pi K} = (n / |gamma^G|) * #{y in pi K : y is G-conjugate to
-gamma}, one bincount over pi K for every class.  Each class in delta_f is
-G-conjugate to pi, so its count is n_pi; only |C_Gamma(pi)| is a centralizer
-taken within Gamma, as pi may lie outside Gamma.  A class without hits has
-O_gamma = 0, lies in neither delta set, and is skipped.  The others are
-taken in one pass, in blocks of `Group.block_rows` classes, the rows that
-bound any (rows x n) temporary of the group.  Per block:
+holds n |S| entries (25M at Gamma = K = S7).  Every per-class size is read
+off class labels once per model, when it is built, into its class table
+(`FiniteGroupModel.class_table`), which its trivial-K twin shares.  The
+Gamma-labels (`Group.conjugacy_partition` over Gamma's generators) give
+each class's least element (the members labelled by themselves) and size
+(one bincount), and |C_Gamma(gamma)| = |Gamma| / |gamma^Gamma|; the
+G-labels (`Group.class_labels`, once per group) give its G-label and
+|C_G(gamma)| = n / |gamma^G|.  |C_Gamma(pi)| is the one centralizer taken
+within Gamma, as pi may lie outside Gamma; it is stored with the table.
+Per call, `_gamma_classes` reads off the table what depends on pi K:
+delta_f membership, equality of gamma's and pi's G-labels, and the hit
+count #{x in G : x^{-1} gamma x in pi K} = |C_G(gamma)| * #{y in pi K : y
+is G-conjugate to gamma}, one bincount over pi K for every class.  Each
+class in delta_f is G-conjugate to pi, so its count is n_pi.  A class
+without hits has O_gamma = 0, lies in neither delta set, and is skipped.
+The others are taken in one pass, in blocks of `Group.block_rows` classes,
+the rows that bound any (rows x n) temporary of the group.  Per block:
 since pi normalizes K, the hits of gamma are a union of K-cosets xK, so the
 K-coset labels a with a^{-1} gamma a in pi K are its support, one (block x
 n / |K|) gather; |K| times each class's number of labels must equal its
@@ -88,6 +91,12 @@ integer numerators and denominators.  The orbital total needs no
 centralizer: a(G_gamma) O_gamma = count / (|C_Gamma(gamma)| |K|), so it is
 the one Fraction (sum of count * |gamma^Gamma|) / (|Gamma| |K|), summed in
 integers.
+
+The volume check counts by orbit-stabilizer on G/K: G_gamma acts on the
+K-cosets by left multiplication, the orbit of aK is the L cosets c a K,
+c in G_gamma, labelled k_labels[c a] (one |G_gamma| gather), and the
+stabilizer of aK is G_gamma ∩ aKa^{-1}, so L |G_gamma ∩ aKa^{-1}| =
+|G_gamma| and |G_gamma a K| = |K| L, never listed element by element.
 """
 
 from __future__ import annotations
@@ -124,21 +133,27 @@ class ModelSpecError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroupModel:
-    """The model (G, Gamma, K, pi) on the element indices of `group`.
+    """The model (G, Gamma, K, pi) on the element indices of `group`, with
+    the data every trace call reads, built once with it.
 
     `gamma` (the "rational" subgroup) and `k` (the level subgroup) are sorted
-    int64 index arrays, and `pi` normalizes K.  `gamma_labels[i]` is the least
-    element of the Gamma-conjugacy class of `gamma[i]`, so a class is labelled
-    by its least member.  The three arrays are read-only, and models compare
-    by identity.  Only `_model`, which closes and checks the subgroups and
-    labels Gamma's classes, and `with_trivial_k` build a model.
+    int64 index arrays, and `pi` normalizes K.  `k_labels[x]` = min(xK), the
+    least element of the K-coset of x.  `class_table` has a column per
+    Gamma-class, in ascending order of its least element, and four rows: that
+    least element, its G-class label, |C_Gamma| and |C_G|; `c_gamma_pi` is
+    |C_Gamma(pi)|.  The arrays are read-only, and models compare by identity.
+    Only `_model`, which closes and checks the subgroups, labels the
+    K-cosets and tabulates Gamma's classes, and `with_trivial_k` build a
+    model.
     """
 
     group: Group
     gamma: np.ndarray
     k: np.ndarray
     pi: int
-    gamma_labels: np.ndarray
+    k_labels: np.ndarray
+    class_table: np.ndarray
+    c_gamma_pi: int
 
 
 def build_model(group: Group, gamma_gens, k_gens, pi: int) -> FiniteGroupModel:
@@ -150,15 +165,27 @@ def build_model(group: Group, gamma_gens, k_gens, pi: int) -> FiniteGroupModel:
 def _model(group: Group, gamma: np.ndarray, k: np.ndarray, pi: int,
            gamma_gens) -> FiniteGroupModel:
     """The model on the closed subgroups gamma = <gamma_gens> and k, once pi
-    is checked to normalize K, with Gamma's class labels."""
+    is checked to normalize K, with its K-coset labels and Gamma's class
+    table (see the module notes)."""
     # Conjugation is injective, so pi K pi^{-1} = K once it lies in K.
     conj = group.conjugate(k, group.inv[pi])
     escapes = ~group.mask(k)[conj]
     if escapes.any():
         raise ModelSpecError(
             f"pi does not normalize K: conjugate element {conj[escapes.argmax()]} escapes K")
+    if len(k) >= COSET_WALK_MIN_ORDER:
+        k_labels = _k_labels_by_walk(group, k)
+    else:
+        k_labels = _k_labels_by_gather(group, k)
     labels = group.conjugacy_partition(gamma, gamma_gens)[gamma]
-    return FiniteGroupModel(group, _read_only(gamma), _read_only(k), pi, _read_only(labels))
+    reps = gamma[labels == gamma]  # each class's least element labels it
+    glab = group.class_labels
+    rep_lab = glab[reps]
+    table = np.stack((reps, rep_lab, len(gamma) // np.bincount(labels)[reps],
+                      group.n // np.bincount(glab, minlength=group.n)[rep_lab]))
+    c_gamma_pi = len(group.centralizer(pi, within=gamma))
+    return FiniteGroupModel(group, _read_only(gamma), _read_only(k), pi,
+                            _read_only(k_labels), _read_only(table), c_gamma_pi)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -182,13 +209,6 @@ class DoubleCosetSpace:
 def _meet_conjugate(G: Group, cent: np.ndarray, in_k: np.ndarray, a: int) -> int:
     """|cent ∩ a K a^{-1}|, counted as #{c in cent : a^{-1} c a in K}."""
     return int(np.count_nonzero(in_k[G.conjugate(cent, a)]))
-
-
-def _k_labels(model: FiniteGroupModel) -> np.ndarray:
-    """row_min[x] = min(xK), the label of the K-coset of x."""
-    if len(model.k) >= COSET_WALK_MIN_ORDER:
-        return _k_labels_by_walk(model.group, model.k)
-    return _k_labels_by_gather(model.group, model.k)
 
 
 def _k_labels_by_gather(G: Group, k: np.ndarray) -> np.ndarray:
@@ -226,15 +246,14 @@ def _rep_of_by_walk(G: Group, gamma: np.ndarray, row_min: np.ndarray) -> np.ndar
     return rep_of
 
 
-def _coset_images(model: FiniteGroupModel,
-                  row_min: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _coset_images(model: FiniteGroupModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rep_of, reps, images): each x's label min(Gamma x K), the ascending
     labels, and the label of each rep times pi."""
     G = model.group
     if len(model.gamma) >= COSET_WALK_MIN_ORDER:
-        rep_of = _rep_of_by_walk(G, model.gamma, row_min)
+        rep_of = _rep_of_by_walk(G, model.gamma, model.k_labels)
     else:
-        rep_of = _rep_of_by_gather(G, model.gamma, row_min)
+        rep_of = _rep_of_by_gather(G, model.gamma, model.k_labels)
     reps = (rep_of == G.indices).nonzero()[0]
     images = rep_of[G.table[reps, model.pi]]
     if not G.mask(images)[reps].all():
@@ -248,14 +267,14 @@ def _count_fixed(reps: np.ndarray, images: np.ndarray) -> int:
 
 def double_cosets(model: FiniteGroupModel) -> DoubleCosetSpace:
     """Gamma \\ G / K, each x labelled min(Gamma x K) (see the module notes)."""
-    rep_of, reps, images = _coset_images(model, _k_labels(model))
+    rep_of, reps, images = _coset_images(model)
     return DoubleCosetSpace(tuple(reps.tolist()), rep_of,
                             dict(zip(reps.tolist(), images.tolist())))
 
 
 def kernel_trace(model: FiniteGroupModel) -> int:
     """Fixed points of [x] -> [x pi] on Gamma \\ G / K (the kernel side)."""
-    _, reps, images = _coset_images(model, _k_labels(model))
+    _, reps, images = _coset_images(model)
     return _count_fixed(reps, images)
 
 
@@ -279,16 +298,13 @@ class TraceReport:
 
 def _gamma_classes(model: FiniteGroupModel) -> tuple[np.ndarray, ...]:
     """Columns over the Gamma-classes, in ascending order of their least
-    elements: (rep, count, meets the G-class of pi, |C_Gamma(rep)|), all read
-    off class labels (see the module notes)."""
+    elements: (rep, count, meets the G-class of pi, |C_Gamma(rep)|); only the
+    counts and the mask depend on pi K (see the module notes)."""
     G = model.group
-    reps = model.gamma[model.gamma_labels == model.gamma]  # each class's least element labels it
-    sizes = np.bincount(model.gamma_labels)[reps]
+    reps, rep_lab, c_gamma, c_g = model.class_table
     glab = G.class_labels
-    rep_lab = glab[reps]
-    class_size = np.bincount(glab, minlength=G.n)[rep_lab]
     pik_hits = np.bincount(glab[G.table[model.pi, model.k]], minlength=G.n)[rep_lab]
-    return reps, G.n // class_size * pik_hits, rep_lab == glab[model.pi], len(model.gamma) // sizes
+    return reps, c_g * pik_hits, rep_lab == glab[model.pi], c_gamma
 
 
 def _deltas(classes) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -309,14 +325,14 @@ def _coset_walk(G: Group, cent: np.ndarray, in_k: np.ndarray, row_min: np.ndarra
     return walk
 
 
-def _orbital_terms(model: FiniteGroupModel, row_min: np.ndarray,
-                   classes) -> tuple[OrbitalTerm, ...]:
+def _orbital_terms(model: FiniteGroupModel, classes) -> tuple[OrbitalTerm, ...]:
     """a(G_gamma) and O_gamma for every supported Gamma-class, in one pass
     over blocks of classes (see the module notes)."""
     G = model.group
     k_order = len(model.k)
     in_k = G.mask(model.k)
     in_pik = G.mask(G.table[model.pi, model.k])
+    row_min = model.k_labels
     labels = (row_min == G.indices).nonzero()[0]
     reps, counts, _, c_gamma = classes
     # A class without hits has O_gamma = 0 and no term (see the module notes).
@@ -375,11 +391,10 @@ def delta_sets(model: FiniteGroupModel) -> tuple[tuple[int, ...], tuple[int, ...
 
 def orbital_trace(model: FiniteGroupModel) -> TraceReport:
     """Evaluate the orbital side, check it against the kernel side, and report."""
-    row_min = _k_labels(model)
-    _, reps, images = _coset_images(model, row_min)
+    _, reps, images = _coset_images(model)
     kernel = _count_fixed(reps, images)
     classes = _gamma_classes(model)
-    terms = _orbital_terms(model, row_min, classes)
+    terms = _orbital_terms(model, classes)
     # a(G_gamma) O_gamma = count / (|C_Gamma(gamma)| |K|) = count |gamma^Gamma| / (|Gamma| |K|).
     _, counts, _, c_gamma = classes
     order = len(model.gamma)
@@ -409,7 +424,7 @@ def _factored(model: FiniteGroupModel, classes, deltas,
     _, counts, meets, c_gamma = classes
     # Every class in delta_f is G-conjugate to pi, so each has the count n_pi and
     # their counts sum to |delta_f| * n_pi (0 for an empty delta_f).
-    c_pi = len(model.group.centralizer(model.pi, within=model.gamma))
+    c_pi = model.c_gamma_pi  # taken within Gamma when the model was built
     value = Fraction(int(counts[meets].sum()), c_pi * len(model.k))
     if value != kernel:
         sizes = dict(zip(d_f, c_gamma[meets].tolist()))
@@ -436,19 +451,21 @@ def volume_identity_check(model: FiniteGroupModel, gamma: int, a: int) -> bool:
 
     Left side from the quotient-measure definition: count the G_gamma-cosets
     inside the set G_gamma a K and weight each by vol(G_gamma ∩ K)/vol(K).
-    Right side from the subgroup volumes directly.  Under the model's
-    normalizations the two sides are the rationals
-    (count // |G_gamma|) |G_gamma ∩ K| / |K| and |G_gamma ∩ K| / |G_gamma ∩ aKa^{-1}|,
-    with count = |G_gamma a K|; as |G_gamma ∩ K| >= 1 (it holds the identity),
-    they are equal exactly when
-    (count // |G_gamma|) |G_gamma ∩ aKa^{-1}| = |K|, which is compared in integers.
+    The set is the union of the L distinct K-cosets c a K, c in G_gamma, so
+    it has |K| L elements, and L is the number of distinct labels
+    k_labels[c a], one |G_gamma| gather (orbit-stabilizer for G_gamma acting
+    on G/K; see the module notes).  Right side from the subgroup volumes
+    directly.  Under the model's normalizations the two sides are the
+    rationals (|K| L / |G_gamma|) |G_gamma ∩ K| / |K| and
+    |G_gamma ∩ K| / |G_gamma ∩ aKa^{-1}|; as |G_gamma ∩ K| >= 1 (it holds the
+    identity), they are equal exactly when L |G_gamma ∩ aKa^{-1}| = |G_gamma|,
+    which is compared in integers.
     """
     G = model.group
     _check_indices(G, (gamma, a))
     cent = G.centralizer(gamma)
-    orbit = G.mask(G.table[cent[:, None], G.table[a, model.k]])
-    n_cosets = int(np.count_nonzero(orbit)) // len(cent)
-    return n_cosets * _meet_conjugate(G, cent, G.mask(model.k), a) == len(model.k)
+    n_cosets = int(np.count_nonzero(G.mask(model.k_labels[G.table[cent, a]])))
+    return n_cosets * _meet_conjugate(G, cent, G.mask(model.k), a) == len(cent)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +585,10 @@ def with_trivial_k(model: FiniteGroupModel) -> FiniteGroupModel:
     """The same model with its level subgroup shrunk to the identity.
 
     Gamma and pi were checked when model was built, and every pi normalizes
-    K = {e}, so nothing is re-closed or re-checked; Gamma and its class
-    labels, which do not depend on K, are shared with model.
+    K = {e}, so nothing is re-closed or re-checked: K is [e], each x is its
+    own K-coset label (k_labels = arange(n)), and Gamma's class table and
+    |C_Gamma(pi)|, which do not depend on K, are shared with model.
     """
-    return replace(model, k=_read_only(np.array([model.group.identity])))
+    G = model.group
+    return replace(model, k=_read_only(np.array([G.identity])),
+                   k_labels=_read_only(np.arange(G.n, dtype=G.table.dtype)))

@@ -5,10 +5,13 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superspecial import cosettrace
 from superspecial.cosettrace import (COSET_WALK_MIN_ORDER, InvariantViolation,
@@ -305,7 +308,6 @@ def test_gamma_class_counts_match_per_class_conj_vectors():
         reps, counts, meets, c_gamma = (col.tolist() for col in cosettrace._gamma_classes(m))
         labels = [min(G.mul(G.mul(G.inverse(h), g), h) for h in m.gamma) for g in m.gamma]
         assert reps == sorted(set(labels))
-        assert m.gamma_labels.tolist() == labels
         pi_class = {G.mul(G.mul(G.inverse(x), m.pi), x) for x in range(G.n)}
         for rep, count, meet, c_gam in zip(reps, counts, meets, c_gamma):
             assert count == np.count_nonzero(in_pik[G.conj_vector(rep)])
@@ -317,9 +319,12 @@ def test_gamma_class_counts_match_per_class_conj_vectors():
     assert met > 20  # the draw is not vacuous
 
 
+_MODEL_ARRAYS = ("gamma", "k", "k_labels", "class_table")
+
+
 def _assert_same_model(m, other):
-    assert m.group is other.group and m.pi == other.pi
-    for field in ("gamma", "k", "gamma_labels"):
+    assert m.group is other.group and m.pi == other.pi and m.c_gamma_pi == other.c_gamma_pi
+    for field in _MODEL_ARRAYS:
         assert np.array_equal(getattr(m, field), getattr(other, field)), field
 
 
@@ -353,7 +358,8 @@ def test_with_trivial_k():
         mt = with_trivial_k(m)
         assert np.array_equal(mt.k, [mt.group.identity])
         assert np.array_equal(mt.gamma, m.gamma) and mt.pi == m.pi
-        assert np.array_equal(mt.gamma_labels, m.gamma_labels)
+        assert np.array_equal(mt.k_labels, mt.group.indices)
+        assert mt.class_table is m.class_table and mt.c_gamma_pi == m.c_gamma_pi
         _assert_same_model(mt, build_model(m.group, m.gamma, [], m.pi))
 
 
@@ -364,33 +370,139 @@ def test_model_arrays_are_read_only():
               parse_model_spec('{"group": "sym:4", "gamma": [[1, 0, 2, 3]], '
                                '"k": [[1, 0, 3, 2]], "pi": [0, 1, 2, 3]}')]
     for m in [*models, *map(with_trivial_k, models)]:
-        for field in ("gamma", "k", "gamma_labels"):
+        for field in _MODEL_ARRAYS:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(m, field)[0] = 0
 
 
-def test_traces_make_no_conjugacy_partition_call_once_the_model_is_built(monkeypatch):
-    # Gamma's class labels are built with the model and shared with its
-    # trivial-K twin; G's are cached once per group, so they are read first.
+_SMALL_KINDS = ("cyclic:6", "cyclic:12", "sym:3", "sym:4", "gl2:2", "gl2:3")
+
+
+def _brute_model_data(m):
+    """Oracle for the build-time data, from products and conjugates one
+    element at a time: (k_labels, class table rows, |C_Gamma(pi)|)."""
+    G = m.group
+    gamma, k = m.gamma.tolist(), m.k.tolist()
+
+    def conj_min(x, over):
+        return min(G.mul(G.mul(G.inverse(g), x), g) for g in over)
+
+    def commuting(x, over):
+        return sum(G.mul(x, g) == G.mul(g, x) for g in over)
+
+    k_labels = [min(G.mul(x, h) for h in k) for x in range(G.n)]
+    reps = sorted({conj_min(x, gamma) for x in gamma})
+    table = [reps, [conj_min(r, range(G.n)) for r in reps],
+             [commuting(r, gamma) for r in reps], [commuting(r, range(G.n)) for r in reps]]
+    return k_labels, table, commuting(m.pi, gamma)
+
+
+def test_model_data_against_brute_force():
+    # Every way to build a model: build_model, random_model (below and above
+    # the walk's crossover), parse_model_spec and with_trivial_k.
+    S3, S4 = _s3(), group_from_kind("sym:4")
+    models = [build_model(S3, [S3.index[(1, 2, 0)]], [], S3.identity),
+              build_model(S4, [S4.index[(1, 2, 3, 0)]], [S4.index[(1, 0, 3, 2)]],
+                          S4.index[(2, 3, 0, 1)]),
+              _whole_group_model("sym:5"),
+              parse_model_spec('{"group": "gl2:3", "gamma": [[[1, 1], [0, 1]]], '
+                               '"k": [[[2, 0], [0, 2]]], "pi": [[0, 1], [1, 0]]}')]
+    rng = random.Random(34)
+    models += [random_model(rng, _SMALL_KINDS) for _ in range(20)]
+    models += [random_model(rng, ("sym:5", "gl2:5")) for _ in range(4)]
+    walked = 0
+    for m in [*models, *map(with_trivial_k, models)]:
+        k_labels, table, c_gamma_pi = _brute_model_data(m)
+        assert m.k_labels.tolist() == k_labels
+        assert m.class_table.tolist() == table
+        assert m.c_gamma_pi == c_gamma_pi
+        walked += len(m.k) >= COSET_WALK_MIN_ORDER
+    assert walked > 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trivial=st.booleans(),
+       gamma_pick=st.integers(0, 2**16), a_pick=st.integers(0, 2**16))
+def test_volume_check_counts_k_cosets_like_the_element_count(seed, trivial, gamma_pick, a_pick):
+    # The element-count form as the oracle: |G_gamma a K| counted element by
+    # element must be |K| times the number of K-coset labels, and the check's
+    # verdict must be (|G_gamma a K| // |G_gamma|) |G_gamma ∩ aKa^{-1}| == |K|.
+    m = random_model(random.Random(seed), _SMALL_KINDS)
+    if trivial:
+        m = with_trivial_k(m)
+    G = m.group
+    gamma, a = int(m.gamma[gamma_pick % len(m.gamma)]), a_pick % G.n
+    k = set(m.k.tolist())
+    cent = [c for c in range(G.n) if G.mul(c, gamma) == G.mul(gamma, c)]
+    orbit = {G.mul(G.mul(c, a), h) for c in cent for h in k}
+    n_labels = len({int(m.k_labels[G.mul(c, a)]) for c in cent})
+    assert len(k) * n_labels == len(orbit)
+    meet = sum(G.mul(G.mul(G.inverse(a), c), a) in k for c in cent)
+    assert volume_identity_check(m, gamma, a) == (len(orbit) // len(cent) * meet == len(k))
+
+
+def test_volume_identity_check_fails_on_merged_k_cosets():
+    # Labels that merge two K-cosets drop one coset from the orbit of aK under
+    # G_gamma = G (gamma = e), so the count falls short of |G_gamma|.
+    rng = random.Random(35)
+    checked = 0
+    for _ in range(12):
+        m = random_model(rng, _SMALL_KINDS)
+        G = m.group
+        labels = np.unique(m.k_labels)
+        if len(labels) < 2:
+            continue
+        merged = m.k_labels.copy()
+        merged[merged == labels[-1]] = labels[0]
+        bad = replace(m, k_labels=merged)
+        for a in range(G.n):
+            assert volume_identity_check(m, G.identity, a)
+            assert not volume_identity_check(bad, G.identity, a)
+        checked += 1
+    assert checked > 5
+
+
+def test_traces_build_no_model_data_once_the_model_is_built(monkeypatch):
+    # The K-coset labels, Gamma's class table and |C_Gamma(pi)| are built with
+    # the model, and its trivial-K twin shares the last two; G's class labels
+    # are cached once per group, so they are read first.  After that no trace
+    # call labels K-cosets, takes a centralizer within Gamma or partitions a
+    # subgroup into classes.
     rng = random.Random(32)
     models = [random_model(rng) for _ in range(20)]
+    models.append(_whole_group_model("sym:5"))  # K above the walk's crossover
     for m in models:
         m.group.class_labels
     calls = []
-    real = Group.conjugacy_partition
+    for name in ("_k_labels_by_gather", "_k_labels_by_walk"):
+        real = getattr(cosettrace, name)
+        monkeypatch.setattr(cosettrace, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    real_centralizer, real_partition = Group.centralizer, Group.conjugacy_partition
 
-    def counted(self, members, gens):
-        calls.append(self.kind)
-        return real(self, members, gens)
+    def centralizer(self, i, within=None):
+        if within is not None:
+            calls.append("centralizer within")
+        return real_centralizer(self, i, within)
 
-    monkeypatch.setattr(Group, "conjugacy_partition", counted)
+    def conjugacy_partition(self, members, gens):
+        calls.append("conjugacy_partition")
+        return real_partition(self, members, gens)
+
+    monkeypatch.setattr(Group, "centralizer", centralizer)
+    monkeypatch.setattr(Group, "conjugacy_partition", conjugacy_partition)
     for m in models:
         trivial = with_trivial_k(m)
-        assert trivial.gamma_labels is m.gamma_labels
+        assert trivial.class_table is m.class_table
         orbital_trace(m)
         factored_trace(trivial)
+        kernel_trace(m)
+        double_cosets(m)
         delta_sets(m)
+        volume_identity_check(m, m.gamma[-1], m.pi)
     assert calls == []
+    build_model(models[0].group, [], [], 0)
+    assert sorted(calls) == ["_k_labels_by_gather", "centralizer within", "conjugacy_partition"]
 
 
 def _brute_double_cosets(m):
@@ -436,18 +548,16 @@ def test_coset_walk_against_brute_force():
     # least elements a and |G_gamma ∩ aKa^{-1}|, against the partition of the
     # support E_gamma built element by element.
     rng = random.Random(29)
-    small = ("cyclic:6", "cyclic:12", "sym:3", "sym:4", "gl2:2", "gl2:3")
     walked = shared = 0
     for _ in range(25):
-        m = random_model(rng, small)
+        m = random_model(rng, _SMALL_KINDS)
         walk_of = {}  # (G_gamma, E_gamma) -> its brute-force walk
         G = m.group
         k = set(m.k)
         pik = {G.mul(m.pi, h) for h in k}
         in_k = np.zeros(G.n, dtype=bool)
         in_k[list(k)] = True
-        row_min = cosettrace._k_labels(m)
-        assert row_min.tolist() == [min(G.mul(x, h) for h in k) for x in range(G.n)]
+        row_min = m.k_labels
         reps, counts, _, _ = cosettrace._gamma_classes(m)
         for gamma in reps[counts > 0].tolist():
             cent = [c for c in range(G.n) if G.mul(c, gamma) == G.mul(gamma, c)]
@@ -475,9 +585,8 @@ def test_coset_walk_against_brute_force():
 
 def test_double_cosets_against_brute_force():
     rng = random.Random(25)
-    small = tuple(k for k in ("cyclic:6", "cyclic:12", "sym:3", "sym:4", "gl2:2", "gl2:3"))
     for _ in range(25):
-        m = random_model(rng, small)
+        m = random_model(rng, _SMALL_KINDS)
         got = double_cosets(m)
         want = _brute_double_cosets(m)
         assert len(got.representatives) == len(want)
@@ -521,6 +630,7 @@ def test_coset_walks_match_the_gathers(seeded_models_100):
         row_min = cosettrace._k_labels_by_gather(G, k)
         walk = cosettrace._k_labels_by_walk(G, k)
         assert walk.dtype == row_min.dtype and np.array_equal(walk, row_min)
+        assert m.k_labels.dtype == row_min.dtype and np.array_equal(m.k_labels, row_min)
         rep_of = cosettrace._rep_of_by_gather(G, gamma, row_min)
         walk = cosettrace._rep_of_by_walk(G, gamma, row_min)
         assert walk.dtype == rep_of.dtype == np.int64 and np.array_equal(walk, rep_of)
@@ -706,35 +816,39 @@ def test_kernel_trace_counts_hecke_fixed_points(seeded_models_100):
 
 
 def test_orbital_trace_takes_no_centralizer_per_class(monkeypatch):
-    # All 5 classes of S4 are supported, and delta_K != delta_f = {e}, so the
-    # factored form stops before its one centralizer call (|C_Gamma(pi)|,
-    # taken within Gamma); with K trivial only the identity's class is
-    # supported, and that call is the only one.
-    m = _whole_group_model("sym:4")
+    # All 5 classes of S4 are supported, and with K trivial only the
+    # identity's; the blocked pass compares table rows, so neither trace takes
+    # a centralizer.  |C_Gamma(pi)|, the factored form's one centralizer
+    # within Gamma, is taken once, by build_model, and shared with the
+    # trivial-K twin.
+    G = group_from_kind("sym:4")
     calls = []
     real = Group.centralizer
 
     def counted(self, i, within=None):
-        calls.append((i, within))
+        calls.append((i, within is not None))
         return real(self, i, within)
 
     monkeypatch.setattr(Group, "centralizer", counted)
+    m = _whole_group_model("sym:4")
+    assert calls == [(m.pi, True)] and m.c_gamma_pi == len(real(G, m.pi, m.gamma))
+    calls.clear()
     report = orbital_trace(m)
     assert len(report.orbital_terms) == 5 and report.factored_value is None
-    assert calls == []
     report = orbital_trace(with_trivial_k(m))
     assert len(report.orbital_terms) == 1 and report.factored_value == 1
-    assert [(i, within is not None) for i, within in calls] == [(m.pi, True)]
+    assert calls == []
 
 
 def test_kernel_trace_refuses_a_hecke_map_that_is_not_a_bijection():
-    # Built directly, past build_model's check: pi = 2, the transposition
-    # (0 1), does not normalize K = <1> = <(1 2)>, so x -> x pi is not well
-    # defined on the cosets xK.
+    # Built past build_model's check, from a valid model with Gamma trivial:
+    # pi = 2, the transposition (0 1), does not normalize K = <1> = <(1 2)>,
+    # so x -> x pi is not well defined on the cosets xK.
     G = _s3()
     assert G.elements[1] == (0, 2, 1) and G.elements[2] == (1, 0, 2)
-    trivial = np.array([G.identity])
-    model = cosettrace.FiniteGroupModel(G, trivial, G.subgroup([1]), 2, trivial)
+    k = G.subgroup([1])
+    model = replace(build_model(G, [], [], G.identity), k=k, pi=2,
+                    k_labels=cosettrace._k_labels_by_gather(G, k))
     with pytest.raises(InvariantViolation,
                        match="^Hecke translation is not a bijection on cosets$"):
         kernel_trace(model)
