@@ -38,20 +38,22 @@ centralizers; NOT automatic for an arbitrary finite model).  Outside that
 regime the factored value is reported as absent with a diagnostic naming the
 obstruction, so a defined factored value always equals the kernel trace.
 
-Computation: x is labelled row_min[x] = min(xK), the least element of its
-K-coset, once per model, when `_model` builds it (`FiniteGroupModel.k_labels`),
-and every trace call reads those labels.  The kernel side
-labels each x min(Gamma x K), the least over gamma of row_min[gamma x], and
-counts the labels r with label(r pi) = r in one comparison; only
-`double_cosets` builds the Hecke map as a dict.  Each of the two labellings
-is one gather, (n x |K|) or (|Gamma| x n), while its subgroup S has fewer
-than COSET_WALK_MIN_ORDER elements.  From there on it walks the cosets of S
-in ascending order (the orbit algorithm of Holt, Eick and O'Brien, Handbook
-of Computational Group Theory, 2005, 4.1): the least unlabelled x is the
-least element of xK and labels that coset, and it labels its right coset
-Gamma x with the least row_min on it, which is min(Gamma x K).  A walk is
-n / |S| gathers of |S| entries and holds O(n) memory, where the one gather
-holds n |S| entries (25M at Gamma = K = S7).  Every per-class size is read
+Computation: the cosets of K and Gamma are listed once per model, when
+`_model` builds it, by `_cosets`, and no trace call lists or labels one.  It
+returns the cosets xK, or the right cosets Gamma x, as the rows of an
+(n / |S|) x |S| array in ascending order of their least elements: one
+(n x |S|) gather while S has fewer than COSET_WALK_MIN_ORDER elements, and
+from there on a walk (the orbit algorithm of Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, 4.1) in which the least
+element not yet in a row starts the next row, one |S| gather per row and
+O(n) memory, where the gather holds n |S| entries (25M at Gamma = K = S7).
+The model keeps row_min[x] = min(xK), each K-coset's least element
+scattered over its row (`FiniteGroupModel.k_labels`), and the rows Gamma x
+(`FiniteGroupModel.gamma_cosets`).  The kernel side labels each x
+min(Gamma x K), the least row_min on Gamma x, as Gamma x K is the union of
+the yK, y in Gamma x: one gather of n entries.  It counts the labels r with
+label(r pi) = r in one comparison; only `double_cosets` builds the Hecke
+map as a dict.  Every per-class size is read
 off class labels once per model, when it is built, into its class table
 (`FiniteGroupModel.class_table`), which its trivial-K twin shares.  The
 Gamma-labels (`Group.conjugacy_partition` over Gamma's generators) give
@@ -111,9 +113,9 @@ from .exactnum import frac_dict
 from .finitegroup import Group, GroupConstructionError, group_from_kind
 
 
-# Each coset labelling (the K-cosets xK, the right cosets Gamma x) walks the
-# cosets of its subgroup S once |S| >= COSET_WALK_MIN_ORDER, n / |S| steps of
-# one |S| gather each, and is one (n x |S|) gather below.  Measured crossover
+# `_cosets` walks the cosets of S (the K-cosets xK, the right cosets Gamma x)
+# once |S| >= COSET_WALK_MIN_ORDER, n / |S| steps of one |S| gather each, and
+# is one (n x |S|) gather below.  Measured crossover of the coset labellings
 # (best of 5-7, 2-vCPU Xeon VM, Python 3.11, numpy 2.4; gather against walk,
 # in us, K-cosets then right cosets): gl2:5 |S| = 40 took 33 / 59 against
 # 40 / 68, |S| = 48 39 / 73 against 35 / 60; sym:6 |S| = 36 45 / 79 against
@@ -138,13 +140,15 @@ class FiniteGroupModel:
 
     `gamma` (the "rational" subgroup) and `k` (the level subgroup) are sorted
     int64 index arrays, and `pi` normalizes K.  `k_labels[x]` = min(xK), the
-    least element of the K-coset of x.  `class_table` has a column per
-    Gamma-class, in ascending order of its least element, and four rows: that
-    least element, its G-class label, |C_Gamma| and |C_G|; `c_gamma_pi` is
-    |C_Gamma(pi)|.  The arrays are read-only, and models compare by identity.
-    Only `_model`, which closes and checks the subgroups, labels the
-    K-cosets and tabulates Gamma's classes, and `with_trivial_k` build a
-    model.
+    least element of the K-coset of x.  `gamma_cosets` holds the right cosets
+    Gamma x as the rows of an (n / |Gamma|) x |Gamma| array, in ascending
+    order of their least elements (`_cosets`).  `class_table` has a column
+    per Gamma-class, in ascending order of its least element, and four rows:
+    that least element, its G-class label, |C_Gamma| and |C_G|; `c_gamma_pi`
+    is |C_Gamma(pi)|.  The arrays are read-only, and models compare by
+    identity.  Only `_model`, which closes and checks the subgroups, lists
+    the cosets of K and Gamma and tabulates Gamma's classes, and
+    `with_trivial_k` build a model.
     """
 
     group: Group
@@ -152,6 +156,7 @@ class FiniteGroupModel:
     k: np.ndarray
     pi: int
     k_labels: np.ndarray
+    gamma_cosets: np.ndarray
     class_table: np.ndarray
     c_gamma_pi: int
 
@@ -173,10 +178,9 @@ def _model(group: Group, gamma: np.ndarray, k: np.ndarray, pi: int,
     if escapes.any():
         raise ModelSpecError(
             f"pi does not normalize K: conjugate element {conj[escapes.argmax()]} escapes K")
-    if len(k) >= COSET_WALK_MIN_ORDER:
-        k_labels = _k_labels_by_walk(group, k)
-    else:
-        k_labels = _k_labels_by_gather(group, k)
+    k_cosets = _cosets(group, k, right=False)
+    k_labels = np.empty(group.n, dtype=group.table.dtype)
+    k_labels[k_cosets] = k_cosets.min(axis=1)[:, None]
     labels = group.conjugacy_partition(gamma, gamma_gens)[gamma]
     reps = gamma[labels == gamma]  # each class's least element labels it
     glab = group.class_labels
@@ -184,8 +188,9 @@ def _model(group: Group, gamma: np.ndarray, k: np.ndarray, pi: int,
     table = np.stack((reps, rep_lab, len(gamma) // np.bincount(labels)[reps],
                       group.n // np.bincount(glab, minlength=group.n)[rep_lab]))
     c_gamma_pi = len(group.centralizer(pi, within=gamma))
-    return FiniteGroupModel(group, _read_only(gamma), _read_only(k), pi,
-                            _read_only(k_labels), _read_only(table), c_gamma_pi)
+    return FiniteGroupModel(group, _read_only(gamma), _read_only(k), pi, _read_only(k_labels),
+                            _read_only(_cosets(group, gamma, right=True)),
+                            _read_only(table), c_gamma_pi)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -211,49 +216,30 @@ def _meet_conjugate(G: Group, cent: np.ndarray, in_k: np.ndarray, a: int) -> int
     return int(np.count_nonzero(in_k[G.conjugate(cent, a)]))
 
 
-def _k_labels_by_gather(G: Group, k: np.ndarray) -> np.ndarray:
-    """min(xK) for every x at once, one (n x |K|) gather."""
-    return G.table.take(k, axis=1).min(axis=1)
-
-
-def _k_labels_by_walk(G: Group, k: np.ndarray) -> np.ndarray:
-    """min(xK) coset by coset: the least unlabelled x is the least element of
-    its coset xK and labels it, one |K| gather per coset."""
-    row_min = np.full(G.n, -1, dtype=G.table.dtype)
+def _cosets(G: Group, s: np.ndarray, right: bool) -> np.ndarray:
+    """The cosets S x (if right) or x S of the subgroup s, as the rows of an
+    (n / |S|) x |S| array in ascending order of their least elements, each
+    row in the order of s (see the module notes)."""
+    if len(s) < COSET_WALK_MIN_ORDER:
+        rows = G.table[s].T if right else G.table[:, s]
+        return rows[rows.min(axis=1) == G.indices]
+    rows = np.empty((G.n // len(s), len(s)), dtype=G.table.dtype)
+    seen = np.zeros(G.n, dtype=bool)
     x = 0
-    for _ in range(G.n // len(k)):
-        row_min[G.table[x][k]] = x
-        x = (row_min < 0).argmax()
-    return row_min
-
-
-def _rep_of_by_gather(G: Group, gamma: np.ndarray, row_min: np.ndarray) -> np.ndarray:
-    """min(Gamma x K) for every x at once, the least row_min[gamma x], one
-    (|Gamma| x n) gather."""
-    return row_min[G.table[gamma]].min(axis=0).astype(np.int64)
-
-
-def _rep_of_by_walk(G: Group, gamma: np.ndarray, row_min: np.ndarray) -> np.ndarray:
-    """min(Gamma x K) right coset by right coset: the least unlabelled x labels
-    Gamma x, one |Gamma| gather, with the least row_min on it, which is the
-    least element of Gamma x K."""
-    rep_of = np.full(G.n, -1, dtype=np.int64)
-    x = 0
-    for _ in range(G.n // len(gamma)):
-        coset = G.table[:, x][gamma]
-        rep_of[coset] = row_min[coset].min()
-        x = (rep_of < 0).argmax()
-    return rep_of
+    for row in rows:
+        row[:] = G.table[s, x] if right else G.table[x, s]
+        seen[row] = True
+        x = seen.argmin()
+    return rows
 
 
 def _coset_images(model: FiniteGroupModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rep_of, reps, images): each x's label min(Gamma x K), the ascending
-    labels, and the label of each rep times pi."""
+    labels, and the label of each rep times pi.  Gamma x K is the union of
+    the yK, y in Gamma x, so its label is the least k_label on Gamma x."""
     G = model.group
-    if len(model.gamma) >= COSET_WALK_MIN_ORDER:
-        rep_of = _rep_of_by_walk(G, model.gamma, model.k_labels)
-    else:
-        rep_of = _rep_of_by_gather(G, model.gamma, model.k_labels)
+    rep_of = np.empty(G.n, dtype=np.int64)
+    rep_of[model.gamma_cosets] = model.k_labels[model.gamma_cosets].min(axis=1)[:, None]
     reps = (rep_of == G.indices).nonzero()[0]
     images = rep_of[G.table[reps, model.pi]]
     if not G.mask(images)[reps].all():
@@ -586,8 +572,8 @@ def with_trivial_k(model: FiniteGroupModel) -> FiniteGroupModel:
 
     Gamma and pi were checked when model was built, and every pi normalizes
     K = {e}, so nothing is re-closed or re-checked: K is [e], each x is its
-    own K-coset label (k_labels = arange(n)), and Gamma's class table and
-    |C_Gamma(pi)|, which do not depend on K, are shared with model.
+    own K-coset label (k_labels = arange(n)), and Gamma's cosets, class
+    table and |C_Gamma(pi)|, which do not depend on K, are shared with model.
     """
     G = model.group
     return replace(model, k=_read_only(np.array([G.identity])),

@@ -14,7 +14,9 @@ table gathers marked into boolean masks, never sorted.  Subgroups are worked
 from their generators (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, 4.1): a subgroup is closed by squaring, S -> S*S = table[S, S],
 until S*gens lies in S, one |S| x |gens| gather per round, so no last |S|^2
-round is spent confirming closure.  Every conjugation is x -> a^{-1} x a by
+round is spent confirming closure; and once S has more than n/2 elements
+it stops with the whole group, as <gens> contains S, so its order exceeds
+n/2 and divides n (Lagrange).  Every conjugation is x -> a^{-1} x a by
 `conjugate`, one double gather over the broadcast of x and a; a normalizer
 conjugates the subgroup's generators by all of G in one (n x |gens|) gather.
 A centralizer compares a table row with a column.
@@ -116,12 +118,17 @@ class Group:
         in S.  Then S = <gens>: S holds only products of generators, so
         S <= <gens>; and S holds e and is closed under right multiplication by
         each generator, so it holds every product of generators, which in a
-        finite group is all of <gens> (an inverse is a positive power).
+        finite group is all of <gens> (an inverse is a positive power).  Once
+        S has more than n / 2 elements, <gens> is the whole group: its order
+        is at least |S| > n / 2 and divides n (Lagrange), so it is n.  That
+        saves the squaring such an S would take, an |S|^2 > n^2 / 4 gather.
         """
         gens = np.asarray(gens, dtype=np.int64)
         mask = self.mask(np.append(gens, self.identity))
         while True:
             cur = mask.nonzero()[0]
+            if 2 * len(cur) > self.n:
+                return self.indices.copy()  # a fresh array, as callers may freeze it
             if mask[self.table[cur[:, None], gens]].all():
                 return cur
             mask[self.table[cur[:, None], cur]] = True

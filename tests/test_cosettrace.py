@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -319,7 +320,7 @@ def test_gamma_class_counts_match_per_class_conj_vectors():
     assert met > 20  # the draw is not vacuous
 
 
-_MODEL_ARRAYS = ("gamma", "k", "k_labels", "class_table")
+_MODEL_ARRAYS = ("gamma", "k", "k_labels", "gamma_cosets", "class_table")
 
 
 def _assert_same_model(m, other):
@@ -360,6 +361,7 @@ def test_with_trivial_k():
         assert np.array_equal(mt.gamma, m.gamma) and mt.pi == m.pi
         assert np.array_equal(mt.k_labels, mt.group.indices)
         assert mt.class_table is m.class_table and mt.c_gamma_pi == m.c_gamma_pi
+        assert mt.gamma_cosets is m.gamma_cosets
         _assert_same_model(mt, build_model(m.group, m.gamma, [], m.pi))
 
 
@@ -380,7 +382,8 @@ _SMALL_KINDS = ("cyclic:6", "cyclic:12", "sym:3", "sym:4", "gl2:2", "gl2:3")
 
 def _brute_model_data(m):
     """Oracle for the build-time data, from products and conjugates one
-    element at a time: (k_labels, class table rows, |C_Gamma(pi)|)."""
+    element at a time: (k_labels, gamma_cosets rows, class table rows,
+    |C_Gamma(pi)|)."""
     G = m.group
     gamma, k = m.gamma.tolist(), m.k.tolist()
 
@@ -391,10 +394,13 @@ def _brute_model_data(m):
         return sum(G.mul(x, g) == G.mul(g, x) for g in over)
 
     k_labels = [min(G.mul(x, h) for h in k) for x in range(G.n)]
+    # The right cosets Gamma x, by their least elements x, entries in Gamma's order.
+    gamma_cosets = [[G.mul(g, x) for g in gamma] for x in range(G.n)
+                    if min(G.mul(g, x) for g in gamma) == x]
     reps = sorted({conj_min(x, gamma) for x in gamma})
     table = [reps, [conj_min(r, range(G.n)) for r in reps],
              [commuting(r, gamma) for r in reps], [commuting(r, range(G.n)) for r in reps]]
-    return k_labels, table, commuting(m.pi, gamma)
+    return k_labels, gamma_cosets, table, commuting(m.pi, gamma)
 
 
 def test_model_data_against_brute_force():
@@ -410,14 +416,16 @@ def test_model_data_against_brute_force():
     rng = random.Random(34)
     models += [random_model(rng, _SMALL_KINDS) for _ in range(20)]
     models += [random_model(rng, ("sym:5", "gl2:5")) for _ in range(4)]
-    walked = 0
+    walked = walked_gamma = 0
     for m in [*models, *map(with_trivial_k, models)]:
-        k_labels, table, c_gamma_pi = _brute_model_data(m)
+        k_labels, gamma_cosets, table, c_gamma_pi = _brute_model_data(m)
         assert m.k_labels.tolist() == k_labels
+        assert m.gamma_cosets.tolist() == gamma_cosets
         assert m.class_table.tolist() == table
         assert m.c_gamma_pi == c_gamma_pi
         walked += len(m.k) >= COSET_WALK_MIN_ORDER
-    assert walked > 0
+        walked_gamma += len(m.gamma) >= COSET_WALK_MIN_ORDER
+    assert walked > 0 and walked_gamma > 0
 
 
 @settings(max_examples=120, deadline=None)
@@ -463,21 +471,24 @@ def test_volume_identity_check_fails_on_merged_k_cosets():
 
 
 def test_traces_build_no_model_data_once_the_model_is_built(monkeypatch):
-    # The K-coset labels, Gamma's class table and |C_Gamma(pi)| are built with
-    # the model, and its trivial-K twin shares the last two; G's class labels
-    # are cached once per group, so they are read first.  After that no trace
-    # call labels K-cosets, takes a centralizer within Gamma or partitions a
-    # subgroup into classes.
+    # The cosets of K and Gamma, Gamma's class table and |C_Gamma(pi)| are
+    # built with the model, and its trivial-K twin shares all but the first;
+    # G's class labels are cached once per group, so they are read first.
+    # After that no trace call lists cosets, takes a centralizer within Gamma
+    # or partitions a subgroup into classes.
     rng = random.Random(32)
     models = [random_model(rng) for _ in range(20)]
     models.append(_whole_group_model("sym:5"))  # K above the walk's crossover
     for m in models:
         m.group.class_labels
     calls = []
-    for name in ("_k_labels_by_gather", "_k_labels_by_walk"):
-        real = getattr(cosettrace, name)
-        monkeypatch.setattr(cosettrace, name,
-                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    real_cosets = cosettrace._cosets
+
+    def cosets(G, s, right):
+        calls.append(f"cosets {right}")
+        return real_cosets(G, s, right)
+
+    monkeypatch.setattr(cosettrace, "_cosets", cosets)
     real_centralizer, real_partition = Group.centralizer, Group.conjugacy_partition
 
     def centralizer(self, i, within=None):
@@ -494,15 +505,18 @@ def test_traces_build_no_model_data_once_the_model_is_built(monkeypatch):
     for m in models:
         trivial = with_trivial_k(m)
         assert trivial.class_table is m.class_table
+        assert trivial.gamma_cosets is m.gamma_cosets
         orbital_trace(m)
         factored_trace(trivial)
         kernel_trace(m)
+        kernel_trace(trivial)
         double_cosets(m)
         delta_sets(m)
         volume_identity_check(m, m.gamma[-1], m.pi)
     assert calls == []
     build_model(models[0].group, [], [], 0)
-    assert sorted(calls) == ["_k_labels_by_gather", "centralizer within", "conjugacy_partition"]
+    assert sorted(calls) == ["centralizer within", "conjugacy_partition",
+                             "cosets False", "cosets True"]
 
 
 def _brute_double_cosets(m):
@@ -531,11 +545,11 @@ def _large_models():
     for kind in ("sym:5", "gl2:5", "sym:6"):
         G = group_from_kind(kind)
         models.append(build_model(G, G.gens, G.gens, rng.randrange(G.n)))
-        gens = []
-        while len(gens) < 2:
-            draw = [rng.randrange(G.n), rng.randrange(G.n)]
-            if COSET_WALK_MIN_ORDER <= len(G.subgroup(draw)) < G.n:
-                gens.append(draw)
+        # At most 1000 draws, so that a faulty closure fails here and does not hang.
+        draws = ([rng.randrange(G.n), rng.randrange(G.n)] for _ in range(1000))
+        gens = list(itertools.islice(
+            (d for d in draws if COSET_WALK_MIN_ORDER <= len(G.subgroup(d)) < G.n), 2))
+        assert len(gens) == 2, kind
         normalizer = G.normalizer_of(G.subgroup(gens[1]), gens[1])
         models.append(build_model(G, gens[0], gens[1],
                                   int(normalizer[rng.randrange(len(normalizer))])))
@@ -621,21 +635,64 @@ def test_kernel_trace_against_brute_force():
         assert kernel_trace(m) == fixed
 
 
-def test_coset_walks_match_the_gathers(seeded_models_100):
-    # Both labellings of each kind on the same input, whichever side of the
-    # crossover its subgroup lies: the same labels in the same dtype.
+def _brute_cosets(G, s, right):
+    """Oracle: the cosets S x (if right) or x S as sets, one product at a
+    time, in ascending order of their least elements."""
+    cosets = {frozenset(G.mul(h, x) if right else G.mul(x, h) for h in s) for x in range(G.n)}
+    return sorted(cosets, key=min)
+
+
+def _both_coset_listings(monkeypatch, G, s, right):
+    """_cosets(G, s, right) by the gather and by the walk, whatever |s| is."""
+    listings = []
+    for threshold in (G.n + 1, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(cosettrace, "COSET_WALK_MIN_ORDER", threshold)
+            listings.append(cosettrace._cosets(G, s, right))
+    return listings
+
+
+def test_coset_walks_match_the_gathers(monkeypatch, seeded_models_100):
+    # Both branches of _cosets on both sides of every model's subgroups,
+    # whichever side of the crossover they lie: the same rows in the same
+    # dtype, and the model's own cosets and labels among them.
     walked = 0
     for m in [*seeded_models_100, *map(with_trivial_k, seeded_models_100), *_large_models()]:
-        G, gamma, k = m.group, np.array(m.gamma), np.array(m.k)
-        row_min = cosettrace._k_labels_by_gather(G, k)
-        walk = cosettrace._k_labels_by_walk(G, k)
-        assert walk.dtype == row_min.dtype and np.array_equal(walk, row_min)
-        assert m.k_labels.dtype == row_min.dtype and np.array_equal(m.k_labels, row_min)
-        rep_of = cosettrace._rep_of_by_gather(G, gamma, row_min)
-        walk = cosettrace._rep_of_by_walk(G, gamma, row_min)
-        assert walk.dtype == rep_of.dtype == np.int64 and np.array_equal(walk, rep_of)
-        walked += max(len(gamma), len(k)) >= COSET_WALK_MIN_ORDER
+        G = m.group
+        for s in (m.gamma, m.k):
+            for right in (False, True):
+                gather, walk = _both_coset_listings(monkeypatch, G, s, right)
+                assert gather.shape == walk.shape == (G.n // len(s), len(s))
+                assert gather.dtype == walk.dtype == G.table.dtype
+                assert np.array_equal(gather, walk)
+        assert np.array_equal(m.gamma_cosets, cosettrace._cosets(G, m.gamma, right=True))
+        k_cosets = cosettrace._cosets(G, m.k, right=False)
+        assert (m.k_labels[k_cosets] == k_cosets.min(axis=1)[:, None]).all()
+        walked += max(len(m.gamma), len(m.k)) >= COSET_WALK_MIN_ORDER
     assert walked > 12  # the 12 large models, and seeded ones above the crossover too
+
+
+def test_cosets_against_brute_force(monkeypatch):
+    # Each branch's rows partition G into the sets S x or x S, in ascending
+    # order of their least elements, on subgroups of small groups and of
+    # groups above the crossover (a right coset of a non-normal S is not a
+    # left one, so the sides differ).
+    rng = random.Random(36)
+    cases = [(group_from_kind(kind), []) for kind in ("sym:3", "gl2:3")]
+    for kind in (*_SMALL_KINDS, "sym:5", "gl2:5"):
+        G = group_from_kind(kind)
+        cases += [(G, [rng.randrange(G.n) for _ in range(rng.choice((1, 2)))]) for _ in range(4)]
+    cases.append((group_from_kind("sym:5"), group_from_kind("sym:5").gens))
+    sides_differ = 0
+    for G, gens in cases:
+        s = G.subgroup(gens)
+        wants = [_brute_cosets(G, s.tolist(), right) for right in (False, True)]
+        for right, want in zip((False, True), wants):
+            for rows in _both_coset_listings(monkeypatch, G, s, right):
+                assert [frozenset(row) for row in rows.tolist()] == want
+                assert all(len(set(row)) == len(s) for row in rows.tolist())
+        sides_differ += wants[0] != wants[1]
+    assert sides_differ > 3
 
 
 def test_involutive_translation_recovers_type_number():
@@ -847,21 +904,17 @@ def test_kernel_trace_refuses_a_hecke_map_that_is_not_a_bijection():
     G = _s3()
     assert G.elements[1] == (0, 2, 1) and G.elements[2] == (1, 0, 2)
     k = G.subgroup([1])
-    model = replace(build_model(G, [], [], G.identity), k=k, pi=2,
-                    k_labels=cosettrace._k_labels_by_gather(G, k))
+    model = replace(build_model(G, [], [1], G.identity), pi=2)
+    assert np.array_equal(model.k, k)
     with pytest.raises(InvariantViolation,
                        match="^Hecke translation is not a bijection on cosets$"):
         kernel_trace(model)
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
-def test_sym7_traces_stay_well_below_the_table_size():
-    # A fresh interpreter, so that the peak (VmHWM) is its own, as in
-    # test_sym7_build_memory_stays_near_the_table_size.  The growth is counted
-    # from the peak after the group and the model Gamma = K = S7 are built.
-    # One (|Gamma| x n) or (n x |K|) gather over the whole table took it to
-    # about 1.9 times the table's bytes; the coset walks gather one coset at a
-    # time.
+def _peak_growth(setup, measured):
+    """Run `setup`, then `measured`, in a fresh interpreter, so that the peak
+    (VmHWM) is its own, as in test_sym7_build_memory_stays_near_the_table_size:
+    (the growth of the peak over `measured`, the bytes of the table of G)."""
     code = (
         "from superspecial.finitegroup import group_from_kind\n"
         "from superspecial.cosettrace import (build_model, factored_trace,\n"
@@ -869,11 +922,9 @@ def test_sym7_traces_stay_well_below_the_table_size():
         "def status(key):\n"
         "    with open('/proc/self/status') as fh:\n"
         "        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith(key))\n"
-        "G = group_from_kind('sym:7')\n"
-        "m = build_model(G, G.gens, G.gens, G.identity)\n"
+        f"{setup}"
         "hwm = status('VmHWM:')\n"
-        "orbital_trace(m)\n"
-        "factored_trace(with_trivial_k(m))\n"
+        f"{measured}"
         "print(status('VmHWM:') - hwm, G.table.nbytes)\n"
     )
     src = os.path.dirname(os.path.dirname(cosettrace.__file__))
@@ -882,4 +933,30 @@ def test_sym7_traces_stay_well_below_the_table_size():
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     growth, table_bytes = map(int, proc.stdout.split())
+    return growth, table_bytes
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_sym7_traces_stay_well_below_the_table_size():
+    # The growth is counted from the peak after the group and the model
+    # Gamma = K = S7 are built.  One (|Gamma| x n) or (n x |K|) gather over the
+    # whole table took it to about 1.9 times the table's bytes; the coset
+    # walks gather one coset at a time.
+    growth, table_bytes = _peak_growth(
+        "G = group_from_kind('sym:7')\n"
+        "m = build_model(G, G.gens, G.gens, G.identity)\n",
+        "orbital_trace(m)\n"
+        "factored_trace(with_trivial_k(m))\n")
+    assert growth < 0.5 * table_bytes, (growth, table_bytes)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_cyclic5040_build_stays_well_below_the_table_size():
+    # Gamma = K = <1> = G: squaring <1> up to 4097 elements ended in a
+    # 4097 x 4097 gather, which took the build to about 0.8 times the table's
+    # bytes; the closure stops once it holds more than half the group.
+    growth, table_bytes = _peak_growth(
+        "G = group_from_kind('cyclic:5040')\n",
+        "m = build_model(G, [1], [1], G.identity)\n"
+        "assert len(m.gamma) == len(m.k) == G.n\n")
     assert growth < 0.5 * table_bytes, (growth, table_bytes)

@@ -46,6 +46,10 @@ def test_subgroup_closure():
     assert len(G.subgroup([cyc])) == 4
     assert len(G.subgroup([tr, cyc])) == 24
     assert list(G.subgroup([])) == [G.identity]
+    # A4, of index 2: only more than n/2 elements make the whole group.
+    assert len(G.subgroup([G.index[(1, 2, 0, 3)], G.index[(0, 2, 3, 1)]])) == 12
+    # The whole group is a fresh array, as callers such as the trace models freeze theirs.
+    assert not np.shares_memory(G.subgroup([tr, cyc]), G.indices)
 
 
 def test_class_labels_and_centralizer_against_brute_force():
