@@ -16,10 +16,11 @@ Theory, 2005, 4.1): a subgroup is closed by squaring, S -> S*S = table[S, S],
 until S*gens lies in S, one |S| x |gens| gather per round, so no last |S|^2
 round is spent confirming closure; and once S has more than n/2 elements
 it stops with the whole group, as <gens> contains S, so its order exceeds
-n/2 and divides n (Lagrange).  Every conjugation is x -> a^{-1} x a by
+n/2 and divides n (Lagrange).  Every conjugation here is x -> a^{-1} x a by
 `conjugate`, one double gather over the broadcast of x and a; a normalizer
 conjugates the subgroup's generators by all of G in one (n x |gens|) gather.
-A centralizer compares a table row with a column.
+A centralizer compares row i of the table with column i, both views, gathered
+at the members of `within` when it is given.
 Conjugacy classes are labels, not lists: a class is an orbit under
 conjugation by a generating set, and `conjugacy_partition` labels every
 element with the least element of its orbit at once, by min-label relaxation
@@ -139,8 +140,12 @@ class Group:
         return self.conjugate(i, self.indices)
 
     def centralizer(self, i: int, within: np.ndarray | None = None) -> np.ndarray:
-        h = self.indices if within is None else within
-        return h[self.table[h, i] == self.table[i, h]]
+        """The elements of `within` (by default, all of G) that commute with i,
+        in its order: x with i*x = x*i, row i of the table against column i."""
+        row, col = self.table[i], self.table[:, i]
+        if within is None:
+            return (row == col).nonzero()[0]
+        return within[row[within] == col[within]]
 
     def normalizer_of(self, sub: np.ndarray, gens) -> np.ndarray:
         """All x with x^{-1} sub x = sub (as a set), where sub = <gens>.

@@ -189,6 +189,25 @@ def test_volume_identities():
         assert volume_identity_check(m, gamma, a)
 
 
+def test_meet_conjugate_against_brute_force():
+    # |G_gamma ∩ aKa^{-1}| against the intersection with the set {a k a^{-1}},
+    # on drawn centralizers, elements a and subgroups K; a^{-1}Ka meets G_gamma
+    # in another number often enough that conjugating the wrong way shows.
+    rng = random.Random(37)
+    sided = 0
+    for _ in range(300):
+        G = group_from_kind(rng.choice(_SMALL_KINDS))
+        k = G.subgroup([rng.randrange(G.n) for _ in range(rng.choice((1, 2)))])
+        cent = G.centralizer(rng.randrange(G.n))
+        a = rng.randrange(G.n)
+        conj = {G.mul(G.mul(a, h), G.inverse(a)) for h in k.tolist()}
+        want = len(conj & set(cent.tolist()))
+        assert cosettrace._meet_conjugate(G, cent, G.mask(k), a) == want
+        other = {G.mul(G.mul(G.inverse(a), h), a) for h in k.tolist()}
+        sided += want != len(other & set(cent.tolist()))
+    assert sided > 5
+
+
 def test_volume_identity_check_can_fail(monkeypatch):
     # A doubled |G_gamma ∩ aKa^{-1}| breaks vol(K) / vol(G_gamma ∩ aKa^{-1}).
     S4 = group_from_kind("sym:4")
@@ -757,6 +776,37 @@ def test_trace_outputs_golden(seeded_models_100):
         report = orbital_trace(m)
         assert (report.delta_K, report.delta_f) == delta_sets(m)
         assert (report.factored_value, report.factored_diagnostic) == factored_trace(m)
+
+
+# sha256 of _golden_records, each with its two volume verdicts, over the 320
+# models of _trace_models_draw(), recorded before the trace calls were cut
+# down to fewer numpy calls per model.
+GOLDEN_TRACE_MODELS_SHA256 = "a5fe7e08f21106c7a0f4b1da3b4ac7f5e4af1603b67772726d879eea42e0e87c"
+
+
+def _trace_models_draw(seed=42, per_family=10):
+    """The benchmark's trace-models draw, rebuilt here: per_family models of
+    each TRIAL_FAMILIES family from one random.Random(seed), each drawn and
+    then given its two volume-check picks (gamma in Gamma, a in G)."""
+    rng = random.Random(seed)
+    draw = []
+    for family in cosettrace.TRIAL_FAMILIES:
+        for _ in range(per_family):
+            m = random_model(rng, (family,))
+            picks = tuple((int(m.gamma[rng.randrange(len(m.gamma))]), rng.randrange(m.group.n))
+                          for _ in range(2))
+            draw.append((m, picks))
+    return draw
+
+
+def test_trace_models_outputs_golden():
+    draw = _trace_models_draw()
+    assert len(draw) == 10 * len(cosettrace.TRIAL_FAMILIES) == 320
+    records = _golden_records([m for m, _ in draw])
+    for record, (m, picks) in zip(records, draw):
+        record["volumes"] = [volume_identity_check(m, g, a) for g, a in picks]
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TRACE_MODELS_SHA256
 
 
 def test_orbital_trace_rejects_coset_sum_mismatch(monkeypatch):

@@ -53,17 +53,27 @@ def test_subgroup_closure():
 
 
 def test_class_labels_and_centralizer_against_brute_force():
+    # Every element's class and centralizer, and its centralizer within
+    # subgroups: a few drawn ones, {e}, and all of G shuffled, whose order the
+    # result must keep.
     rng = random.Random(13)
     for kind in ("sym:4", "gl2:3", "cyclic:12"):
         G = group_from_kind(kind)
-        for _ in range(8):
-            i = rng.randrange(G.n)
+        subgroups = [G.subgroup([rng.randrange(G.n) for _ in range(rng.choice((1, 2)))])
+                     for _ in range(3)]
+        shuffled = G.indices.copy()
+        rng.shuffle(shuffled)
+        subgroups += [G.subgroup([]), shuffled]
+        for i in range(G.n):
             want_cls = sorted({G.mul(G.mul(G.inverse(g), i), g) for g in range(G.n)})
             assert np.flatnonzero(G.class_labels == G.class_labels[i]).tolist() == want_cls
             assert G.class_labels[i] == want_cls[0]
             want_cent = [g for g in range(G.n) if G.mul(g, i) == G.mul(i, g)]
-            assert list(G.centralizer(i)) == want_cent
+            assert G.centralizer(i).tolist() == want_cent
             assert len(want_cls) * len(want_cent) == G.n  # orbit-stabilizer
+            for h in subgroups:
+                want = [g for g in h.tolist() if G.mul(g, i) == G.mul(i, g)]
+                assert G.centralizer(i, within=h).tolist() == want
 
 
 def test_conj_vector():
