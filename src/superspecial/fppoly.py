@@ -23,10 +23,13 @@ Root finding follows a gcd-with-Frobenius strategy:
      sum_i s_i^j n_i^l; the moment solve reads every factor off them in one
      pass (baby-step/giant-step power projection, Newton's identities, a scan
      of F_p for the distinct traces and a transposed Vandermonde solve for
-     each trace's multiplicity and norms), with no gcd tree, and checks that
-     the factors multiply back.  It runs when m < p (Newton's identities
-     divide by 1..m), m <= MOMENT_MAX_FACTORS and p <= MOMENT_MAX_PRIME, the
-     measured crossovers.  A larger node takes a step of the Legendre ladder
+     each trace's multiplicity and sum of norms), with no gcd tree, and checks
+     that the factors multiply back.  The first norm moments settle every
+     trace of one factor; each higher norm power is solved only on the traces
+     shared by several factors, once the settled traces' terms are taken off.
+     It runs when m < p (Newton's identities divide by 1..m),
+     m <= MOMENT_MAX_FACTORS and p <= MOMENT_MAX_PRIME, the measured
+     crossovers.  A larger node takes a step of the Legendre ladder
      gcd(g2, (x+c)^((p^2-1)/2) - 1) for c = 0, 1, 2, ... first; conjugate
      root pairs share the norm (x+c)(x^p+c), so they stay together and the
      ladder separates distinct quadratic factors.  Nodes with m >= p, and
@@ -38,7 +41,9 @@ Root finding follows a gcd-with-Frobenius strategy:
      with a Tonelli-Shanks square root in the prime field.
 
 Reductions inside a fixed modulus use a Newton-inverted reciprocal of the
-reversed modulus, which keeps the hot loop inside C-speed convolutions.
+reversed modulus, which keeps the hot loop inside C-speed convolutions.  The
+moment solve's trace series needs the same reciprocal to twice the precision,
+and continues the context's Newton doubling for it.
 """
 
 from __future__ import annotations
@@ -153,10 +158,14 @@ def _gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
-def _newton_inverse(f: np.ndarray, k: int, p: int) -> np.ndarray:
-    """Inverse of f modulo x^k (requires f[0] != 0)."""
-    g = np.array([pow(int(f[0]), p - 2, p)], dtype=np.int64)
-    prec = 1
+def _newton_inverse(f: np.ndarray, k: int, p: int, g: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of f modulo x^k (requires f[0] != 0).
+
+    Given g, an inverse of f modulo x^len(g), the doubling continues from it.
+    """
+    if g is None:
+        g = np.array([pow(int(f[0]), p - 2, p)], dtype=np.int64)
+    prec = len(g)
     while prec < k:
         prec = min(2 * prec, k)
         fg = _mul(f[:prec], g, p)[:prec]
@@ -346,11 +355,17 @@ def _split_by_moments(h: np.ndarray, xp_h: np.ndarray, p: int) -> list[tuple[int
     the roots of h (-y R'/R = sum_{t >= 1} tau_t y^t for R = h reversed), so
     the moments come from baby steps S^b (b < r ~ sqrt(m + 1), one
     functional t -> Tr(S^b x^t) each), giant steps W G^i (G = S^r, weight
-    W = N^l) and one matrix product.  Newton's identities on sum_i s_i^j
-    (j <= m) give prod (y - s_i), whose distinct roots s are read off F_p; a
-    transposed Vandermonde solve on them gives each trace's multiplicity and
-    the power sums of its norms, and a trace shared by several factors has
-    its norms found as the roots of one more Newton polynomial.  The factors
+    W = N^l) and one matrix product.  The power sums tau_t for t < 2n - 1 need
+    R^-1 mod x^(2n - 1); the modulus context already holds R^-1 mod x^n, and
+    one more Newton step doubles it.  Newton's identities on sum_i s_i^j
+    (j <= m) give prod (y - s_i), whose D distinct roots s are read off F_p; a
+    transposed Vandermonde solve on them gives each trace's multiplicity and,
+    from the moments with l = 1, the sum of its norms: the norm itself for a
+    trace of one factor.  For l >= 2 only the D_open shared traces are open:
+    the single traces' known terms s^j n^l are taken off the moments for
+    j < D_open, which cost one mulmod for N^l and ceil(D_open / r) - 1 giant
+    steps, and a Vandermonde solve on the open traces gives the power sums of
+    their norms, whose roots one more Newton polynomial gives.  The factors
     are checked: m of them, multiplying back to h, each irreducible.
     """
     ctx = _Modulus(h, p)
@@ -360,8 +375,9 @@ def _split_by_moments(h: np.ndarray, xp_h: np.ndarray, p: int) -> list[tuple[int
     assert n * (p - 1) * (p - 1) < (1 << 63)
     S, N = (_trim(v) for v in _trace_and_norm(ctx, xp_h))
     rev = node[::-1].copy()
+    # ctx holds rev^-1 mod x^n; one more Newton step takes it to x^(2n - 1).
     series = _mul(_trim(-rev * np.arange(n + 1) % p),
-                  _newton_inverse(rev, 2 * n - 1, p), p)[: 2 * n - 1]
+                  _newton_inverse(rev, 2 * n - 1, p, ctx._rinv), p)[: 2 * n - 1]
     tau = np.zeros(2 * n - 1, dtype=np.int64)
     tau[: len(series)] = series
     tau[0] = n % p
@@ -395,22 +411,35 @@ def _split_by_moments(h: np.ndarray, xp_h: np.ndarray, p: int) -> list[tuple[int
     mult = solve @ power_sums[: len(traces)] % p
     if int(mult.sum()) != m:
         raise failed(f"{int(mult.sum())} factors counted by trace, expected {m}")
-    # Column l - 1 holds sum_i s_i^j n_i^l for j < D; once solved, row k holds
-    # the power sums n^1, n^2, ... of the norms of the factors of trace traces[k].
-    columns, norm_power = [], N
-    for l in range(1, int(mult.max()) + 1):
-        if l > 1:
+    # norms[k] is the sum of the norms of trace k's factors.  Column l - 1 of
+    # columns holds the power sums n^l over each open (shared) trace's norms;
+    # for l >= 2 they are solved from the moments j < D_open, less the single
+    # traces' known terms s^j n^l.
+    norms = solve @ moments(N, len(traces)) % p
+    shared = mult != 1
+    open_traces, single, single_norms = traces[shared], traces[~shared], norms[~shared]
+    columns = [norms[shared]]
+    if len(open_traces):
+        open_solve = _vandermonde_inverse(open_traces, p)
+        single_powers = np.ones((len(open_traces), len(single)), dtype=np.int64)
+        for j in range(1, len(open_traces)):
+            single_powers[j] = single_powers[j - 1] * single % p
+        norm_power, known = N, single_norms
+        for _ in range(2, int(mult.max()) + 1):
             norm_power = ctx.mulmod(norm_power, N)
-        columns.append(moments(norm_power, len(traces)))
-    norm_sums = solve @ np.column_stack(columns) % p
+            known = known * single_norms % p
+            open_moments = moments(norm_power, len(open_traces)) - single_powers @ known
+            columns.append(open_solve @ (open_moments % p) % p)
+    open_sums = iter(np.column_stack(columns).tolist())
 
     pairs = []
-    for s, mu, sums in zip(traces.tolist(), mult.tolist(), norm_sums.tolist()):
+    for s, mu, nrm in zip(traces.tolist(), mult.tolist(), norms.tolist()):
         if mu == 1:
-            pairs.append((s, sums[0]))
+            pairs.append((s, nrm))
         else:
-            norms = _from_power_sums(np.array([mu] + sums[:mu], dtype=np.int64), p)
-            pairs.extend((s, nrm) for nrm in roots_in_prime_field(norms, p))
+            sums = next(open_sums)
+            norm_poly = _from_power_sums(np.array([mu] + sums[:mu], dtype=np.int64), p)
+            pairs.extend((s, root) for root in roots_in_prime_field(norm_poly, p))
     if len(pairs) != m:
         raise failed(f"{len(pairs)} factors found, expected {m}")
     product = np.ones(1, dtype=np.int64)

@@ -26,6 +26,11 @@ automorphism orders (only a fixed point can be j = 0 or j = 1728).
 p = 2 and p = 3 fall outside the Legendre parametrization (and outside the
 6/4/2 automorphism-order rule); their census is the single supersingular
 point j = 0, with H = F = T = 1.
+
+The Legendre roots come from fppoly.roots_in_fp2, whose first splitting
+steps (large powmods and gcds) dominate at large p: on a 2-vCPU VM (best of 3
+in five alternating rounds) census(997) takes 0.04-0.07 s, census(4999)
+0.8-1.3 s and census(10007) 3.4-5.1 s; README "Scale limits" has the ceilings.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import inspect
 import random
 import types
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -358,16 +359,21 @@ def test_random_nodes_with_shared_traces_and_norms(monkeypatch):
             assert sizes and max(sizes) < m, (p, m)
 
 
-def test_moment_solve_check_catches_a_wrong_pairing():
-    # A copy of fppoly whose moment solve pairs each trace with another
-    # trace's norm sums is stopped by the check that the factors multiply back.
+def _mutant(right, wrong):
+    """A copy of fppoly with the one occurrence of right replaced by wrong."""
     src = inspect.getsource(fppoly)
-    right = "zip(traces.tolist(), mult.tolist(), norm_sums.tolist())"
-    wrong = "zip(traces.tolist(), mult.tolist(), np.roll(norm_sums, 1, axis=0).tolist())"
     assert src.count(right) == 1
-    mutant = types.ModuleType("superspecial.fppoly_mispaired")
+    mutant = types.ModuleType("superspecial.fppoly_mutant")
     mutant.__package__ = "superspecial"
     exec(compile(src.replace(right, wrong), fppoly.__file__, "exec"), mutant.__dict__)
+    return mutant
+
+
+def test_moment_solve_check_catches_a_wrong_pairing():
+    # A copy of fppoly whose moment solve pairs each single trace with another
+    # trace's norm is stopped by the check that the factors multiply back.
+    mutant = _mutant("zip(traces.tolist(), mult.tolist(), norms.tolist())",
+                     "zip(traces.tolist(), mult.tolist(), np.roll(norms, 1).tolist())")
     p = 997
     field = Fp2Field.of(p)
     rng = random.Random(17)
@@ -381,6 +387,67 @@ def test_moment_solve_check_catches_a_wrong_pairing():
     with pytest.raises(RuntimeError, match="moment solve failed on the node .*multiply back"):
         mutant.roots_in_fp2(f, field)
     assert len(roots_in_fp2(f, field)) == 12
+
+
+def test_moment_solve_check_catches_unsubtracted_single_traces():
+    # A copy of fppoly that solves the shared traces' norm moments without
+    # taking off the single traces' known terms finds wrong norms for them,
+    # and one of the solve's checks stops it.
+    mutant = _mutant("moments(norm_power, len(open_traces)) - single_powers @ known",
+                     "moments(norm_power, len(open_traces))")
+    p = 997
+    field = Fp2Field.of(p)
+    pairs = _node_with_shared_traces_and_norms(random.Random(20), p, 12)
+    f = _poly([1], p)
+    for s, n in pairs:
+        f = _mul(f, _poly([n, -s, 1], p), p)
+    with pytest.raises(RuntimeError, match="moment solve failed on the node "):
+        mutant.roots_in_fp2(f, field)
+    _check_split(field, pairs)
+
+
+def test_norm_powers_after_the_first_cost_one_mulmod_each(monkeypatch):
+    # m = 40 factors at p = 997: one trace shared by mu = 5 factors and 35 more
+    # traces of one factor each, so D = 36 distinct traces, more than
+    # r = isqrt(m) + 1 = 7.  After the first norm power only the shared trace
+    # is open, so each later power l costs the one mulmod for N^l; the moments
+    # of all D traces would add ceil(D / r) - 1 = 5 giant steps per power.
+    p, m, mu = 997, 40, 5
+    rng = random.Random(19)
+    s0, _ = _random_irreducible(rng, p)
+    pairs = set()
+    while len(pairs) < mu:
+        pairs.add(_random_irreducible(rng, p, s=s0))
+    traces = {s0}
+    while len(pairs) < m:
+        s, n = _random_irreducible(rng, p)
+        if s not in traces:
+            traces.add(s)
+            pairs.add((s, n))
+    h = _poly([1], p)
+    for s, n in pairs:
+        h = _mul(h, _poly([n, -s, 1], p), p)
+    xp = _Modulus(h, p).powmod(_poly([0, 1], p), p)
+    calls = []
+    real = _Modulus.mulmod
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(_Modulus, "mulmod", counting)
+    got = fppoly._split_by_moments(h, xp, p)
+    assert sorted((-B % p, C) for B, C in got) == sorted(pairs)
+    r = isqrt(m) + 1
+    D = len(traces)
+    assert D > r
+
+    def giant_steps(count):
+        return -(-count // r) - 1
+
+    # Baby steps S^2..S^r, the trace power sums, the first norm power, then
+    # one mulmod for each of the powers 2..mu.
+    assert len(calls) == (r - 1) + giant_steps(m + 1) + giant_steps(D) + (mu - 1)
 
 
 def test_int64_overflow_guard_falls_back_exactly():

@@ -487,6 +487,22 @@ def test_golden_census_digest_to_1000(censuses_1000):
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_CENSUS_1000_SHA256
 
 
+# sha256 of the cache lines of census(2003) and census(4999), recorded from the
+# moment solve that took the norm moments of every trace for each norm power.
+# At both primes the top node (487 and 1200 quadratic factors) takes ladder
+# steps first, and its children (5 and 13 nodes, 5 and 8 of them with a trace
+# shared by several factors) are finished by the moment solve.
+_GOLDEN_CENSUS_SHA256 = {
+    2003: "7dde0acfc2210a516f71d3c22af5908e9f801ef3d4b38d5a7e5bb503526b05f1",
+    4999: "ede95c3b3207240b7720b26231eeb3854bec5215322b74d99971de9a334dec78",
+}
+
+
+def test_golden_census_digests_at_2003_and_4999():
+    for p, digest in _GOLDEN_CENSUS_SHA256.items():
+        assert hashlib.sha256(encode_census(census(p)).encode()).hexdigest() == digest, p
+
+
 def test_census_refuses_a_missing_legendre_root(monkeypatch):
     real = sslocus.roots_in_fp2
     monkeypatch.setattr(sslocus, "roots_in_fp2",
