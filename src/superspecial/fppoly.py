@@ -14,15 +14,19 @@ Root finding follows a gcd-with-Frobenius strategy:
   1. g = gcd(f, x^(p^2) - x) carries every root of f in F_{p^2}, each once:
      x^(p^2) - x is the product of all monic linear factors over F_{p^2}, so
      g is squarefree by construction whatever the multiplicities in f.
-  2. g splits into its linear part g1 = gcd(g, x^p - x), whose roots lie in
-     F_p and are extracted by a vectorized scan of the prime field
-     (roots_in_prime_field, refused for p above PRIME_SCAN_MAX), and
-     g2 = g / g1, a product of m distinct irreducible quadratics
-     x^2 - s_i x + n_i.  Modulo g2, x + x^p takes the trace s_i and x * x^p
+  2. g splits into its linear part g1, whose roots lie in F_p, and g2 = g / g1,
+     a product of m distinct irreducible quadratics x^2 - s_i x + n_i.  For
+     p <= PRIME_SCAN_MAX a blocked scan of the prime field (roots_in_prime_field:
+     a power table, one int64 matrix product and Horner in x^B, about
+     2 sqrt(deg g) vector steps) evaluates g itself, g1 is the product of the
+     x - r over the roots r it finds, and g2 is a Newton quotient checked to
+     multiply back to g.  Above the ceiling the scan is refused, and only
+     g1 = gcd(g, x^p - x) is taken: a g with roots in F_p is refused too, and
+     otherwise g2 = g.  Modulo g2, x + x^p takes the trace s_i and x * x^p
      the norm n_i on the i-th factor, so the trace form gives the power sums
      sum_i s_i^j n_i^l; the moment solve reads every factor off them in one
-     pass (baby-step/giant-step power projection, Newton's identities, a scan
-     of F_p for the distinct traces and a transposed Vandermonde solve for
+     pass (baby-step/giant-step power projection, Newton's identities, the same
+     scan of F_p for the distinct traces and a transposed Vandermonde solve for
      each trace's multiplicity and sum of norms), with no gcd tree, and checks
      that the factors multiply back.  The first norm moments settle every
      trace of one factor; each higher norm power is solved only on the traces
@@ -56,9 +60,11 @@ from .ffield import Fp2Field, _tonelli_shanks, is_prime, legendre
 
 _INT64_SAFE = (1 << 62)
 
-# Largest prime whose field roots_in_prime_field scans: the scan holds two
-# int64 arrays of length p.  Not below sslocus.CENSUS_MAX_PRIME, so every
-# census it admits can be scanned.
+# Largest prime whose field roots_in_prime_field scans.  The scan goes over
+# F_p in chunks of PRIME_SCAN_MAX // (B + 1) residues for its block length B,
+# so its power table and block values each hold at most PRIME_SCAN_MAX int64
+# entries (8 MB), whatever the degree.  Not below sslocus.CENSUS_MAX_PRIME, so
+# every census it admits can be scanned.
 PRIME_SCAN_MAX = 10**6
 
 # Largest node, in irreducible quadratic factors, that _split_quadratics
@@ -241,15 +247,60 @@ class _Modulus:
         return result
 
 
+def _scan_layout(n: int) -> tuple[int, int]:
+    """(B, rows) for a prime-field scan of a polynomial of n >= 1 coefficients:
+    the block length B = isqrt(n - 1) + 1 and the residues per chunk.
+
+    A chunk's power table has B + 1 rows and its block values at most B
+    (ceil(n / B) <= B, as B^2 > n - 1), so with PRIME_SCAN_MAX // (B + 1)
+    residues per chunk each holds at most PRIME_SCAN_MAX entries.
+    """
+    B = isqrt(n - 1) + 1
+    return B, PRIME_SCAN_MAX // (B + 1)
+
+
 def roots_in_prime_field(f: np.ndarray, p: int) -> list[int]:
-    """All roots in F_p of the non-zero f by scanning the prime field (vectorized Horner)."""
+    """All roots in F_p of f, whose coefficients are residues, in increasing
+    order, by evaluating f on the whole prime field (every residue for the
+    zero polynomial).
+
+    Blocked Horner (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973): f is
+    sum_k F_k(x) x^(B k) over blocks F_k of B coefficients.  On a chunk of the
+    grid a table of x^0..x^B and one int64 matrix product give every F_k(x),
+    and Horner in x^B runs over the blocks, so the scan takes about
+    2 sqrt(deg f) vector steps instead of deg f.
+    """
     if p > PRIME_SCAN_MAX:
         raise ValueError(f"p = {p} is above the prime-field scan ceiling {PRIME_SCAN_MAX}")
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in f[::-1]:
-        acc = (acc * xs + int(c)) % p
-    return [int(r) for r in xs[acc == 0]]
+    if len(f) == 0:
+        return list(range(p))
+    B, rows = _scan_layout(len(f))
+    # A block value sums B products of residues and each Horner step adds one
+    # more: exact in int64, which for p <= PRIME_SCAN_MAX holds up to degrees
+    # far beyond any array that fits in memory.
+    assert (B + 1) * (p - 1) * (p - 1) < (1 << 63)
+    blocks = np.zeros(-(-len(f) // B) * B, dtype=np.int64)
+    blocks[: len(f)] = f
+    blocks = blocks.reshape(-1, B)
+    # Both buffers are reused by every chunk, so the peak holds one of each.
+    table = np.empty((B + 1, min(rows, p)), dtype=np.int64)
+    table[0] = 1
+    values = np.empty((len(blocks), table.shape[1]), dtype=np.int64)
+    roots: list[int] = []
+    for start in range(0, p, rows):
+        xs = np.arange(start, min(start + rows, p), dtype=np.int64)
+        powers, block_values = table[:, : len(xs)], values[:, : len(xs)]
+        for b in range(1, B + 1):
+            np.multiply(powers[b - 1], xs, out=powers[b])
+            powers[b] %= p
+        np.matmul(blocks, powers[:B], out=block_values)
+        acc = block_values[-1] % p
+        for v in block_values[-2::-1]:
+            acc *= powers[B]
+            acc += v
+            acc %= p
+        roots.extend(xs[acc == 0].tolist())
+    return roots
 
 
 def hasse_poly(p: int) -> np.ndarray:
@@ -506,6 +557,31 @@ def _split_quadratics(h: np.ndarray, xp_h: np.ndarray, p: int) -> list[tuple[int
     return out
 
 
+def _divide_off_roots(g: np.ndarray, linear: list[int], p: int) -> np.ndarray:
+    """g / prod (x - r) over the roots r in linear of the monic squarefree g, a
+    product of irreducible quadratics.
+
+    The quotient is a Newton quotient: the product is monic, so its reversal
+    is a unit and rev(q) = rev(g) rev(prod)^-1 mod x^(deg q + 1).  It is
+    checked: of even degree, and multiplying back to g.
+    """
+    g1 = np.ones(1, dtype=np.int64)
+    for r in linear:
+        g1 = np.convolve(g1, (-r % p, 1)) % p
+    dq = len(g) - len(g1)
+    if dq >= 0 and dq % 2 == 0:
+        if not linear:
+            return g
+        rev_q = np.zeros(dq + 1, dtype=np.int64)
+        head = _mul(g[::-1][: dq + 1], _newton_inverse(g1[::-1].copy(), dq + 1, p), p)[: dq + 1]
+        rev_q[: len(head)] = head
+        q = rev_q[::-1].copy()
+        if np.array_equal(_mul(g1, q, p), g):
+            return q
+    raise RuntimeError(f"the {len(linear)} roots in F_{p} found for {g.tolist()} "
+                       "do not divide it into irreducible quadratics")
+
+
 def roots_in_fp2(f: np.ndarray, field: Fp2Field) -> set[tuple[int, int]]:
     """Exact set of roots of f in F_{p^2} as residue pairs (multiplicity ignored).
 
@@ -526,12 +602,16 @@ def roots_in_fp2(f: np.ndarray, field: Fp2Field) -> set[tuple[int, int]]:
     g = _gcd(ctx.m, _sub(ctx.powmod(xp, p), x_arr, p), p)
     if len(g) - 1 < 1:
         return roots
-    # g divides f, so x^p mod g is (x^p mod f) mod g.
-    g1 = _gcd(g, _sub(_rem(xp, g, p), x_arr, p), p)
-    g2 = g
-    if len(g1) - 1 >= 1:
-        roots.update((r, 0) for r in roots_in_prime_field(g1, p))
-        g2 = _divmod(g, g1, p)[0]
+    if p <= PRIME_SCAN_MAX:
+        linear = roots_in_prime_field(g, p)
+        roots.update((r, 0) for r in linear)
+        g2 = _divide_off_roots(g, linear, p)
+    else:
+        # Above the scan ceiling the gcd with x^p - x (x^p mod g, as g | f)
+        # decides: roots in F_p make the scan refuse, and otherwise g2 = g.
+        if len(_gcd(g, _sub(_rem(xp, g, p), x_arr, p), p)) > 1:
+            roots_in_prime_field(g, p)
+        g2 = g
     if len(g2) - 1 >= 1:
         for B, C in _split_quadratics(g2, _rem(xp, g2, p), p):
             roots.update(_quadratic_roots(B, C, field))

@@ -29,8 +29,9 @@ point j = 0, with H = F = T = 1.
 
 The Legendre roots come from fppoly.roots_in_fp2, whose first splitting
 steps (large powmods and gcds) dominate at large p: on a 2-vCPU VM (best of 3
-in five alternating rounds) census(997) takes 0.04-0.07 s, census(4999)
-0.8-1.3 s and census(10007) 3.4-5.1 s; README "Scale limits" has the ceilings.
+in three alternating rounds) census(997) takes 0.04 s, census(4999)
+0.76-0.90 s and census(10007) 3.1-3.3 s; README "Scale limits" has the
+ceilings.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 import inspect
+import os
 import random
+import subprocess
+import sys
 import types
 from itertools import combinations
 from math import isqrt
@@ -9,8 +12,9 @@ import pytest
 
 from superspecial.ffield import Fp2Field, lambda_to_j, legendre
 from superspecial import fppoly
-from superspecial.fppoly import (PRIME_SCAN_MAX, _divmod, _gcd, _Modulus, _mul, _rem, _sub,
-                                 _trim, hasse_poly, roots_in_fp2, roots_in_prime_field)
+from superspecial.fppoly import (PRIME_SCAN_MAX, _divmod, _gcd, _Modulus, _mul, _rem,
+                                 _scan_layout, _sub, _trim, hasse_poly, roots_in_fp2,
+                                 roots_in_prime_field)
 from superspecial.sslocus import CENSUS_MAX_PRIME
 
 
@@ -465,19 +469,120 @@ def test_int64_overflow_guard_falls_back_exactly():
     assert list(map(int, prod)) == want[: len(prod)]
 
 
-def test_evaluate_matches_numpy_scan():
-    # Integer Horner at every residue against the vectorized prime-field scan.
-    rng = random.Random(11)
-    p = 97
-    f = _random_poly(rng, p, 9)
-    if len(f) == 0:
-        f = _poly([1, 2], p)
-    roots = set(roots_in_prime_field(f, p))
+def _horner_roots(f, p):
+    """The residues at which integer Horner evaluation of f vanishes."""
+    roots = []
     for x in range(p):
         value = 0
         for c in f[::-1]:
             value = (value * x + int(c)) % p
-        assert (value == 0) == (x in roots)
+        if value == 0:
+            roots.append(x)
+    return roots
+
+
+def test_evaluate_matches_numpy_scan():
+    # Integer Horner at every residue against the blocked prime-field scan.
+    # Degrees 0..40 cross every block edge B^2 of B = isqrt(deg) + 1 up to
+    # B = 7; each polynomial has up to five planted roots, so the scan finds
+    # roots as well as rules them out.
+    rng = random.Random(21)
+    for p in (5, 7, 97):
+        assert roots_in_prime_field(np.zeros(0, dtype=np.int64), p) == list(range(p))
+        for deg in range(41):
+            k = rng.randrange(min(deg, 5) + 1)
+            f = _poly([rng.randrange(p) for _ in range(deg - k)] + [rng.randrange(1, p)], p)
+            for _ in range(k):
+                f = _mul(f, _poly([-rng.randrange(p), 1], p), p)
+            assert len(f) == deg + 1
+            assert roots_in_prime_field(f, p) == _horner_roots(f, p), (p, f)
+
+
+def test_prime_field_scan_finds_roots_on_both_sides_of_every_chunk_boundary():
+    # Roots at 0, at p - 1 and on both sides of each chunk edge, times an
+    # irreducible quadratic; the last chunk holds fewer residues than the rest.
+    p = 999983
+    _, rows = _scan_layout(13)  # degree 12: the planted roots and the quadratic
+    planted = sorted({0, p - 1} | {e + side for e in range(rows, p, rows) for side in (-1, 0)})
+    s, n = _random_irreducible(random.Random(22), p)
+    f = _poly([n, -s, 1], p)
+    for r in planted:
+        f = _mul(f, _poly([-r, 1], p), p)
+    assert len(f) == 13 and p // rows >= 2 and p % rows
+    assert roots_in_prime_field(f, p) == planted
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_prime_field_scan_peak_stays_per_chunk():
+    # A degree-300 scan at p = 999983 over the whole grid at once would hold
+    # a 19 x p power table and 17 x p block values, about 280 MB; chunks of
+    # PRIME_SCAN_MAX // (B + 1) residues keep each below 8 MB.
+    code = (
+        "import numpy as np\n"
+        "from superspecial.fppoly import roots_in_prime_field\n"
+        "def status(key):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith(key))\n"
+        "f = np.random.default_rng(0).integers(1, 999983, 301)\n"
+        "hwm = status('VmHWM:')\n"
+        "roots_in_prime_field(f, 999983)\n"
+        "print(status('VmHWM:') - hwm)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fppoly.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64 << 20
+
+
+def test_fp_roots_take_one_gcd_and_no_schoolbook_division(monkeypatch):
+    # The scan of g = gcd(f, x^(p^2) - x) finds the roots in F_p; a Newton
+    # quotient divides them off, with no gcd against x^p - x.
+    counts = {"_gcd": 0, "_divmod": 0}
+    for name in counts:
+        def spy(*args, _name=name, _real=getattr(fppoly, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(fppoly, name, spy)
+    primes = [p for p in range(5, 201) if _is_prime(p)]
+    for p in primes:
+        field = Fp2Field.of(p)
+        before = counts["_gcd"]
+        got = roots_in_fp2(hasse_poly(p), field)
+        assert len(got) == (p - 1) // 2, p
+        assert counts["_gcd"] - before == 1, p
+    assert counts["_divmod"] == 0
+
+
+def test_division_check_catches_a_wrong_prime_field_scan(monkeypatch):
+    # A scan of g that drops one of its roots in F_p or adds a residue that
+    # is none leaves g / prod (x - r) of odd degree; one that swaps a root for
+    # a non-root leaves it inexact.
+    p = 97
+    field = Fp2Field.of(p)
+    rng = random.Random(23)
+    f = _poly([1], p)
+    for r in rng.sample(range(p), 4):
+        f = _mul(f, _poly([-r, 1], p), p)
+    quads = set()
+    while len(quads) < 3:
+        quads.add(_random_irreducible(rng, p))
+    for s, n in quads:
+        f = _mul(f, _poly([n, -s, 1], p), p)
+    real = fppoly.roots_in_prime_field
+    def stranger(roots):
+        return min(set(range(p)) - set(roots))
+
+    mutants = (lambda roots: roots[1:],
+               lambda roots: sorted(roots + [stranger(roots)]),
+               lambda roots: sorted(roots[1:] + [stranger(roots)]))
+    for mutate in mutants:
+        with monkeypatch.context() as mp:
+            mp.setattr(fppoly, "roots_in_prime_field", lambda g, q: mutate(real(g, q)))
+            with pytest.raises(RuntimeError, match="do not divide it into irreducible quadratics"):
+                roots_in_fp2(f, field)
+    assert len(roots_in_fp2(f, field)) == 4 + 2 * len(quads)
 
 
 _P31 = (1 << 31) - 1  # (p-1)^2 * 2 > 2^62: any product of length >= 2 takes the big-int path
